@@ -1,0 +1,205 @@
+"""Delay-sweep harness: run both scenarios across a delay grid and score them.
+
+The sweep holds everything fixed except the configured one-way link delay,
+runs one simulated call (or conference) per grid point per protocol, scores
+each run with the E-model, and writes the results as CSV (one row per run)
+plus an optional JSONL event trace.  Runs are deterministic: the same
+configuration and seed produce byte-identical output files.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import asdict, dataclass, field
+
+from .qos import NegativeDelay, QosReport, score_run
+from .scenarios import MediaStats, TraceLog, run_iax_call, run_rsw_conference
+
+CSV_HEADER = "protocol,delay_ms,mean_e2e_delay_ms,setup_time_ms,pkts_sent,pkts_recv,loss_fraction,r_factor,mos"
+
+KNOWN_PROTOCOLS = ("IAX", "RSW")
+
+_RUNNERS = {"IAX": run_iax_call, "RSW": run_rsw_conference}
+
+
+class MissingProtocol(ValueError):
+    """A comparison needs results from both protocols."""
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """Parameters of one delay sweep.
+
+    The delay grid is ``delay_start_ms, delay_start_ms + delay_step_ms, ...``
+    up to and including ``delay_end_ms``; a degenerate sweep with
+    ``delay_start_ms == delay_end_ms`` runs a single point per protocol.
+    """
+
+    delay_start_ms: float = 0.0
+    delay_end_ms: float = 2000.0
+    delay_step_ms: float = 25.0
+    protocols: tuple[str, ...] = KNOWN_PROTOCOLS
+    duration_s: float = 10.0
+    frame_interval_ms: float = 20.0
+    payload_bytes: int = 160
+    link_rate_bps: int = 128_000
+    seed: int = 1
+
+    def __post_init__(self):
+        if self.delay_start_ms < 0:
+            raise NegativeDelay(f"delay_start_ms must be >= 0, got {self.delay_start_ms}")
+        if self.delay_end_ms < self.delay_start_ms:
+            raise ValueError(
+                f"delay_end_ms ({self.delay_end_ms}) must be >= delay_start_ms ({self.delay_start_ms})"
+            )
+        if self.delay_step_ms <= 0:
+            raise ValueError(f"delay_step_ms must be > 0, got {self.delay_step_ms}")
+        if not self.protocols:
+            raise ValueError("protocols must not be empty")
+        for name in self.protocols:
+            if name not in KNOWN_PROTOCOLS:
+                raise ValueError(f"unknown protocol {name!r}; expected one of {KNOWN_PROTOCOLS}")
+        if self.duration_s <= 0:
+            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
+        if self.frame_interval_ms < 1.0:
+            # sub-millisecond cadence would alias the integer media timestamps
+            raise ValueError(f"frame_interval_ms must be >= 1, got {self.frame_interval_ms}")
+        if not 1 <= self.payload_bytes <= 1400:
+            raise ValueError(f"payload_bytes must be in 1..1400, got {self.payload_bytes}")
+        if self.link_rate_bps <= 0:
+            raise ValueError(f"link_rate_bps must be > 0, got {self.link_rate_bps}")
+        if self.media_frame_count() < 1:
+            raise ValueError("duration_s too short for a single media frame at this cadence")
+        if self.media_frame_count() > 0xFFFF:
+            raise ValueError("duration_s / frame_interval_ms exceeds the 16-bit sequence space")
+
+    def media_frame_count(self) -> int:
+        return int(round(self.duration_s * 1000.0 / self.frame_interval_ms))
+
+
+def sweep_points(cfg: SweepConfig) -> list[float]:
+    """The delay grid for *cfg*, endpoints included."""
+    span = cfg.delay_end_ms - cfg.delay_start_ms
+    n = int(span / cfg.delay_step_ms + 1e-9) + 1
+    return [cfg.delay_start_ms + i * cfg.delay_step_ms for i in range(n)]
+
+
+@dataclass
+class SweepResult:
+    rows: list[QosReport] = field(default_factory=list)
+    metadata: dict = field(default_factory=dict)
+
+
+def run_scenario(
+    protocol: str,
+    delay_ms: float,
+    cfg: SweepConfig | None = None,
+    trace: TraceLog | None = None,
+) -> QosReport:
+    """Run one scenario at one configured delay and score it."""
+    cfg = cfg if cfg is not None else SweepConfig()
+    try:
+        runner = _RUNNERS[protocol]
+    except KeyError:
+        raise ValueError(f"unknown protocol {protocol!r}; expected one of {KNOWN_PROTOCOLS}") from None
+    stats: MediaStats = runner(delay_ms, cfg, trace)
+    delays = stats.delays
+    return score_run(
+        delays,
+        len(stats.sent),
+        len(delays),
+        protocol=protocol,
+        configured_delay_ms=delay_ms,
+        setup_time_ms=stats.setup_ms if stats.setup_ms is not None else 0.0,
+    )
+
+
+def run_sweep(cfg: SweepConfig | None = None, trace: TraceLog | None = None) -> SweepResult:
+    """Run the full grid; rows come back sorted by (protocol, delay)."""
+    cfg = cfg if cfg is not None else SweepConfig()
+    rows = [
+        run_scenario(protocol, delay_ms, cfg, trace)
+        for protocol in sorted(set(cfg.protocols))
+        for delay_ms in sweep_points(cfg)
+    ]
+    return SweepResult(rows=rows, metadata={"generator": "voipsim", "config": asdict(cfg)})
+
+
+def _csv_row(r: QosReport) -> str:
+    return (
+        f"{r.protocol},{r.configured_delay_ms:.3f},{r.mean_e2e_delay_ms:.3f},"
+        f"{r.setup_time_ms:.3f},{r.pkts_sent},{r.pkts_recv},"
+        f"{r.loss_fraction:.3f},{r.r_factor:.3f},{r.mos:.3f}"
+    )
+
+
+def emit_csv(result: SweepResult, path) -> None:
+    """Write one row per run; floats carry three decimals, counts are ints."""
+    lines = [CSV_HEADER]
+    lines.extend(_csv_row(row) for row in result.rows)
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def emit_trace(trace: TraceLog, path) -> None:
+    """Write the event trace as JSON Lines, one object per record."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        for record in trace.records:
+            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+
+def compare_report(result: SweepResult, threshold: float = 0.01) -> str:
+    """Human-readable MOS comparison between the two protocols.
+
+    Raises MissingProtocol unless the result contains rows for both.
+    """
+    by_proto: dict[str, dict[float, QosReport]] = {}
+    for row in result.rows:
+        by_proto.setdefault(row.protocol, {})[row.configured_delay_ms] = row
+    for name in KNOWN_PROTOCOLS:
+        if name not in by_proto:
+            raise MissingProtocol(f"no rows for protocol {name!r}")
+    common = sorted(set(by_proto["IAX"]) & set(by_proto["RSW"]))
+    if not common:
+        raise MissingProtocol("the two protocols share no delay points")
+
+    lines = [
+        f"MOS comparison over {len(common)} delay points (positive gap favors IAX)",
+        f"{'delay_ms':>10} {'iax_mos':>9} {'rsw_mos':>9} {'gap':>9}",
+    ]
+    gaps: list[tuple[float, float]] = []
+    for delay_ms in common:
+        iax = by_proto["IAX"][delay_ms].mos
+        rsw = by_proto["RSW"][delay_ms].mos
+        gap = iax - rsw
+        gaps.append((delay_ms, gap))
+        lines.append(f"{delay_ms:>10.1f} {iax:>9.3f} {rsw:>9.3f} {gap:>+9.4f}")
+
+    peak_delay, peak_gap = max(gaps, key=lambda item: item[1])
+    lines.append(f"max gap {peak_gap:+.4f} MOS at delay {peak_delay:g} ms")
+
+    best: tuple[int, float, float] | None = None  # (count, first, last)
+    run_start: float | None = None
+    run_len = 0
+    prev: float | None = None
+    for delay_ms, gap in gaps:
+        if gap > threshold:
+            if run_start is None:
+                run_start = delay_ms
+                run_len = 0
+            run_len += 1
+            prev = delay_ms
+        else:
+            if run_start is not None and (best is None or run_len > best[0]):
+                best = (run_len, run_start, prev)
+            run_start = None
+    if run_start is not None and (best is None or run_len > best[0]):
+        best = (run_len, run_start, prev)
+    if best is None:
+        lines.append(f"gap never exceeds {threshold:g} MOS")
+    else:
+        lines.append(
+            f"longest band with gap > {threshold:g} MOS: "
+            f"{best[0]} points, delay {best[1]:g}..{best[2]:g} ms"
+        )
+    return "\n".join(lines)

@@ -1,0 +1,380 @@
+"""Two-party call state machine with full/mini media frames.
+
+Signaling travels in Control full frames; media normally travels in 4-byte
+mini frames carrying only the low 16 timestamp bits.  The sender emits a
+Voice full frame to (re)anchor the receiver's upper 16 bits — once at media
+start and again whenever ``ts32 >> 16`` changes — so the receiver can
+reconstruct full 32-bit timestamps with at most a single wrap correction.
+
+Received-signal transitions:
+
+    caller  WaitingForResponse --AUTHREQ-->  AuthSent   (replies AUTHREP)
+            WaitingForResponse --ACCEPT--->  Accepted
+            AuthSent           --ACCEPT--->  Accepted
+            Accepted           --PROCEEDING->Proceeding
+            Accepted/Proceeding--RINGING--->  Ringing
+            Accepted/Proceeding/Ringing --ANSWER--> Up
+    callee  Idle --NEW--> per policy: open -> ACCEPT (+ANSWER or RINGING),
+            challenge -> AUTHREQ, reject/busy -> REJECT
+            AuthSent --AUTHREP--> token ok -> ACCEPT path, else REJECT
+    both    any --REJECT/HANGUP--> Hungup
+
+Anything else raises :class:`ProtocolViolation`.  ACCEPT establishes the
+call leg: ``remote_call`` stays None until ACCEPT is sent or received.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+from enum import Enum
+
+from .frames import FrameKind, FullFrame, MiniFrame, Signal
+
+TS_WRAP = 1 << 16
+MAX_CALL_NUMBER = 0x7FFF
+
+
+class CallState(Enum):
+    IDLE = "Idle"
+    WAITING_FOR_RESPONSE = "WaitingForResponse"
+    AUTH_SENT = "AuthSent"
+    ACCEPTED = "Accepted"
+    PROCEEDING = "Proceeding"
+    RINGING = "Ringing"
+    UP = "Up"
+    HUNGUP = "Hungup"
+
+
+class CalleePolicy(Enum):
+    OPEN = "open"
+    CHALLENGE = "challenge"
+    REJECT = "reject"
+    BUSY = "busy"
+
+
+class IaxError(Exception):
+    """Base class for call-machine errors."""
+
+
+class NoFreeCallNumbers(IaxError):
+    """All 32767 local call numbers are in use."""
+
+
+class ProtocolViolation(IaxError):
+    """A signal arrived that the current state does not define."""
+
+    def __init__(self, state: CallState | None, signal: Signal):
+        super().__init__(f"signal {signal.name} in state {state.value if state else '<no call>'}")
+        self.state = state
+        self.signal = signal
+
+
+class NotInCall(IaxError):
+    """Media was sent or received outside an Up call."""
+
+
+class StaleFrame(IaxError):
+    """Reconstruction would move time backwards by more than one wrap window."""
+
+
+@dataclass
+class IaxCallState:
+    """Public per-call state; ``remote_call`` binds at ACCEPT."""
+
+    state: CallState
+    local_call: int
+    remote_call: int | None = None
+    start_time: float = 0.0
+    last_full_ts: int = 0
+    oseqno: int = 0
+    iseqno: int = 0
+
+
+@dataclass
+class MediaRxState:
+    """Receiver-side timestamp reconstruction state."""
+
+    high16: int = 0
+    last_reconstructed_ts: int | None = None
+
+
+def receive_media(rx: MediaRxState, frame: FullFrame | MiniFrame) -> tuple[int, bytes]:
+    """Reconstruct the 32-bit timestamp of a received media frame.
+
+    Voice full frames re-anchor ``high16``; mini frames extend the anchor,
+    corrected by one wrap window when the result would run backwards.
+    Returns ``(ts32, payload)``.
+    """
+    last = rx.last_reconstructed_ts
+    if isinstance(frame, FullFrame):
+        if frame.frame_type is not FrameKind.VOICE:
+            raise ValueError("receive_media takes voice frames only")
+        ts32 = frame.timestamp
+        if last is not None and last - ts32 > TS_WRAP:
+            raise StaleFrame(f"full frame ts {ts32} is {last - ts32} ms behind")
+        rx.high16 = ts32 >> 16
+        if last is None or ts32 > last:
+            rx.last_reconstructed_ts = ts32
+        return ts32, frame.payload
+
+    ts32 = (rx.high16 << 16) | frame.ts16
+    if last is not None and ts32 < last:
+        ts32 += TS_WRAP
+        if ts32 < last:
+            raise StaleFrame(f"mini frame reconstructs to {ts32}, behind {last}")
+    rx.last_reconstructed_ts = ts32
+    return ts32, frame.payload
+
+
+@dataclass
+class _TimerRequest:
+    """A deferred ANSWER the driving loop should fire after ``delay_ms``."""
+
+    delay_ms: float
+    tag: str
+    local_call: int
+
+
+@dataclass
+class _CallRuntime:
+    cs: IaxCallState
+    role: str  # "caller" or "callee"
+    peer_call: int = 0  # peer's call number for addressing, before binding
+    challenge: bytes | None = None
+    media_started: bool = False
+    rx: MediaRxState = field(default_factory=MediaRxState)
+
+
+# (state, received signal) -> next state, caller side
+_CALLER_NEXT = {
+    (CallState.WAITING_FOR_RESPONSE, Signal.AUTHREQ): CallState.AUTH_SENT,
+    (CallState.WAITING_FOR_RESPONSE, Signal.ACCEPT): CallState.ACCEPTED,
+    (CallState.AUTH_SENT, Signal.ACCEPT): CallState.ACCEPTED,
+    (CallState.ACCEPTED, Signal.PROCEEDING): CallState.PROCEEDING,
+    (CallState.ACCEPTED, Signal.RINGING): CallState.RINGING,
+    (CallState.PROCEEDING, Signal.RINGING): CallState.RINGING,
+    (CallState.ACCEPTED, Signal.ANSWER): CallState.UP,
+    (CallState.PROCEEDING, Signal.ANSWER): CallState.UP,
+    (CallState.RINGING, Signal.ANSWER): CallState.UP,
+}
+
+
+class IaxEndpoint:
+    """One signaling peer: allocates call numbers, runs the state machine.
+
+    Callee behavior is fixed at construction: ``policy`` picks the response
+    to NEW, ``answer_delay_ms`` > 0 defers ANSWER behind a RINGING phase
+    (exposed as a timer request for the driving loop), and
+    ``send_proceeding`` inserts PROCEEDING before RINGING.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        *,
+        policy: CalleePolicy = CalleePolicy.OPEN,
+        answer_delay_ms: float = 0.0,
+        send_proceeding: bool = False,
+        secret: bytes = b"shared-secret",
+        rng: random.Random | None = None,
+    ):
+        self.name = name
+        self.policy = policy
+        self.answer_delay_ms = answer_delay_ms
+        self.send_proceeding = send_proceeding
+        self.secret = secret
+        self.calls: dict[int, _CallRuntime] = {}
+        self._rng = rng if rng is not None else random.Random(0)
+        self._next_hint = 1
+        self._timer_requests: list[_TimerRequest] = []
+
+    # -- call number allocation ------------------------------------------
+
+    def _allocate_call(self) -> int:
+        if len(self.calls) >= MAX_CALL_NUMBER:
+            raise NoFreeCallNumbers(f"{self.name}: all {MAX_CALL_NUMBER} numbers in use")
+        n = self._next_hint
+        while n in self.calls:
+            n = n % MAX_CALL_NUMBER + 1
+        self._next_hint = n % MAX_CALL_NUMBER + 1
+        return n
+
+    # -- signaling ---------------------------------------------------------
+
+    def place_call(self, dest: str, now: float) -> tuple[FullFrame, IaxCallState]:
+        """Start an outbound call; returns the NEW frame to send."""
+        local = self._allocate_call()
+        cs = IaxCallState(state=CallState.WAITING_FOR_RESPONSE, local_call=local, start_time=now)
+        rt = _CallRuntime(cs=cs, role="caller")
+        self.calls[local] = rt
+        return self._control(rt, Signal.NEW, now, payload=dest.encode("utf-8")), cs
+
+    def handle_signal(self, f: FullFrame, now: float) -> tuple[list[FullFrame], IaxCallState]:
+        """Apply one received Control frame; returns (replies, call state)."""
+        if f.frame_type is not FrameKind.CONTROL:
+            raise ValueError("handle_signal takes Control frames")
+        sig = Signal(f.subclass)
+        rt = self.calls.get(f.dest_call) if f.dest_call else None
+        if rt is None:
+            if sig is Signal.NEW:
+                return self._on_new(f, now)
+            raise ProtocolViolation(None, sig)
+        cs = rt.cs
+        cs.iseqno = (f.oseqno + 1) & 0xFF
+        if sig in (Signal.REJECT, Signal.HANGUP):
+            if cs.remote_call is None:
+                cs.remote_call = f.source_call  # record who tore the call down
+            cs.state = CallState.HUNGUP
+            return [], cs
+        if rt.role == "caller":
+            return self._caller_signal(rt, sig, f, now)
+        return self._callee_signal(rt, sig, f, now)
+
+    def hangup(self, local_call: int, now: float) -> FullFrame:
+        """Tear down a call locally and return the HANGUP frame to send."""
+        rt = self._runtime(local_call)
+        frame = self._control(rt, Signal.HANGUP, now)
+        rt.cs.state = CallState.HUNGUP
+        return frame
+
+    def pop_timer_requests(self) -> list[_TimerRequest]:
+        """Drain deferred-ANSWER requests queued by recent signaling."""
+        out, self._timer_requests = self._timer_requests, []
+        return out
+
+    def fire_answer_timer(self, local_call: int, now: float) -> tuple[list[FullFrame], IaxCallState]:
+        """Emit the deferred ANSWER; a no-op if the call was torn down."""
+        rt = self._runtime(local_call)
+        if rt.cs.state is not CallState.RINGING:
+            return [], rt.cs
+        answer = self._control(rt, Signal.ANSWER, now)
+        rt.cs.state = CallState.UP
+        return [answer], rt.cs
+
+    # -- media -------------------------------------------------------------
+
+    def send_media(self, local_call: int, payload: bytes, now: float) -> FullFrame | MiniFrame:
+        """Emit the next media frame for an Up call.
+
+        A Voice full frame goes out for the first media frame and whenever
+        the high 16 timestamp bits change; otherwise a mini frame.
+        """
+        rt = self._runtime(local_call)
+        cs = rt.cs
+        if cs.state is not CallState.UP:
+            raise NotInCall(f"call {local_call} is {cs.state.value}, not Up")
+        ts32 = int(now - cs.start_time) & 0xFFFFFFFF
+        if not rt.media_started or (ts32 >> 16) != (cs.last_full_ts >> 16):
+            rt.media_started = True
+            cs.last_full_ts = ts32
+            frame = FullFrame(
+                source_call=cs.local_call,
+                dest_call=cs.remote_call or 0,
+                timestamp=ts32,
+                oseqno=cs.oseqno,
+                iseqno=cs.iseqno,
+                frame_type=FrameKind.VOICE,
+                subclass=0,
+                payload=payload,
+            )
+            cs.oseqno = (cs.oseqno + 1) & 0xFF
+            return frame
+        return MiniFrame(source_call=cs.local_call, ts16=ts32 & 0xFFFF, payload=payload)
+
+    def receive_media_frame(self, frame: FullFrame | MiniFrame) -> tuple[int, bytes]:
+        """Locate the call a media frame belongs to and reconstruct its ts."""
+        if isinstance(frame, FullFrame):
+            rt = self.calls.get(frame.dest_call)
+        else:
+            rt = next((r for r in self.calls.values() if r.peer_call == frame.source_call), None)
+        if rt is None or rt.cs.state is not CallState.UP:
+            raise NotInCall("no Up call for this media frame")
+        return receive_media(rt.rx, frame)
+
+    # -- internals -----------------------------------------------------------
+
+    def _runtime(self, local_call: int) -> _CallRuntime:
+        rt = self.calls.get(local_call)
+        if rt is None:
+            raise NotInCall(f"no call numbered {local_call}")
+        return rt
+
+    def _control(self, rt: _CallRuntime, sig: Signal, now: float, payload: bytes = b"") -> FullFrame:
+        cs = rt.cs
+        frame = FullFrame(
+            source_call=cs.local_call,
+            dest_call=rt.peer_call,
+            timestamp=int(now - cs.start_time) & 0xFFFFFFFF,
+            oseqno=cs.oseqno,
+            iseqno=cs.iseqno,
+            frame_type=FrameKind.CONTROL,
+            subclass=sig,
+            payload=payload,
+        )
+        cs.oseqno = (cs.oseqno + 1) & 0xFF
+        return frame
+
+    def _on_new(self, f: FullFrame, now: float) -> tuple[list[FullFrame], IaxCallState]:
+        local = self._allocate_call()
+        cs = IaxCallState(state=CallState.IDLE, local_call=local, start_time=now)
+        rt = _CallRuntime(cs=cs, role="callee", peer_call=f.source_call)
+        self.calls[local] = rt
+        cs.iseqno = (f.oseqno + 1) & 0xFF
+        if self.policy is CalleePolicy.OPEN:
+            return self._accept_path(rt, now)
+        if self.policy is CalleePolicy.CHALLENGE:
+            rt.challenge = bytes(self._rng.randrange(256) for _ in range(8))
+            cs.state = CallState.AUTH_SENT
+            return [self._control(rt, Signal.AUTHREQ, now, payload=rt.challenge)], cs
+        cause = b"busy" if self.policy is CalleePolicy.BUSY else b"rejected"
+        reject = self._control(rt, Signal.REJECT, now, payload=cause)
+        cs.remote_call = rt.peer_call
+        cs.state = CallState.HUNGUP
+        return [reject], cs
+
+    def _accept_path(self, rt: _CallRuntime, now: float) -> tuple[list[FullFrame], IaxCallState]:
+        cs = rt.cs
+        cs.remote_call = rt.peer_call  # ACCEPT establishes the leg
+        frames = [self._control(rt, Signal.ACCEPT, now)]
+        if self.answer_delay_ms <= 0:
+            frames.append(self._control(rt, Signal.ANSWER, now))
+            cs.state = CallState.UP
+            return frames, cs
+        if self.send_proceeding:
+            frames.append(self._control(rt, Signal.PROCEEDING, now))
+        frames.append(self._control(rt, Signal.RINGING, now))
+        cs.state = CallState.RINGING
+        self._timer_requests.append(_TimerRequest(self.answer_delay_ms, "answer", cs.local_call))
+        return frames, cs
+
+    def _caller_signal(
+        self, rt: _CallRuntime, sig: Signal, f: FullFrame, now: float
+    ) -> tuple[list[FullFrame], IaxCallState]:
+        cs = rt.cs
+        nxt = _CALLER_NEXT.get((cs.state, sig))
+        if nxt is None:
+            raise ProtocolViolation(cs.state, sig)
+        replies: list[FullFrame] = []
+        if sig is Signal.AUTHREQ:
+            rt.peer_call = f.source_call
+            rt.challenge = f.payload
+            replies.append(self._control(rt, Signal.AUTHREP, now, payload=f.payload + self.secret))
+        elif sig is Signal.ACCEPT:
+            rt.peer_call = f.source_call
+            cs.remote_call = f.source_call  # leg established
+        cs.state = nxt
+        return replies, cs
+
+    def _callee_signal(
+        self, rt: _CallRuntime, sig: Signal, f: FullFrame, now: float
+    ) -> tuple[list[FullFrame], IaxCallState]:
+        cs = rt.cs
+        if cs.state is CallState.AUTH_SENT and sig is Signal.AUTHREP:
+            if rt.challenge is not None and f.payload == rt.challenge + self.secret:
+                return self._accept_path(rt, now)
+            reject = self._control(rt, Signal.REJECT, now, payload=b"bad-auth")
+            cs.remote_call = rt.peer_call
+            cs.state = CallState.HUNGUP
+            return [reject], cs
+        raise ProtocolViolation(cs.state, sig)

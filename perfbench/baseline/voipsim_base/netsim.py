@@ -1,0 +1,179 @@
+"""Deterministic discrete-event emulation of a single delayed link.
+
+One :class:`Simulator` owns the virtual clock, a seeded RNG, and the event
+heap.  Events are dispatched strictly in ``(due, seq)`` order, where ``seq``
+is the global scheduling counter, so runs with the same seed and the same
+scenario replay identically.
+
+Packet timing on a link::
+
+    serialization_ms = 8 * (len(pkt) + overhead_bytes) / link_rate_bps * 1000
+
+``transmit`` models the lossy media channel (loss, duplication, reordering,
+jitter); ``reliable_send`` models the in-order signaling channel and never
+consumes randomness.  ``deliver_local`` moves a packet between co-located
+nodes (e.g. a conference server and a member on the same host) for free,
+plus an optional processing delay.
+"""
+
+from __future__ import annotations
+
+import heapq
+import random
+from dataclasses import dataclass
+from enum import Enum
+from typing import Callable
+
+from .qos import NegativeDelay
+
+
+class EmptyPacket(ValueError):
+    """Transmission of a zero-length packet was requested."""
+
+
+class HorizonExceeded(RuntimeError):
+    """An event fell past the configured horizon; guards against livelock."""
+
+
+@dataclass(frozen=True)
+class LinkConfig:
+    """Emulated link parameters; probabilities apply to media only."""
+
+    delay_ms: float = 0.0
+    jitter_ms: float = 0.0
+    loss_prob: float = 0.0
+    dup_prob: float = 0.0
+    reorder_prob: float = 0.0
+    link_rate_bps: int = 128_000
+    overhead_bytes: int = 28
+
+    def __post_init__(self):
+        if self.delay_ms < 0:
+            raise NegativeDelay(f"delay_ms {self.delay_ms}")
+        if self.jitter_ms < 0:
+            raise ValueError(f"jitter_ms must be >= 0, got {self.jitter_ms}")
+        for name in ("loss_prob", "dup_prob", "reorder_prob"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {p}")
+        if self.link_rate_bps <= 0:
+            raise ValueError(f"link_rate_bps must be > 0, got {self.link_rate_bps}")
+        if self.overhead_bytes < 0:
+            raise ValueError(f"overhead_bytes must be >= 0, got {self.overhead_bytes}")
+
+
+def serialization_ms(link: LinkConfig, size_bytes: int) -> float:
+    """Time to clock ``size_bytes`` plus per-packet overhead onto the link."""
+    return 8.0 * (size_bytes + link.overhead_bytes) * 1000.0 / link.link_rate_bps
+
+
+class EventKind(Enum):
+    DELIVER = "deliver"
+    TIMER = "timer"
+
+
+@dataclass(frozen=True)
+class SimEvent:
+    """A scheduled occurrence; ordering key is (due, seq)."""
+
+    due: float
+    seq: int
+    kind: EventKind
+    dst: str
+    payload: bytes | str
+
+
+Handler = Callable[["Simulator", SimEvent], None]
+
+
+class Simulator:
+    """Event queue, virtual clock, and seeded randomness for one run."""
+
+    def __init__(self, seed: int = 1):
+        self.now: float = 0.0
+        self.rng = random.Random(seed)
+        self.dispatched = 0
+        self._heap: list[tuple[float, int, SimEvent]] = []
+        self._next_seq = 0
+        self._handlers: dict[str, Handler] = {}
+        self._reliable_front: dict[tuple[str, str], float] = {}
+
+    def register(self, endpoint_id: str, handler: Handler) -> None:
+        self._handlers[endpoint_id] = handler
+
+    def schedule(self, due: float, kind: EventKind, dst: str, payload: bytes | str) -> SimEvent:
+        """Queue an event; ``due`` must not precede the current clock."""
+        if due < self.now:
+            raise ValueError(f"due {due} precedes now {self.now}")
+        ev = SimEvent(due=due, seq=self._next_seq, kind=kind, dst=dst, payload=payload)
+        self._next_seq += 1
+        heapq.heappush(self._heap, (ev.due, ev.seq, ev))
+        return ev
+
+    def schedule_timer(self, delay_ms: float, dst: str, tag: str) -> SimEvent:
+        return self.schedule(self.now + delay_ms, EventKind.TIMER, dst, tag)
+
+    def transmit(self, link: LinkConfig, pkt: bytes, src: str, dst: str) -> list[SimEvent]:
+        """Send over the lossy media channel; returns the scheduled Delivers.
+
+        Four RNG draws happen on every call (loss, duplicate, reorder,
+        jitter) in that fixed order, whatever the configured probabilities,
+        so event streams stay aligned across configs with the same seed.
+        A reordered packet skips the configured delay and arrives early.
+        Arrival never precedes ``now + serialization``.
+        """
+        if len(pkt) == 0:
+            raise EmptyPacket(f"{src}->{dst}")
+        ser = serialization_ms(link, len(pkt))
+        lost = self.rng.random() < link.loss_prob
+        duplicated = self.rng.random() < link.dup_prob
+        reordered = self.rng.random() < link.reorder_prob
+        jitter = self.rng.uniform(-link.jitter_ms, link.jitter_ms)
+        if lost:
+            return []
+        base = 0.0 if reordered else link.delay_ms
+        arrival = self.now + ser + max(0.0, base + jitter)
+        events = [self.schedule(arrival, EventKind.DELIVER, dst, pkt)]
+        if duplicated:
+            events.append(self.schedule(arrival, EventKind.DELIVER, dst, pkt))
+        return events
+
+    def reliable_send(self, link: LinkConfig, pkt: bytes, src: str, dst: str) -> SimEvent:
+        """Send over the in-order signaling channel.
+
+        Arrival is ``now + serialization + delay_ms`` — no loss, duplication,
+        reordering, or jitter, and no RNG draws.  Arrival is clamped to the
+        previous reliable arrival for the same (src, dst) pair so FIFO order
+        holds even for pathological size mixes.
+        """
+        if len(pkt) == 0:
+            raise EmptyPacket(f"{src}->{dst}")
+        arrival = self.now + serialization_ms(link, len(pkt)) + link.delay_ms
+        front = self._reliable_front.get((src, dst), 0.0)
+        arrival = max(arrival, front)
+        self._reliable_front[(src, dst)] = arrival
+        return self.schedule(arrival, EventKind.DELIVER, dst, pkt)
+
+    def deliver_local(self, pkt: bytes, dst: str, processing_ms: float = 0.0) -> SimEvent:
+        """Hand a packet to a co-located node: no link, no serialization."""
+        if len(pkt) == 0:
+            raise EmptyPacket(f"local->{dst}")
+        return self.schedule(self.now + processing_ms, EventKind.DELIVER, dst, pkt)
+
+    def run_until_idle(self, horizon_ms: float | None = None) -> float:
+        """Dispatch events in (due, seq) order until the queue drains.
+
+        Returns the final clock value (0.0 for an initially empty queue).
+        An event due past ``horizon_ms`` raises :class:`HorizonExceeded`.
+        """
+        while self._heap:
+            due, _seq, ev = heapq.heappop(self._heap)
+            if horizon_ms is not None and due > horizon_ms:
+                raise HorizonExceeded(f"event for {ev.dst} due {due} > horizon {horizon_ms}")
+            self.now = due
+            handler = self._handlers.get(ev.dst)
+            if handler is None:
+                raise LookupError(f"no handler registered for {ev.dst!r}")
+            handler(self, ev)
+            self.dispatched += 1
+        return self.now

@@ -1,0 +1,298 @@
+"""Server-mediated conference control and RTP media sending.
+
+A chairman CREATEs a conference naming its invitees; the server fans the
+invitation out, relays each invitee's JOIN/REJECT/BUSY answer back to the
+chairman, and ACKs every signal it accepts.  Only the chairman may END.
+Member status moves along Invited -> Joined -> Left (or Invited ->
+Rejected/Busy) and never backwards.
+
+On the wire a chairman's CREATE carries the comma-separated invitee list in
+the recipient field (``id`` or ``id:observer``); every other message is
+point-to-point.  Media is plain RTP; passive observers receive but are
+refused at the sending API.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from enum import Enum
+from typing import Sequence
+
+from .frames import RswMessage, RtpPacket, Verb
+
+DEFAULT_SERVER_ID = "server"
+
+
+class Role(Enum):
+    CHAIRMAN = "chairman"
+    PARTICIPANT = "participant"
+    PASSIVE_OBSERVER = "passive_observer"
+
+
+class MemberStatus(Enum):
+    INVITED = "invited"
+    JOINED = "joined"
+    LEFT = "left"
+    REJECTED = "rejected"
+    BUSY = "busy"
+
+
+class ConferencePhase(Enum):
+    CREATING = "creating"
+    ACTIVE = "active"
+    ENDED = "ended"
+
+
+class ResponsePolicy(Enum):
+    """How an invitee answers an invitation."""
+
+    ACCEPT = "accept"
+    REJECT = "reject"
+    BUSY = "busy"
+
+
+class RswError(Exception):
+    """Base class for conference control errors."""
+
+
+class EmptyInviteeList(RswError):
+    pass
+
+
+class EmptyMediaDescription(RswError):
+    pass
+
+
+class NotChairman(RswError):
+    """Someone other than the chairman tried to END."""
+
+
+class UnknownConference(RswError):
+    """Message names a conference the server does not hold."""
+
+
+class NotInvited(RswError):
+    """Sender holds no usable invitation (or already responded)."""
+
+
+class ObserverCannotSend(RswError):
+    """Passive observers receive media but never send."""
+
+
+class ConferenceNotActive(RswError):
+    """Media was sent while the conference was not active."""
+
+
+@dataclass
+class Member:
+    role: Role
+    status: MemberStatus
+
+
+@dataclass
+class ConferenceState:
+    """The server's record of one conference."""
+
+    conf_id: int
+    chairman: str
+    members: dict[str, Member]
+    media_desc: str
+    phase: ConferencePhase
+
+
+_RESPONSE_STATUS = {
+    Verb.JOIN: MemberStatus.JOINED,
+    Verb.REJECT: MemberStatus.REJECTED,
+    Verb.BUSY: MemberStatus.BUSY,
+}
+
+_RESPONSE_VERB = {
+    ResponsePolicy.ACCEPT: Verb.JOIN,
+    ResponsePolicy.REJECT: Verb.REJECT,
+    ResponsePolicy.BUSY: Verb.BUSY,
+}
+
+
+def _check_member_id(member_id: str) -> str:
+    if not member_id or any(c.isspace() for c in member_id) or "," in member_id or ":" in member_id:
+        raise ValueError(f"bad member id {member_id!r}")
+    return member_id
+
+
+def create_conference(
+    chairman: str,
+    invitees: Sequence[str],
+    media_desc: str,
+    *,
+    conf_id: int = 1,
+    observers: Sequence[str] = (),
+) -> tuple[RswMessage, ConferenceState]:
+    """Build the CREATE message and the chairman's view of the conference.
+
+    The chairman is marked Joined immediately; all invitees (participants
+    and passive observers) start Invited.
+    """
+    if not list(invitees) and not list(observers):
+        raise EmptyInviteeList("a conference needs at least one invitee")
+    if not media_desc:
+        raise EmptyMediaDescription("media description must be non-empty")
+    _check_member_id(chairman)
+    members = {chairman: Member(Role.CHAIRMAN, MemberStatus.JOINED)}
+    specs: list[str] = []
+    for invitee in invitees:
+        _check_member_id(invitee)
+        members[invitee] = Member(Role.PARTICIPANT, MemberStatus.INVITED)
+        specs.append(invitee)
+    for observer in observers:
+        _check_member_id(observer)
+        members[observer] = Member(Role.PASSIVE_OBSERVER, MemberStatus.INVITED)
+        specs.append(f"{observer}:observer")
+    if len(members) != 1 + len(list(invitees)) + len(list(observers)):
+        raise ValueError("duplicate member ids")
+    msg = RswMessage(Verb.CREATE, conf_id, chairman, ",".join(specs), media_desc)
+    return msg, ConferenceState(conf_id, chairman, members, media_desc, ConferencePhase.CREATING)
+
+
+def server_route(
+    msg: RswMessage,
+    conf: ConferenceState | None,
+    *,
+    server_id: str = DEFAULT_SERVER_ID,
+) -> tuple[list[RswMessage], ConferenceState]:
+    """Process one signal at the server; returns (messages out, conference).
+
+    CREATE establishes the conference and fans out one invitation per
+    invitee plus an ACK to the chairman.  Every other accepted signal is
+    ACKed to its sender; invitee responses are additionally relayed to the
+    chairman.  The conference becomes Active on the first JOIN and Ended
+    only on the chairman's END.
+    """
+    if msg.verb is Verb.CREATE:
+        if conf is not None:
+            raise RswError(f"conference {conf.conf_id} already exists")
+        conf = _conference_from_create(msg)
+        out = [
+            RswMessage(Verb.CREATE, conf.conf_id, server_id, invitee, conf.media_desc)
+            for invitee, member in conf.members.items()
+            if member.role is not Role.CHAIRMAN
+        ]
+        out.append(RswMessage(Verb.ACK, conf.conf_id, server_id, conf.chairman))
+        return out, conf
+
+    if conf is None or conf.conf_id != msg.conf_id:
+        raise UnknownConference(f"no conference {msg.conf_id}")
+    if conf.phase is ConferencePhase.ENDED:
+        raise RswError(f"conference {conf.conf_id} has ended")
+
+    sender = msg.sender
+    if msg.verb in _RESPONSE_STATUS:
+        member = conf.members.get(sender)
+        if member is None or member.status is not MemberStatus.INVITED:
+            raise NotInvited(f"{sender} holds no open invitation")
+        member.status = _RESPONSE_STATUS[msg.verb]
+        if msg.verb is Verb.JOIN and conf.phase is ConferencePhase.CREATING:
+            conf.phase = ConferencePhase.ACTIVE
+        return [
+            RswMessage(Verb.ACK, conf.conf_id, server_id, sender),
+            RswMessage(msg.verb, conf.conf_id, sender, conf.chairman),
+        ], conf
+
+    if msg.verb is Verb.LEAVE:
+        member = conf.members.get(sender)
+        if member is None or member.status is not MemberStatus.JOINED:
+            raise NotInvited(f"{sender} is not joined")
+        member.status = MemberStatus.LEFT
+        return [RswMessage(Verb.ACK, conf.conf_id, server_id, sender)], conf
+
+    if msg.verb is Verb.END:
+        if sender != conf.chairman:
+            raise NotChairman(f"{sender} is not the chairman")
+        conf.phase = ConferencePhase.ENDED
+        out = [RswMessage(Verb.ACK, conf.conf_id, server_id, sender)]
+        out.extend(
+            RswMessage(Verb.END, conf.conf_id, server_id, member_id)
+            for member_id, member in conf.members.items()
+            if member.status is MemberStatus.JOINED and member_id != sender
+        )
+        return out, conf
+
+    # A stray ACK carries no state; accept it silently.
+    return [], conf
+
+
+def _conference_from_create(msg: RswMessage) -> ConferenceState:
+    members = {msg.sender: Member(Role.CHAIRMAN, MemberStatus.JOINED)}
+    for spec in msg.recipient.split(","):
+        name, _, tag = spec.partition(":")
+        if not name or (tag and tag != "observer"):
+            raise RswError(f"bad invitee spec {spec!r}")
+        role = Role.PASSIVE_OBSERVER if tag else Role.PARTICIPANT
+        if name in members:
+            raise RswError(f"duplicate invitee {name!r}")
+        members[name] = Member(role, MemberStatus.INVITED)
+    return ConferenceState(msg.conf_id, msg.sender, members, msg.body, ConferencePhase.CREATING)
+
+
+@dataclass
+class Invitation:
+    conf_id: int
+    media_desc: str
+    inviter: str
+
+
+class RswInvitee:
+    """Invitation tracking for one endpoint; a respond consumes it."""
+
+    def __init__(self, endpoint_id: str):
+        self.endpoint_id = _check_member_id(endpoint_id)
+        self._invitation: Invitation | None = None
+
+    def receive_invitation(self, msg: RswMessage) -> Invitation:
+        if msg.verb is not Verb.CREATE:
+            raise ValueError(f"not an invitation: {msg.verb}")
+        self._invitation = Invitation(msg.conf_id, msg.body, msg.sender)
+        return self._invitation
+
+    def respond(self, policy: ResponsePolicy, *, server_id: str = DEFAULT_SERVER_ID) -> RswMessage:
+        """Answer the pending invitation once; a second respond raises."""
+        if self._invitation is None:
+            raise NotInvited(f"{self.endpoint_id} holds no open invitation")
+        invitation, self._invitation = self._invitation, None
+        return RswMessage(_RESPONSE_VERB[policy], invitation.conf_id, self.endpoint_id, server_id)
+
+
+@dataclass
+class RtpTxState:
+    """Outbound RTP stream counters."""
+
+    seq: int
+    timestamp: int
+    ssrc: int
+    samples_per_frame: int = 160
+
+
+def new_rtp_tx(rng: random.Random, samples_per_frame: int = 160) -> RtpTxState:
+    """Fresh stream state with seeded-random initial seq/timestamp/ssrc."""
+    return RtpTxState(
+        seq=rng.randrange(1 << 16),
+        timestamp=rng.randrange(1 << 32),
+        ssrc=rng.randrange(1 << 32),
+        samples_per_frame=samples_per_frame,
+    )
+
+
+def send_media_rtp(tx: RtpTxState, payload: bytes, *, role: Role, phase: ConferencePhase) -> RtpPacket:
+    """Emit the next RTP packet and advance the stream counters.
+
+    seq advances by 1 mod 2**16 and timestamp by samples_per_frame mod 2**32
+    per packet.  Refused for passive observers and inactive conferences.
+    """
+    if phase is not ConferencePhase.ACTIVE:
+        raise ConferenceNotActive(f"conference is {phase.value}")
+    if role is Role.PASSIVE_OBSERVER:
+        raise ObserverCannotSend("passive observers receive only")
+    pkt = RtpPacket(seq=tx.seq, timestamp=tx.timestamp, ssrc=tx.ssrc, payload=payload)
+    tx.seq = (tx.seq + 1) & 0xFFFF
+    tx.timestamp = (tx.timestamp + tx.samples_per_frame) & 0xFFFFFFFF
+    return pkt

@@ -1,0 +1,388 @@
+"""Executable scenarios: one call (or conference) per simulator run.
+
+Both scenarios stream one-way media at a fixed cadence across a single
+emulated WAN link and record per-packet send/arrival times:
+
+* two-party call: caller places the call, the callee auto-answers, media
+  runs caller -> callee in mini frames (full frames only to anchor), then
+  the caller hangs up;
+* conference: the chairman CREATEs with one invitee, the server (co-located
+  with the invitee) relays the invitation and the JOIN, media runs
+  chairman -> server -> invitee as RTP, then the chairman ENDs.
+
+The configured one-way delay is paid once per end-to-end path; the
+server-to-member hop of a co-located relay costs only the configurable
+processing time (0 by default).  With identical payloads the two media
+paths therefore differ by exactly the serialization of the 8 header bytes
+that separate a mini frame from an RTP packet.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+from .frames import (
+    FrameKind,
+    FullFrame,
+    RswMessage,
+    Signal,
+    Verb,
+    decode_full,
+    decode_mini,
+    decode_rsw,
+    decode_rtp,
+    encode_full,
+    encode_mini,
+    encode_rsw,
+    encode_rtp,
+)
+from .iax import CallState, IaxEndpoint, NotInCall
+from .netsim import EventKind, LinkConfig, SimEvent, Simulator
+from .rsw import (
+    ConferencePhase,
+    MemberStatus,
+    ResponsePolicy,
+    Role,
+    RswInvitee,
+    create_conference,
+    new_rtp_tx,
+    send_media_rtp,
+    server_route,
+)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .experiment import SweepConfig
+
+
+class TraceLog:
+    """Accumulates JSON-serializable event records across runs."""
+
+    def __init__(self):
+        self.records: list[dict] = []
+
+    def add(self, **fields) -> None:
+        self.records.append(fields)
+
+
+class _ScenarioTrace:
+    """Labels every record with the scenario it came from."""
+
+    __slots__ = ("log", "label")
+
+    def __init__(self, log: TraceLog, label: str):
+        self.log = log
+        self.label = label
+
+    def add(self, **fields) -> None:
+        self.log.records.append({"scenario": self.label, **fields})
+
+
+@dataclass
+class MediaStats:
+    """Raw per-run measurements, keyed by media timestamp or sequence."""
+
+    sent: list[tuple[int, float]] = field(default_factory=list)
+    recv: dict[int, float] = field(default_factory=dict)
+    setup_ms: float | None = None
+
+    @property
+    def delays(self) -> list[float]:
+        """One-way delay per delivered packet, in send order."""
+        return [self.recv[key] - t for key, t in self.sent if key in self.recv]
+
+
+def _horizon(delay_ms: float, cfg: SweepConfig) -> float:
+    return cfg.duration_s * 1000.0 + 20.0 * delay_ms + 60_000.0
+
+
+# --------------------------------------------------------------------------
+# two-party call
+# --------------------------------------------------------------------------
+
+
+class _IaxCallerNode:
+    def __init__(self, sim, link, cfg, stats, trace):
+        self.sim = sim
+        self.link = link
+        self.cfg = cfg
+        self.stats = stats
+        self.trace = trace
+        self.endpoint = IaxEndpoint("caller")
+        self.payload = bytes(cfg.payload_bytes)
+        self.frames_left = cfg.media_frame_count()
+        self.call = None
+        self.hung_up = False
+
+    def start(self) -> None:
+        frame, self.call = self.endpoint.place_call("callee", self.sim.now)
+        self._signal_out(frame)
+
+    def handle(self, sim: Simulator, ev: SimEvent) -> None:
+        if ev.kind is EventKind.TIMER:
+            self._media_tick()
+            return
+        frame = decode_full(ev.payload)
+        before = self.call.state
+        replies, cs = self.endpoint.handle_signal(frame, sim.now)
+        for reply in replies:
+            self._signal_out(reply)
+        if self.trace is not None:
+            self.trace.add(
+                t=sim.now, kind="state", endpoint="caller",
+                event=Signal(frame.subclass).name,
+                state_before=before.value, state_after=cs.state.value,
+            )
+        if cs.state is CallState.UP and self.stats.setup_ms is None:
+            self.stats.setup_ms = sim.now
+            self._send_anchor()
+            sim.schedule_timer(self.cfg.frame_interval_ms, "caller", "media")
+
+    def _signal_out(self, frame: FullFrame) -> None:
+        data = encode_full(frame)
+        if self.trace is not None:
+            self.trace.add(
+                t=self.sim.now, kind="signal", src="caller", dst="callee",
+                signal=Signal(frame.subclass).name, bytes=len(data),
+            )
+        self.sim.reliable_send(self.link, data, "caller", "callee")
+
+    def _send_anchor(self) -> None:
+        # The first voice frame of a call is always a full frame (it anchors
+        # the receiver's 16-bit timestamp window).  Its wire size differs
+        # from the steady-state mini frames, so it is sent as a warmup packet
+        # and excluded from the per-packet delay statistics.
+        frame = self.endpoint.send_media(self.call.local_call, self.payload, self.sim.now)
+        data = encode_full(frame) if isinstance(frame, FullFrame) else encode_mini(frame)
+        if self.trace is not None:
+            self.trace.add(t=self.sim.now, kind="media", src="caller", dst="callee", bytes=len(data))
+        self.sim.transmit(self.link, data, "caller", "callee")
+
+    def _media_tick(self) -> None:
+        if self.frames_left > 0:
+            frame = self.endpoint.send_media(self.call.local_call, self.payload, self.sim.now)
+            key = int(self.sim.now - self.call.start_time)
+            self.stats.sent.append((key, self.sim.now))
+            data = encode_full(frame) if isinstance(frame, FullFrame) else encode_mini(frame)
+            if self.trace is not None:
+                self.trace.add(t=self.sim.now, kind="media", src="caller", dst="callee", bytes=len(data))
+            self.sim.transmit(self.link, data, "caller", "callee")
+            self.frames_left -= 1
+            self.sim.schedule_timer(self.cfg.frame_interval_ms, "caller", "media")
+        elif not self.hung_up:
+            self.hung_up = True
+            self._signal_out(self.endpoint.hangup(self.call.local_call, self.sim.now))
+
+
+class _IaxCalleeNode:
+    def __init__(self, sim, link, stats, trace):
+        self.sim = sim
+        self.link = link
+        self.stats = stats
+        self.trace = trace
+        self.endpoint = IaxEndpoint("callee")  # open policy, immediate answer
+
+    def handle(self, sim: Simulator, ev: SimEvent) -> None:
+        data = ev.payload
+        if data[0] & 0x80:
+            frame = decode_full(data)
+            if frame.frame_type is FrameKind.VOICE:
+                self._media_in(frame)
+                return
+            replies, cs = self.endpoint.handle_signal(frame, sim.now)
+            for reply in replies:
+                raw = encode_full(reply)
+                if self.trace is not None:
+                    self.trace.add(
+                        t=sim.now, kind="signal", src="callee", dst="caller",
+                        signal=Signal(reply.subclass).name, bytes=len(raw),
+                    )
+                sim.reliable_send(self.link, raw, "callee", "caller")
+        else:
+            self._media_in(decode_mini(data))
+
+    def _media_in(self, frame) -> None:
+        try:
+            ts32, _payload = self.endpoint.receive_media_frame(frame)
+        except NotInCall:
+            return  # media straggling past teardown is dropped, not fatal
+        self.stats.recv.setdefault(ts32, self.sim.now)
+        if self.trace is not None:
+            self.trace.add(t=self.sim.now, kind="deliver", dst="callee", ts=ts32)
+
+
+def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
+    """Simulate one two-party call; returns the raw measurements."""
+    sim = Simulator(seed=cfg.seed)
+    link = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
+    stats = MediaStats()
+    scenario_trace = _ScenarioTrace(trace, f"IAX:{delay_ms:g}") if trace is not None else None
+    caller = _IaxCallerNode(sim, link, cfg, stats, scenario_trace)
+    callee = _IaxCalleeNode(sim, link, stats, scenario_trace)
+    sim.register("caller", caller.handle)
+    sim.register("callee", callee.handle)
+    caller.start()
+    sim.run_until_idle(_horizon(delay_ms, cfg))
+    return stats
+
+
+# --------------------------------------------------------------------------
+# conference
+# --------------------------------------------------------------------------
+
+
+class _RswChairNode:
+    def __init__(self, sim, wan, cfg, stats, trace, tx):
+        self.sim = sim
+        self.wan = wan
+        self.cfg = cfg
+        self.stats = stats
+        self.trace = trace
+        self.tx = tx
+        self.payload = bytes(cfg.payload_bytes)
+        self.frames_left = cfg.media_frame_count()
+        self.conf_id = 1
+        self.ended = False
+
+    def start(self) -> None:
+        media_desc = f"codec=pcm;frame_ms={self.cfg.frame_interval_ms:g}"
+        msg, _view = create_conference("chair", ["p1"], media_desc, conf_id=self.conf_id)
+        self._signal_out(msg)
+
+    def handle(self, sim: Simulator, ev: SimEvent) -> None:
+        if ev.kind is EventKind.TIMER:
+            self._media_tick()
+            return
+        msg = decode_rsw(ev.payload)
+        if msg.verb is Verb.JOIN and self.stats.setup_ms is None:
+            self.stats.setup_ms = sim.now
+            sim.schedule_timer(0.0, "chair", "media")
+        # ACKs and REJECT/BUSY relays need no action from the chairman here:
+        # with no JOIN there is never media, and the run simply drains.
+
+    def _signal_out(self, msg) -> None:
+        data = encode_rsw(msg)
+        if self.trace is not None:
+            self.trace.add(
+                t=self.sim.now, kind="conf", src="chair", dst="server",
+                verb=msg.verb.value, bytes=len(data),
+            )
+        self.sim.reliable_send(self.wan, data, "chair", "server")
+
+    def _media_tick(self) -> None:
+        if self.frames_left > 0:
+            pkt = send_media_rtp(self.tx, self.payload, role=Role.CHAIRMAN, phase=ConferencePhase.ACTIVE)
+            self.stats.sent.append((pkt.seq, self.sim.now))
+            data = encode_rtp(pkt)
+            if self.trace is not None:
+                self.trace.add(t=self.sim.now, kind="media", src="chair", dst="server", bytes=len(data))
+            self.sim.transmit(self.wan, data, "chair", "server")
+            self.frames_left -= 1
+            self.sim.schedule_timer(self.cfg.frame_interval_ms, "chair", "media")
+        elif not self.ended:
+            self.ended = True
+            self._signal_out(RswMessage(Verb.END, self.conf_id, "chair", "server"))
+
+
+class _RswServerNode:
+    """Routes control messages and bridges media to Joined members.
+
+    Members listed in ``local_members`` sit on the server's host and are
+    reached for free (plus ``processing_ms``); everyone else is across the
+    WAN link.
+    """
+
+    def __init__(self, sim, wan, trace, *, media_sources, local_members, processing_ms=0.0):
+        self.sim = sim
+        self.wan = wan
+        self.trace = trace
+        self.media_sources = media_sources  # ssrc -> member id
+        self.local_members = local_members
+        self.processing_ms = processing_ms
+        self.conf = None
+
+    def handle(self, sim: Simulator, ev: SimEvent) -> None:
+        data = ev.payload
+        if data.startswith(b"RSW/1 "):
+            msg = decode_rsw(data)
+            out, self.conf = server_route(msg, self.conf)
+            for reply in out:
+                self._route(encode_rsw(reply), reply.recipient, media=False, verb=reply.verb.value)
+        else:
+            self._bridge(data)
+
+    def _bridge(self, data: bytes) -> None:
+        if self.conf is None or self.conf.phase is not ConferencePhase.ACTIVE:
+            return  # media outside an active conference is dropped
+        sender = self.media_sources.get(decode_rtp(data).ssrc)
+        for member_id, member in self.conf.members.items():
+            if member.status is MemberStatus.JOINED and member_id != sender:
+                self._route(data, member_id, media=True)
+
+    def _route(self, data: bytes, recipient: str, *, media: bool, verb: str | None = None) -> None:
+        if self.trace is not None:
+            kind = "relay" if media else "conf"
+            fields = {"t": self.sim.now, "kind": kind, "src": "server", "dst": recipient, "bytes": len(data)}
+            if verb is not None:
+                fields["verb"] = verb
+            self.trace.add(**fields)
+        if recipient in self.local_members:
+            self.sim.deliver_local(data, recipient, self.processing_ms)
+        elif media:
+            self.sim.transmit(self.wan, data, "server", recipient)
+        else:
+            self.sim.reliable_send(self.wan, data, "server", recipient)
+
+
+class _RswParticipantNode:
+    def __init__(self, sim, stats, trace, name="p1", policy=ResponsePolicy.ACCEPT):
+        self.sim = sim
+        self.stats = stats
+        self.trace = trace
+        self.name = name
+        self.policy = policy
+        self.invitee = RswInvitee(name)
+
+    def handle(self, sim: Simulator, ev: SimEvent) -> None:
+        data = ev.payload
+        if data.startswith(b"RSW/1 "):
+            msg = decode_rsw(data)
+            if msg.verb is Verb.CREATE:
+                self.invitee.receive_invitation(msg)
+                reply = self.invitee.respond(self.policy)
+                raw = encode_rsw(reply)
+                if self.trace is not None:
+                    self.trace.add(
+                        t=sim.now, kind="conf", src=self.name, dst="server",
+                        verb=reply.verb.value, bytes=len(raw),
+                    )
+                sim.deliver_local(raw, "server")
+            # ACK and END need no reply
+            return
+        pkt = decode_rtp(data)
+        self.stats.recv.setdefault(pkt.seq, sim.now)
+        if self.trace is not None:
+            self.trace.add(t=sim.now, kind="deliver", dst=self.name, seq=pkt.seq)
+
+
+def run_rsw_conference(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
+    """Simulate one two-member conference; returns the raw measurements."""
+    sim = Simulator(seed=cfg.seed)
+    wan = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
+    stats = MediaStats()
+    scenario_trace = _ScenarioTrace(trace, f"RSW:{delay_ms:g}") if trace is not None else None
+    tx = new_rtp_tx(random.Random(cfg.seed), samples_per_frame=cfg.payload_bytes)
+    chair = _RswChairNode(sim, wan, cfg, stats, scenario_trace, tx)
+    server = _RswServerNode(
+        sim, wan, scenario_trace,
+        media_sources={tx.ssrc: "chair"},
+        local_members=frozenset({"p1"}),
+    )
+    participant = _RswParticipantNode(sim, stats, scenario_trace)
+    sim.register("chair", chair.handle)
+    sim.register("server", server.handle)
+    sim.register("p1", participant.handle)
+    chair.start()
+    sim.run_until_idle(_horizon(delay_ms, cfg))
+    return stats
