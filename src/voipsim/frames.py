@@ -34,6 +34,7 @@ RTP_HEADER_LEN = 12
 _FULL_HDR = struct.Struct(">HHIBBBB")
 _MINI_HDR = struct.Struct(">HH")
 _RTP_HDR = struct.Struct(">BBHII")
+_RTP_SSRC = struct.Struct(">I")
 
 
 class FrameError(ValueError):
@@ -123,13 +124,15 @@ _VERBS = {v.value: v for v in Verb}
 
 
 def _check_int(name: str, value: int, lo: int, hi: int) -> None:
+    if type(value) is int and lo <= value <= hi:
+        return  # the common case; bools and int subclasses take the checks below
     if not isinstance(value, int):
         raise EncodeError(name, f"expected an integer, got {type(value).__name__}")
     if not lo <= value <= hi:
         raise EncodeError(name, f"{value} outside [{lo}, {hi}]")
 
 
-@dataclass
+@dataclass(slots=True)
 class FullFrame:
     """Signaling or resync frame with the 12-byte header."""
 
@@ -144,7 +147,7 @@ class FullFrame:
     retransmit: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class MiniFrame:
     """Media frame carrying only the low 16 timestamp bits."""
 
@@ -153,7 +156,7 @@ class MiniFrame:
     payload: bytes = b""
 
 
-@dataclass
+@dataclass(slots=True)
 class RtpPacket:
     """Media packet with the fixed 12-byte RTP header."""
 
@@ -254,15 +257,20 @@ def encode_rtp(p: RtpPacket) -> bytes:
     return _RTP_HDR.pack(b0, b1, p.seq, p.timestamp, p.ssrc) + bytes(p.payload)
 
 
-def decode_rtp(b: bytes) -> RtpPacket:
+def _check_rtp_header(b: bytes) -> None:
     if len(b) < RTP_HEADER_LEN:
         raise TooShort(f"RTP packet needs {RTP_HEADER_LEN} bytes, got {len(b)}")
-    b0, b1, seq, ts, ssrc = _RTP_HDR.unpack_from(b)
+    b0 = b[0]
     if b0 >> 6 != 2:
         raise Malformed(f"RTP version {b0 >> 6}, expected 2")
     if b0 & 0x3F:
         # padding/extension/CSRC would shift the payload boundary
         raise Malformed("padding, extension, or CSRC bits set")
+
+
+def decode_rtp(b: bytes) -> RtpPacket:
+    _check_rtp_header(b)
+    _b0, b1, seq, ts, ssrc = _RTP_HDR.unpack_from(b)
     return RtpPacket(
         seq=seq,
         timestamp=ts,
@@ -271,6 +279,15 @@ def decode_rtp(b: bytes) -> RtpPacket:
         payload_type=b1 & 0x7F,
         marker=bool(b1 & 0x80),
     )
+
+
+def rtp_ssrc(b: bytes) -> int:
+    """The SSRC of an RTP packet, with :func:`decode_rtp`'s checks and errors.
+
+    For relays that route on the source alone: no payload copy, no packet.
+    """
+    _check_rtp_header(b)
+    return _RTP_SSRC.unpack_from(b, 8)[0]
 
 
 def _check_token(name: str, value: str) -> None:

@@ -14,14 +14,19 @@ jitter); ``reliable_send`` models the in-order signaling channel and never
 consumes randomness.  ``deliver_local`` moves a packet between co-located
 nodes (e.g. a conference server and a member on the same host) for free,
 plus an optional processing delay.
+
+Events are plain ``__slots__`` objects, one per scheduled occurrence, and
+:meth:`Simulator.schedule` is the one entry to the queue: every send and
+timer goes through it, so its ``due >= now`` guard and the ``(due, seq)``
+order hold for all of them.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Callable
 
 from .qos import NegativeDelay
@@ -72,15 +77,32 @@ class EventKind(Enum):
     TIMER = "timer"
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """A scheduled occurrence; ordering key is (due, seq)."""
+# bound once: reading a member off an Enum class is slow on CPython 3.11
+_DELIVER = EventKind.DELIVER
+_TIMER = EventKind.TIMER
 
-    due: float
-    seq: int
-    kind: EventKind
-    dst: str
-    payload: bytes | str
+
+class SimEvent:
+    """A scheduled occurrence; ordering key is (due, seq).
+
+    Built positionally, one per event, so it is a slotted class rather than
+    a dataclass; treat its attributes as read-only.
+    """
+
+    __slots__ = ("due", "seq", "kind", "dst", "payload")
+
+    def __init__(self, due: float, seq: int, kind: EventKind, dst: str, payload: bytes | str):
+        self.due = due
+        self.seq = seq
+        self.kind = kind
+        self.dst = dst
+        self.payload = payload
+
+    def __repr__(self) -> str:
+        return (
+            f"SimEvent(due={self.due!r}, seq={self.seq!r}, kind={self.kind!r}, "
+            f"dst={self.dst!r}, payload={self.payload!r})"
+        )
 
 
 Handler = Callable[["Simulator", SimEvent], None]
@@ -105,13 +127,14 @@ class Simulator:
         """Queue an event; ``due`` must not precede the current clock."""
         if due < self.now:
             raise ValueError(f"due {due} precedes now {self.now}")
-        ev = SimEvent(due=due, seq=self._next_seq, kind=kind, dst=dst, payload=payload)
-        self._next_seq += 1
-        heapq.heappush(self._heap, (ev.due, ev.seq, ev))
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        ev = SimEvent(due, seq, kind, dst, payload)
+        heappush(self._heap, (due, seq, ev))
         return ev
 
     def schedule_timer(self, delay_ms: float, dst: str, tag: str) -> SimEvent:
-        return self.schedule(self.now + delay_ms, EventKind.TIMER, dst, tag)
+        return self.schedule(self.now + delay_ms, _TIMER, dst, tag)
 
     def transmit(self, link: LinkConfig, pkt: bytes, src: str, dst: str) -> list[SimEvent]:
         """Send over the lossy media channel; returns the scheduled Delivers.
@@ -122,20 +145,24 @@ class Simulator:
         A reordered packet skips the configured delay and arrives early.
         Arrival never precedes ``now + serialization``.
         """
-        if len(pkt) == 0:
+        size = len(pkt)
+        if size == 0:
             raise EmptyPacket(f"{src}->{dst}")
-        ser = serialization_ms(link, len(pkt))
-        lost = self.rng.random() < link.loss_prob
-        duplicated = self.rng.random() < link.dup_prob
-        reordered = self.rng.random() < link.reorder_prob
-        jitter = self.rng.uniform(-link.jitter_ms, link.jitter_ms)
+        ser = 8.0 * (size + link.overhead_bytes) * 1000.0 / link.link_rate_bps  # serialization_ms
+        rand = self.rng.random
+        lost = rand() < link.loss_prob
+        duplicated = rand() < link.dup_prob
+        reordered = rand() < link.reorder_prob
+        # the expression random.Random.uniform(-j, j) evaluates, inlined
+        j = link.jitter_ms
+        jitter = -j + (j + j) * rand()
         if lost:
             return []
         base = 0.0 if reordered else link.delay_ms
         arrival = self.now + ser + max(0.0, base + jitter)
-        events = [self.schedule(arrival, EventKind.DELIVER, dst, pkt)]
+        events = [self.schedule(arrival, _DELIVER, dst, pkt)]
         if duplicated:
-            events.append(self.schedule(arrival, EventKind.DELIVER, dst, pkt))
+            events.append(self.schedule(arrival, _DELIVER, dst, pkt))
         return events
 
     def reliable_send(self, link: LinkConfig, pkt: bytes, src: str, dst: str) -> SimEvent:
@@ -152,13 +179,13 @@ class Simulator:
         front = self._reliable_front.get((src, dst), 0.0)
         arrival = max(arrival, front)
         self._reliable_front[(src, dst)] = arrival
-        return self.schedule(arrival, EventKind.DELIVER, dst, pkt)
+        return self.schedule(arrival, _DELIVER, dst, pkt)
 
     def deliver_local(self, pkt: bytes, dst: str, processing_ms: float = 0.0) -> SimEvent:
         """Hand a packet to a co-located node: no link, no serialization."""
         if len(pkt) == 0:
             raise EmptyPacket(f"local->{dst}")
-        return self.schedule(self.now + processing_ms, EventKind.DELIVER, dst, pkt)
+        return self.schedule(self.now + processing_ms, _DELIVER, dst, pkt)
 
     def run_until_idle(self, horizon_ms: float | None = None) -> float:
         """Dispatch events in (due, seq) order until the queue drains.
@@ -166,12 +193,15 @@ class Simulator:
         Returns the final clock value (0.0 for an initially empty queue).
         An event due past ``horizon_ms`` raises :class:`HorizonExceeded`.
         """
-        while self._heap:
-            due, _seq, ev = heapq.heappop(self._heap)
-            if horizon_ms is not None and due > horizon_ms:
+        heap = self._heap
+        handlers = self._handlers
+        limit = float("inf") if horizon_ms is None else horizon_ms
+        while heap:
+            due, _seq, ev = heappop(heap)
+            if due > limit:
                 raise HorizonExceeded(f"event for {ev.dst} due {due} > horizon {horizon_ms}")
             self.now = due
-            handler = self._handlers.get(ev.dst)
+            handler = handlers.get(ev.dst)
             if handler is None:
                 raise LookupError(f"no handler registered for {ev.dst!r}")
             handler(self, ev)

@@ -37,6 +37,7 @@ from .frames import (
     encode_mini,
     encode_rsw,
     encode_rtp,
+    rtp_ssrc,
 )
 from .iax import CallState, IaxEndpoint, NotInCall
 from .netsim import EventKind, LinkConfig, SimEvent, Simulator
@@ -103,8 +104,7 @@ def _horizon(delay_ms: float, cfg: SweepConfig) -> float:
 
 
 class _IaxCallerNode:
-    def __init__(self, sim, link, cfg, stats, trace):
-        self.sim = sim
+    def __init__(self, link, cfg, stats, trace):
         self.link = link
         self.cfg = cfg
         self.stats = stats
@@ -115,19 +115,19 @@ class _IaxCallerNode:
         self.call = None
         self.hung_up = False
 
-    def start(self) -> None:
-        frame, self.call = self.endpoint.place_call("callee", self.sim.now)
-        self._signal_out(frame)
+    def start(self, sim: Simulator) -> None:
+        frame, self.call = self.endpoint.place_call("callee", sim.now)
+        self._signal_out(sim, frame)
 
     def handle(self, sim: Simulator, ev: SimEvent) -> None:
         if ev.kind is EventKind.TIMER:
-            self._media_tick()
+            self._media_tick(sim)
             return
         frame = decode_full(ev.payload)
         before = self.call.state
         replies, cs = self.endpoint.handle_signal(frame, sim.now)
         for reply in replies:
-            self._signal_out(reply)
+            self._signal_out(sim, reply)
         if self.trace is not None:
             self.trace.add(
                 t=sim.now, kind="state", endpoint="caller",
@@ -136,48 +136,47 @@ class _IaxCallerNode:
             )
         if cs.state is CallState.UP and self.stats.setup_ms is None:
             self.stats.setup_ms = sim.now
-            self._send_anchor()
+            self._send_anchor(sim)
             sim.schedule_timer(self.cfg.frame_interval_ms, "caller", "media")
 
-    def _signal_out(self, frame: FullFrame) -> None:
+    def _signal_out(self, sim: Simulator, frame: FullFrame) -> None:
         data = encode_full(frame)
         if self.trace is not None:
             self.trace.add(
-                t=self.sim.now, kind="signal", src="caller", dst="callee",
+                t=sim.now, kind="signal", src="caller", dst="callee",
                 signal=Signal(frame.subclass).name, bytes=len(data),
             )
-        self.sim.reliable_send(self.link, data, "caller", "callee")
+        sim.reliable_send(self.link, data, "caller", "callee")
 
-    def _send_anchor(self) -> None:
+    def _send_anchor(self, sim: Simulator) -> None:
         # The first voice frame of a call is always a full frame (it anchors
         # the receiver's 16-bit timestamp window).  Its wire size differs
         # from the steady-state mini frames, so it is sent as a warmup packet
         # and excluded from the per-packet delay statistics.
-        frame = self.endpoint.send_media(self.call.local_call, self.payload, self.sim.now)
+        frame = self.endpoint.send_media(self.call.local_call, self.payload, sim.now)
         data = encode_full(frame) if isinstance(frame, FullFrame) else encode_mini(frame)
         if self.trace is not None:
-            self.trace.add(t=self.sim.now, kind="media", src="caller", dst="callee", bytes=len(data))
-        self.sim.transmit(self.link, data, "caller", "callee")
+            self.trace.add(t=sim.now, kind="media", src="caller", dst="callee", bytes=len(data))
+        sim.transmit(self.link, data, "caller", "callee")
 
-    def _media_tick(self) -> None:
+    def _media_tick(self, sim: Simulator) -> None:
         if self.frames_left > 0:
-            frame = self.endpoint.send_media(self.call.local_call, self.payload, self.sim.now)
-            key = int(self.sim.now - self.call.start_time)
-            self.stats.sent.append((key, self.sim.now))
+            frame = self.endpoint.send_media(self.call.local_call, self.payload, sim.now)
+            key = int(sim.now - self.call.start_time)
+            self.stats.sent.append((key, sim.now))
             data = encode_full(frame) if isinstance(frame, FullFrame) else encode_mini(frame)
             if self.trace is not None:
-                self.trace.add(t=self.sim.now, kind="media", src="caller", dst="callee", bytes=len(data))
-            self.sim.transmit(self.link, data, "caller", "callee")
+                self.trace.add(t=sim.now, kind="media", src="caller", dst="callee", bytes=len(data))
+            sim.transmit(self.link, data, "caller", "callee")
             self.frames_left -= 1
-            self.sim.schedule_timer(self.cfg.frame_interval_ms, "caller", "media")
+            sim.schedule_timer(self.cfg.frame_interval_ms, "caller", "media")
         elif not self.hung_up:
             self.hung_up = True
-            self._signal_out(self.endpoint.hangup(self.call.local_call, self.sim.now))
+            self._signal_out(sim, self.endpoint.hangup(self.call.local_call, sim.now))
 
 
 class _IaxCalleeNode:
-    def __init__(self, sim, link, stats, trace):
-        self.sim = sim
+    def __init__(self, link, stats, trace):
         self.link = link
         self.stats = stats
         self.trace = trace
@@ -188,7 +187,7 @@ class _IaxCalleeNode:
         if data[0] & 0x80:
             frame = decode_full(data)
             if frame.frame_type is FrameKind.VOICE:
-                self._media_in(frame)
+                self._media_in(sim, frame)
                 return
             replies, cs = self.endpoint.handle_signal(frame, sim.now)
             for reply in replies:
@@ -200,16 +199,16 @@ class _IaxCalleeNode:
                     )
                 sim.reliable_send(self.link, raw, "callee", "caller")
         else:
-            self._media_in(decode_mini(data))
+            self._media_in(sim, decode_mini(data))
 
-    def _media_in(self, frame) -> None:
+    def _media_in(self, sim: Simulator, frame) -> None:
         try:
             ts32, _payload = self.endpoint.receive_media_frame(frame)
         except NotInCall:
             return  # media straggling past teardown is dropped, not fatal
-        self.stats.recv.setdefault(ts32, self.sim.now)
+        self.stats.recv.setdefault(ts32, sim.now)
         if self.trace is not None:
-            self.trace.add(t=self.sim.now, kind="deliver", dst="callee", ts=ts32)
+            self.trace.add(t=sim.now, kind="deliver", dst="callee", ts=ts32)
 
 
 def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
@@ -218,11 +217,11 @@ def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = Non
     link = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
     stats = MediaStats()
     scenario_trace = _ScenarioTrace(trace, f"IAX:{delay_ms:g}") if trace is not None else None
-    caller = _IaxCallerNode(sim, link, cfg, stats, scenario_trace)
-    callee = _IaxCalleeNode(sim, link, stats, scenario_trace)
+    caller = _IaxCallerNode(link, cfg, stats, scenario_trace)
+    callee = _IaxCalleeNode(link, stats, scenario_trace)
     sim.register("caller", caller.handle)
     sim.register("callee", callee.handle)
-    caller.start()
+    caller.start(sim)
     sim.run_until_idle(_horizon(delay_ms, cfg))
     return stats
 
@@ -233,8 +232,7 @@ def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = Non
 
 
 class _RswChairNode:
-    def __init__(self, sim, wan, cfg, stats, trace, tx):
-        self.sim = sim
+    def __init__(self, wan, cfg, stats, trace, tx):
         self.wan = wan
         self.cfg = cfg
         self.stats = stats
@@ -245,14 +243,14 @@ class _RswChairNode:
         self.conf_id = 1
         self.ended = False
 
-    def start(self) -> None:
+    def start(self, sim: Simulator) -> None:
         media_desc = f"codec=pcm;frame_ms={self.cfg.frame_interval_ms:g}"
         msg, _view = create_conference("chair", ["p1"], media_desc, conf_id=self.conf_id)
-        self._signal_out(msg)
+        self._signal_out(sim, msg)
 
     def handle(self, sim: Simulator, ev: SimEvent) -> None:
         if ev.kind is EventKind.TIMER:
-            self._media_tick()
+            self._media_tick(sim)
             return
         msg = decode_rsw(ev.payload)
         if msg.verb is Verb.JOIN and self.stats.setup_ms is None:
@@ -261,28 +259,28 @@ class _RswChairNode:
         # ACKs and REJECT/BUSY relays need no action from the chairman here:
         # with no JOIN there is never media, and the run simply drains.
 
-    def _signal_out(self, msg) -> None:
+    def _signal_out(self, sim: Simulator, msg) -> None:
         data = encode_rsw(msg)
         if self.trace is not None:
             self.trace.add(
-                t=self.sim.now, kind="conf", src="chair", dst="server",
+                t=sim.now, kind="conf", src="chair", dst="server",
                 verb=msg.verb.value, bytes=len(data),
             )
-        self.sim.reliable_send(self.wan, data, "chair", "server")
+        sim.reliable_send(self.wan, data, "chair", "server")
 
-    def _media_tick(self) -> None:
+    def _media_tick(self, sim: Simulator) -> None:
         if self.frames_left > 0:
             pkt = send_media_rtp(self.tx, self.payload, role=Role.CHAIRMAN, phase=ConferencePhase.ACTIVE)
-            self.stats.sent.append((pkt.seq, self.sim.now))
+            self.stats.sent.append((pkt.seq, sim.now))
             data = encode_rtp(pkt)
             if self.trace is not None:
-                self.trace.add(t=self.sim.now, kind="media", src="chair", dst="server", bytes=len(data))
-            self.sim.transmit(self.wan, data, "chair", "server")
+                self.trace.add(t=sim.now, kind="media", src="chair", dst="server", bytes=len(data))
+            sim.transmit(self.wan, data, "chair", "server")
             self.frames_left -= 1
-            self.sim.schedule_timer(self.cfg.frame_interval_ms, "chair", "media")
+            sim.schedule_timer(self.cfg.frame_interval_ms, "chair", "media")
         elif not self.ended:
             self.ended = True
-            self._signal_out(RswMessage(Verb.END, self.conf_id, "chair", "server"))
+            self._signal_out(sim, RswMessage(Verb.END, self.conf_id, "chair", "server"))
 
 
 class _RswServerNode:
@@ -293,8 +291,7 @@ class _RswServerNode:
     WAN link.
     """
 
-    def __init__(self, sim, wan, trace, *, media_sources, local_members, processing_ms=0.0):
-        self.sim = sim
+    def __init__(self, wan, trace, *, media_sources, local_members, processing_ms=0.0):
         self.wan = wan
         self.trace = trace
         self.media_sources = media_sources  # ssrc -> member id
@@ -308,36 +305,35 @@ class _RswServerNode:
             msg = decode_rsw(data)
             out, self.conf = server_route(msg, self.conf)
             for reply in out:
-                self._route(encode_rsw(reply), reply.recipient, media=False, verb=reply.verb.value)
+                self._route(sim, encode_rsw(reply), reply.recipient, media=False, verb=reply.verb.value)
         else:
-            self._bridge(data)
+            self._bridge(sim, data)
 
-    def _bridge(self, data: bytes) -> None:
+    def _bridge(self, sim: Simulator, data: bytes) -> None:
         if self.conf is None or self.conf.phase is not ConferencePhase.ACTIVE:
             return  # media outside an active conference is dropped
-        sender = self.media_sources.get(decode_rtp(data).ssrc)
+        sender = self.media_sources.get(rtp_ssrc(data))
         for member_id, member in self.conf.members.items():
             if member.status is MemberStatus.JOINED and member_id != sender:
-                self._route(data, member_id, media=True)
+                self._route(sim, data, member_id, media=True)
 
-    def _route(self, data: bytes, recipient: str, *, media: bool, verb: str | None = None) -> None:
+    def _route(self, sim: Simulator, data: bytes, recipient: str, *, media: bool, verb: str | None = None) -> None:
         if self.trace is not None:
             kind = "relay" if media else "conf"
-            fields = {"t": self.sim.now, "kind": kind, "src": "server", "dst": recipient, "bytes": len(data)}
+            fields = {"t": sim.now, "kind": kind, "src": "server", "dst": recipient, "bytes": len(data)}
             if verb is not None:
                 fields["verb"] = verb
             self.trace.add(**fields)
         if recipient in self.local_members:
-            self.sim.deliver_local(data, recipient, self.processing_ms)
+            sim.deliver_local(data, recipient, self.processing_ms)
         elif media:
-            self.sim.transmit(self.wan, data, "server", recipient)
+            sim.transmit(self.wan, data, "server", recipient)
         else:
-            self.sim.reliable_send(self.wan, data, "server", recipient)
+            sim.reliable_send(self.wan, data, "server", recipient)
 
 
 class _RswParticipantNode:
-    def __init__(self, sim, stats, trace, name="p1", policy=ResponsePolicy.ACCEPT):
-        self.sim = sim
+    def __init__(self, stats, trace, name="p1", policy=ResponsePolicy.ACCEPT):
         self.stats = stats
         self.trace = trace
         self.name = name
@@ -373,16 +369,16 @@ def run_rsw_conference(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None
     stats = MediaStats()
     scenario_trace = _ScenarioTrace(trace, f"RSW:{delay_ms:g}") if trace is not None else None
     tx = new_rtp_tx(random.Random(cfg.seed), samples_per_frame=cfg.payload_bytes)
-    chair = _RswChairNode(sim, wan, cfg, stats, scenario_trace, tx)
+    chair = _RswChairNode(wan, cfg, stats, scenario_trace, tx)
     server = _RswServerNode(
-        sim, wan, scenario_trace,
+        wan, scenario_trace,
         media_sources={tx.ssrc: "chair"},
         local_members=frozenset({"p1"}),
     )
-    participant = _RswParticipantNode(sim, stats, scenario_trace)
+    participant = _RswParticipantNode(stats, scenario_trace)
     sim.register("chair", chair.handle)
     sim.register("server", server.handle)
     sim.register("p1", participant.handle)
-    chair.start()
+    chair.start(sim)
     sim.run_until_idle(_horizon(delay_ms, cfg))
     return stats

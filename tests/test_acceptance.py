@@ -6,6 +6,7 @@ line per criterion.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import time
@@ -334,5 +335,11 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path):
         outputs.append((csv_path.read_bytes(), jsonl_path.read_bytes()))
     assert outputs[0][0] == outputs[1][0]  # CSV
     assert outputs[0][1] == outputs[1][1]  # JSONL trace
+    # golden digests: any change to event order, RNG draws or output bytes shows here
+    csv, jsonl = outputs[0]
+    assert (len(csv), hashlib.sha256(csv).hexdigest()) == (
+        9_269, "a9ae73160b9dc967281eda3401b6444a0e4b79e0f44a3d8180f04f96cc797d9a")
+    assert (len(jsonl), hashlib.sha256(jsonl).hexdigest()) == (
+        17_750_739, "97aca0d32f662e3fe21324426dc62403173c0c78574c3464196de44512b5e43a")
     size = len(outputs[0][0]) + len(outputs[0][1])
     print(f"PASS: criterion 8 — two runs, {size} bytes, byte-identical")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import hashlib
 import json
 import re
 
@@ -143,6 +145,20 @@ def test_unknown_protocol_is_refused():
         run_scenario("SIP", 0.0)
 
 
+@pytest.mark.parametrize("protocol", ["IAX", "RSW"])
+def test_finished_run_is_freed_without_the_cycle_collector(protocol):
+    cfg = SweepConfig(duration_s=0.5)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_scenario(protocol, 100.0, cfg, TraceLog())
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # -- the sweep --------------------------------------------------------------------
 
 
@@ -230,6 +246,20 @@ def test_trace_is_json_lines(fast_sweep, tmp_path):
         labels.add(record["scenario"])
         assert "t" in record and "kind" in record
     assert labels == {f"{p}:{d:g}" for p in ("IAX", "RSW") for d in (0, 25, 50)}
+
+
+def test_fast_sweep_matches_golden_digests(tmp_path, capsys):
+    # a small seeded sweep pinned byte for byte: event order, RNG draws and
+    # both writers must all stay as they are
+    out, trace = tmp_path / "fast.csv", tmp_path / "fast.jsonl"
+    argv = ["--delay-end", "50", "--duration", "0.5", "--seed", "7", "--out", str(out), "--trace", str(trace)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    digests = [(len(b), hashlib.sha256(b).hexdigest()) for b in (out.read_bytes(), trace.read_bytes())]
+    assert digests == [
+        (395, "5d9effa5b33333641989aad32c3ee749c5ccb0ea757220a6b961d51b9556715f"),
+        (36_600, "4ba23b677278cebdf979b41fea6621a461827f1ed12389278c2d63006f4d3603"),
+    ]
 
 
 def test_repeated_sweep_is_byte_identical(tmp_path):

@@ -1,6 +1,7 @@
 """Wire codec tests: frozen byte layouts, round-trips, decoder totality."""
 
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +34,7 @@ from voipsim.frames import (
     encode_mini,
     encode_rsw,
     encode_rtp,
+    rtp_ssrc,
 )
 
 # ---------------------------------------------------------------- strategies
@@ -178,6 +180,19 @@ def test_full_encode_range_errors_name_the_field():
         assert exc.value.field_name == field_name
 
 
+def test_encoders_accept_int_subclasses_and_reject_other_numbers():
+    # bools and IntEnums are ints: they encode as their integer value
+    assert encode_mini(MiniFrame(True, Signal.NEW)) == encode_mini(MiniFrame(1, 1))
+    for value in (1.0, "1", None):
+        with pytest.raises(EncodeError) as exc:
+            encode_mini(MiniFrame(value, 0))
+        assert exc.value.field_name == "source_call"
+    wide = IntEnum("Wide", {"TOO_BIG": 0x10000})
+    with pytest.raises(EncodeError, match="outside") as exc:
+        encode_mini(MiniFrame(1, wide.TOO_BIG))
+    assert exc.value.field_name == "ts16"
+
+
 @given(full_frames)
 def test_full_round_trip(frame):
     assert decode_full(encode_full(frame)) == frame
@@ -255,6 +270,24 @@ def test_rtp_decode_rejects_wrong_version_and_flags():
 @given(rtp_packets)
 def test_rtp_round_trip(pkt):
     assert decode_rtp(encode_rtp(pkt)) == pkt
+
+
+@given(rtp_packets)
+def test_rtp_ssrc_reads_the_encoded_ssrc(pkt):
+    assert rtp_ssrc(encode_rtp(pkt)) == pkt.ssrc
+
+
+@given(st.binary(max_size=40))
+def test_rtp_ssrc_matches_decode_rtp_or_its_error(blob):
+    try:
+        expected = decode_rtp(blob).ssrc
+    except DecodeError as exc:
+        with pytest.raises(DecodeError) as caught:
+            rtp_ssrc(blob)
+        assert type(caught.value) is type(exc)
+        assert str(caught.value) == str(exc)
+    else:
+        assert rtp_ssrc(blob) == expected
 
 
 # ------------------------------------------------------- conference messages

@@ -1,5 +1,7 @@
 """Event simulator tests: serialization math, channel semantics, determinism."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -111,6 +113,43 @@ def test_transmit_rng_draws_fixed_per_call():
             sim.transmit(link, b"pkt", "a", "b")
     follow_ups = [sim.rng.random() for sim in sims]
     assert follow_ups[0] == follow_ups[1] == follow_ups[2]
+
+
+_prob = st.floats(0.0, 1.0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    calls=st.integers(1, 20),
+    size=st.integers(1, 1400),
+    delay=st.floats(0.0, 2000.0),
+    jitter=st.floats(0.0, 2000.0),
+    loss=_prob,
+    dup=_prob,
+    reorder=_prob,
+)
+def test_transmit_draw_contract(seed, calls, size, delay, jitter, loss, dup, reorder):
+    # four random() draws per call (loss, dup, reorder, jitter), and the jitter
+    # is exactly what rng.uniform(-jitter, jitter) gives at that point
+    link = LinkConfig(delay_ms=delay, jitter_ms=jitter, loss_prob=loss, dup_prob=dup, reorder_prob=reorder)
+    sim = Simulator(seed=seed)
+    ref = random.Random(seed)
+    for _ in range(calls):
+        events = sim.transmit(link, bytes(size), "a", "b")
+        lost = ref.random() < loss
+        duplicated = ref.random() < dup
+        reordered = ref.random() < reorder
+        offset = ref.uniform(-jitter, jitter)
+        if lost:
+            assert events == []
+            continue
+        base = 0.0 if reordered else delay
+        due = sim.now + serialization_ms(link, size) + max(0.0, base + offset)
+        assert [ev.due for ev in events] == [due] * (2 if duplicated else 1)
+    fresh = random.Random(seed)
+    for _ in range(4 * calls):
+        fresh.random()
+    assert sim.rng.getstate() == fresh.getstate() == ref.getstate()
 
 
 # -------------------------------------------------------------- reliable_send
