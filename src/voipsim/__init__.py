@@ -1,6 +1,8 @@
 """Deterministic VoIP testbed: two signaling stacks, a network emulator,
 an E-model scorer, and a delay-sweep experiment harness."""
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .frames import (
@@ -93,10 +95,11 @@ from .experiment import (
     SweepResult,
     compare_report,
     emit_csv,
-    emit_trace,
     run_scenario,
     run_sweep,
     sweep_points,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names imported above; the submodules themselves are not re-exported
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -8,13 +8,13 @@ in keys are interchangeable), and built-in defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .experiment import (
     SweepConfig,
     compare_report,
     emit_csv,
-    emit_trace,
     run_sweep,
 )
 from .scenarios import TraceLog
@@ -128,15 +128,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         merged = _merge_settings(args)
         cfg = _config_from(merged)
-        trace = TraceLog() if merged["trace"] else None
-        result = run_sweep(cfg, trace)
+        trace_path = merged["trace"]
+        # the trace streams out during the sweep, so a bad path fails before any run
+        sink = open(trace_path, "w", encoding="ascii", newline="") if trace_path else contextlib.nullcontext()
+        with sink as fh:
+            trace = TraceLog(fh) if fh is not None else None
+            result = run_sweep(cfg, trace)
         out_path = merged["out"] or "sweep.csv"
         emit_csv(result, out_path)
-        if trace is not None:
-            emit_trace(trace, merged["trace"])
         print(f"wrote {len(result.rows)} rows to {out_path}")
         if trace is not None:
-            print(f"wrote {len(trace.records)} trace records to {merged['trace']}")
+            print(f"wrote {trace.count} trace records to {trace_path}")
         if len(set(cfg.protocols)) == 2:
             print(compare_report(result))
     except (OSError, ValueError) as exc:

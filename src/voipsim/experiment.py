@@ -2,15 +2,16 @@
 
 The sweep holds everything fixed except the configured one-way link delay,
 runs one simulated call (or conference) per grid point per protocol, scores
-each run with the E-model, and writes the results as CSV (one row per run)
-plus an optional JSONL event trace.  Runs are deterministic: the same
-configuration and seed produce byte-identical output files.
+each run with the E-model, and writes the results as CSV (one row per run).
+An optional JSONL event trace streams to its file while the runs proceed.
+Runs are deterministic: the same configuration and seed produce
+byte-identical output files.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
 
 from .qos import NegativeDelay, QosReport, score_run
 from .scenarios import MediaStats, TraceLog, run_iax_call, run_rsw_conference
@@ -141,13 +142,6 @@ def emit_csv(result: SweepResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_trace(trace: TraceLog, path) -> None:
-    """Write the event trace as JSON Lines, one object per record."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        for record in trace.records:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-
 def compare_report(result: SweepResult, threshold: float = 0.01) -> str:
     """Human-readable MOS comparison between the two protocols.
 
@@ -178,28 +172,13 @@ def compare_report(result: SweepResult, threshold: float = 0.01) -> str:
     peak_delay, peak_gap = max(gaps, key=lambda item: item[1])
     lines.append(f"max gap {peak_gap:+.4f} MOS at delay {peak_delay:g} ms")
 
-    best: tuple[int, float, float] | None = None  # (count, first, last)
-    run_start: float | None = None
-    run_len = 0
-    prev: float | None = None
-    for delay_ms, gap in gaps:
-        if gap > threshold:
-            if run_start is None:
-                run_start = delay_ms
-                run_len = 0
-            run_len += 1
-            prev = delay_ms
-        else:
-            if run_start is not None and (best is None or run_len > best[0]):
-                best = (run_len, run_start, prev)
-            run_start = None
-    if run_start is not None and (best is None or run_len > best[0]):
-        best = (run_len, run_start, prev)
-    if best is None:
+    bands = [list(band) for above, band in groupby(gaps, key=lambda item: item[1] > threshold) if above]
+    if not bands:
         lines.append(f"gap never exceeds {threshold:g} MOS")
     else:
+        band = max(bands, key=len)  # the first of equally long bands wins
         lines.append(
             f"longest band with gap > {threshold:g} MOS: "
-            f"{best[0]} points, delay {best[1]:g}..{best[2]:g} ms"
+            f"{len(band)} points, delay {band[0][0]:g}..{band[-1][0]:g} ms"
         )
     return "\n".join(lines)

@@ -19,9 +19,10 @@ that separate a mini frame from an RTP packet.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from .frames import (
     FrameKind,
@@ -57,27 +58,38 @@ if TYPE_CHECKING:  # pragma: no cover
     from .experiment import SweepConfig
 
 
-class TraceLog:
-    """Accumulates JSON-serializable event records across runs."""
+_encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps would rebuild it per call
 
-    def __init__(self):
-        self.records: list[dict] = []
+
+class TraceLog:
+    """Writes event records to a text stream as JSON Lines as they happen.
+
+    Nothing is kept per record; ``count`` is the number of lines written.
+    """
+
+    def __init__(self, stream: TextIO):
+        self.stream = stream
+        self.count = 0
 
     def add(self, **fields) -> None:
-        self.records.append(fields)
+        self.stream.write(_encode(fields) + "\n")
+        self.count += 1
 
 
 class _ScenarioTrace:
-    """Labels every record with the scenario it came from."""
+    """Labels every record with the scenario it came from, as its first key."""
 
-    __slots__ = ("log", "label")
+    __slots__ = ("log", "head")
 
     def __init__(self, log: TraceLog, label: str):
         self.log = log
-        self.label = label
+        self.head = '{"scenario":' + _encode(label) + ","
 
     def add(self, **fields) -> None:
-        self.log.records.append({"scenario": self.label, **fields})
+        # splice the encoded fields (never empty here) in after the label
+        log = self.log
+        log.stream.write(self.head + _encode(fields)[1:] + "\n")
+        log.count += 1
 
 
 @dataclass

@@ -35,7 +35,6 @@ from voipsim import (
     decode_rsw,
     decode_rtp,
     emit_csv,
-    emit_trace,
     encode_full,
     encode_mini,
     encode_rsw,
@@ -326,12 +325,11 @@ def test_criterion_7_timestamp_reconstruction_across_wraps():
 def test_criterion_8_reruns_are_byte_identical(tmp_path):
     outputs = []
     for tag in ("first", "second"):
-        trace = TraceLog()
-        result = run_sweep(SweepConfig(), trace)
         csv_path = tmp_path / f"{tag}.csv"
         jsonl_path = tmp_path / f"{tag}.jsonl"
+        with open(jsonl_path, "w", encoding="ascii", newline="") as fh:
+            result = run_sweep(SweepConfig(), TraceLog(fh))
         emit_csv(result, csv_path)
-        emit_trace(trace, jsonl_path)
         outputs.append((csv_path.read_bytes(), jsonl_path.read_bytes()))
     assert outputs[0][0] == outputs[1][0]  # CSV
     assert outputs[0][1] == outputs[1][1]  # JSONL trace

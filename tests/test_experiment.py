@@ -5,8 +5,12 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import io
 import json
+import os
 import re
+import tracemalloc
+import types
 
 import pytest
 
@@ -19,7 +23,6 @@ from voipsim import (
     TraceLog,
     compare_report,
     emit_csv,
-    emit_trace,
     idd,
     r_to_mos,
     run_scenario,
@@ -152,7 +155,7 @@ def test_finished_run_is_freed_without_the_cycle_collector(protocol):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        run_scenario(protocol, 100.0, cfg, TraceLog())
+        run_scenario(protocol, 100.0, cfg, TraceLog(io.StringIO()))
         assert gc.collect() == 0
     finally:
         if was_enabled:
@@ -164,7 +167,7 @@ def test_finished_run_is_freed_without_the_cycle_collector(protocol):
 
 @pytest.fixture(scope="module")
 def fast_sweep():
-    trace = TraceLog()
+    trace = TraceLog(io.StringIO())
     return run_sweep(SweepConfig(**FAST), trace), trace
 
 
@@ -233,12 +236,12 @@ def test_csv_first_data_row_frozen(fast_sweep, tmp_path):
 # -- JSONL trace -----------------------------------------------------------------------
 
 
-def test_trace_is_json_lines(fast_sweep, tmp_path):
+def test_trace_is_json_lines(fast_sweep):
     _, trace = fast_sweep
-    path = tmp_path / "trace.jsonl"
-    emit_trace(trace, path)
-    lines = path.read_text(encoding="ascii").splitlines()
-    assert len(lines) == len(trace.records)
+    text = trace.stream.getvalue()
+    assert text.isascii() and text.endswith("\n")
+    lines = text.splitlines()
+    assert len(lines) == trace.count
     labels = set()
     for line in lines:
         record = json.loads(line)
@@ -266,14 +269,31 @@ def test_repeated_sweep_is_byte_identical(tmp_path):
     cfg = SweepConfig(delay_end_ms=25.0, duration_s=0.5)
     blobs = []
     for tag in ("a", "b"):
-        trace = TraceLog()
+        trace = TraceLog(io.StringIO())
         result = run_sweep(cfg, trace)
         csv_path = tmp_path / f"{tag}.csv"
-        jsonl_path = tmp_path / f"{tag}.jsonl"
         emit_csv(result, csv_path)
-        emit_trace(trace, jsonl_path)
-        blobs.append((csv_path.read_bytes(), jsonl_path.read_bytes()))
+        blobs.append((csv_path.read_bytes(), trace.stream.getvalue()))
     assert blobs[0] == blobs[1]
+
+
+def _traced_sweep_peak_bytes(points: int) -> int:
+    cfg = SweepConfig(delay_end_ms=25.0 * (points - 1), duration_s=0.5)
+    with open(os.devnull, "w", encoding="ascii") as sink:
+        tracemalloc.start()
+        try:
+            run_sweep(cfg, TraceLog(sink))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_traced_sweep_memory_stays_flat_as_the_grid_grows():
+    # records go to the stream as they happen, so only one run's state and a
+    # row per run are alive at once; records kept in memory would grow the
+    # peak nearly in step with the grid (about 3.8x from 2 to 8 points)
+    small, large = _traced_sweep_peak_bytes(2), _traced_sweep_peak_bytes(8)
+    assert large < 1.5 * small, (small, large)
 
 
 # -- comparison report --------------------------------------------------------------------
@@ -293,6 +313,30 @@ def test_compare_report_band_line():
     cfg = SweepConfig(delay_start_ms=500.0, delay_end_ms=550.0, duration_s=0.5)
     report = compare_report(run_sweep(cfg), threshold=1e-4)
     assert "longest band with gap > 0.0001 MOS: 3 points, delay 500..550 ms" in report
+
+
+def _report_for_gaps(gaps: list[float]) -> str:
+    iax = run_scenario("IAX", 0.0, SweepConfig(**FAST))
+    rows = []
+    for i, gap in enumerate(gaps):
+        rows.append(dataclasses.replace(iax, configured_delay_ms=100.0 * i, mos=3.0 + gap))
+        rows.append(dataclasses.replace(iax, protocol="RSW", configured_delay_ms=100.0 * i, mos=3.0))
+    return compare_report(SweepResult(rows=rows), threshold=0.01).splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "gaps, line",
+    [
+        # two bands of two points: the first one is reported
+        ([0.0, 0.5, 0.5, 0.0, 0.5, 0.5], "longest band with gap > 0.01 MOS: 2 points, delay 100..200 ms"),
+        # the longest band runs to the last point
+        ([0.5, 0.0, 0.5, 0.5, 0.5], "longest band with gap > 0.01 MOS: 3 points, delay 200..400 ms"),
+        # no point above the threshold
+        ([0.0, 0.005, 0.0], "gap never exceeds 0.01 MOS"),
+    ],
+)
+def test_compare_report_longest_band(gaps, line):
+    assert _report_for_gaps(gaps) == line
 
 
 def test_compare_report_no_band_when_gap_tiny(fast_sweep):
@@ -382,6 +426,17 @@ def test_cli_writes_trace(tmp_path, capsys):
     assert all(json.loads(line) for line in lines)
 
 
+def test_cli_refuses_an_unwritable_trace_before_the_sweep(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    trace_path = tmp_path / "missing" / "t.jsonl"
+    argv = ["--delay-end", "0", "--duration", "0.5", "--out", str(out), "--trace", str(trace_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("voipsim: error:")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_rejects_bad_sweep_settings(capsys):
     code = main(["--delay-step", "-5"])
     assert code == 2
@@ -429,3 +484,11 @@ def test_config_file_parser_details(tmp_path):
     empty.write_text("seed=\n", encoding="utf-8")
     with pytest.raises(ValueError, match="empty value"):
         load_config_file(str(empty))
+
+
+def test_package_exports_names_not_modules():
+    import voipsim
+
+    assert "run_sweep" in voipsim.__all__ and "TraceLog" in voipsim.__all__
+    for name in voipsim.__all__:
+        assert not isinstance(getattr(voipsim, name), types.ModuleType), name
