@@ -17,23 +17,24 @@ from .experiment import (
     emit_csv,
     run_sweep,
 )
+from .netsim import HorizonExceeded
 from .scenarios import TraceLog
 
 _PROTOCOL_CHOICES = {"iax": ("IAX",), "rsw": ("RSW",), "both": ("IAX", "RSW")}
 
-# config-file key -> (argparse dest, value parser)
-_SETTING_SPEC = {
-    "delay-start": ("delay_start", float),
-    "delay-end": ("delay_end", float),
-    "delay-step": ("delay_step", float),
-    "protocol": ("protocol", str),
-    "duration": ("duration", float),
-    "frame-ms": ("frame_ms", float),
-    "payload-bytes": ("payload_bytes", int),
-    "link-rate": ("link_rate", int),
-    "seed": ("seed", int),
-    "out": ("out", str),
-    "trace": ("trace", str),
+# config-file key (and flag name) -> (SweepConfig field or file, value parser, metavar, help)
+_SETTINGS = {
+    "delay-start": ("delay_start_ms", float, "MS", "first configured delay (default 0)"),
+    "delay-end": ("delay_end_ms", float, "MS", "last configured delay, inclusive (default 2000)"),
+    "delay-step": ("delay_step_ms", float, "MS", "grid step (default 25)"),
+    "protocol": ("protocols", str.lower, None, "which stack(s) to run (default both)"),
+    "duration": ("duration_s", float, "SECONDS", "media phase length per run (default 10)"),
+    "frame-ms": ("frame_interval_ms", float, "MS", "media frame cadence (default 20)"),
+    "payload-bytes": ("payload_bytes", int, "N", "media payload size, 1..1400 (default 160)"),
+    "link-rate": ("link_rate_bps", int, "BPS", "link rate in bits/second (default 128000)"),
+    "seed": ("seed", int, None, "simulation seed (default 1)"),
+    "out": ("out", str, "CSV", "results file (default sweep.csv)"),
+    "trace": ("trace", str, "JSONL", "also write a per-event trace"),
 }
 
 
@@ -43,25 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sweep one-way link delay across two VoIP signaling stacks and score each run with an E-model MOS.",
     )
     p.add_argument("--config", metavar="FILE", help="key=value settings file; explicit flags win")
-    p.add_argument("--delay-start", dest="delay_start", type=float, metavar="MS",
-                   help="first configured delay (default 0)")
-    p.add_argument("--delay-end", dest="delay_end", type=float, metavar="MS",
-                   help="last configured delay, inclusive (default 2000)")
-    p.add_argument("--delay-step", dest="delay_step", type=float, metavar="MS",
-                   help="grid step (default 25)")
-    p.add_argument("--protocol", type=str.lower, choices=sorted(_PROTOCOL_CHOICES),
-                   help="which stack(s) to run (default both)")
-    p.add_argument("--duration", type=float, metavar="SECONDS",
-                   help="media phase length per run (default 10)")
-    p.add_argument("--frame-ms", dest="frame_ms", type=float, metavar="MS",
-                   help="media frame cadence (default 20)")
-    p.add_argument("--payload-bytes", dest="payload_bytes", type=int, metavar="N",
-                   help="media payload size, 1..1400 (default 160)")
-    p.add_argument("--link-rate", dest="link_rate", type=int, metavar="BPS",
-                   help="link rate in bits/second (default 128000)")
-    p.add_argument("--seed", type=int, help="simulation seed (default 1)")
-    p.add_argument("--out", metavar="CSV", help="results file (default sweep.csv)")
-    p.add_argument("--trace", metavar="JSONL", help="also write a per-event trace")
+    for key, (dest, parse, metavar, help_text) in _SETTINGS.items():
+        choices = sorted(_PROTOCOL_CHOICES) if key == "protocol" else None
+        p.add_argument(f"--{key}", dest=dest, type=parse, choices=choices, metavar=metavar, help=help_text)
     return p
 
 
@@ -78,7 +63,7 @@ def load_config_file(path: str) -> dict[str, str]:
             key, _, value = line.partition("=")
             key = key.strip().lower().replace("_", "-")
             value = value.strip()
-            if key not in _SETTING_SPEC:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
             if not value:
                 raise ValueError(f"{path}:{lineno}: empty value for {key!r}")
@@ -86,62 +71,47 @@ def load_config_file(path: str) -> dict[str, str]:
     return settings
 
 
-def _merge_settings(args: argparse.Namespace) -> dict:
-    """Layer config-file values under explicit flags; returns dest -> value."""
-    merged: dict = {dest: None for dest, _parse in _SETTING_SPEC.values()}
+def resolve_settings(args: argparse.Namespace) -> tuple[SweepConfig, str, str | None]:
+    """The sweep config, CSV path and trace path (or None) that parsed flags ask for.
+
+    Config-file values are layered under explicit flags.
+    """
+    merged: dict = {}
     if args.config:
         for key, raw in load_config_file(args.config).items():
-            dest, parse = _SETTING_SPEC[key]
+            dest, parse = _SETTINGS[key][:2]
             try:
                 merged[dest] = parse(raw)
             except ValueError:
                 raise ValueError(f"{args.config}: setting {key!r}: cannot parse {raw!r}") from None
-    for dest, _parse in _SETTING_SPEC.values():
+    for dest, *_spec in _SETTINGS.values():
         flag_value = getattr(args, dest)
         if flag_value is not None:
             merged[dest] = flag_value
-    return merged
-
-
-def _config_from(merged: dict) -> SweepConfig:
-    protocol = (merged["protocol"] or "both").lower()
+    out_path = merged.pop("out", None) or "sweep.csv"
+    trace_path = merged.pop("trace", None) or None
+    protocol = merged.pop("protocols", "both")
     if protocol not in _PROTOCOL_CHOICES:
         raise ValueError(f"protocol must be one of {sorted(_PROTOCOL_CHOICES)}, got {protocol!r}")
-    kwargs = {"protocols": _PROTOCOL_CHOICES[protocol]}
-    for dest, key in (
-        ("delay_start", "delay_start_ms"),
-        ("delay_end", "delay_end_ms"),
-        ("delay_step", "delay_step_ms"),
-        ("duration", "duration_s"),
-        ("frame_ms", "frame_interval_ms"),
-        ("payload_bytes", "payload_bytes"),
-        ("link_rate", "link_rate_bps"),
-        ("seed", "seed"),
-    ):
-        if merged[dest] is not None:
-            kwargs[key] = merged[dest]
-    return SweepConfig(**kwargs)
+    return SweepConfig(protocols=_PROTOCOL_CHOICES[protocol], **merged), out_path, trace_path
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        merged = _merge_settings(args)
-        cfg = _config_from(merged)
-        trace_path = merged["trace"]
+        cfg, out_path, trace_path = resolve_settings(args)
         # the trace streams out during the sweep, so a bad path fails before any run
         sink = open(trace_path, "w", encoding="ascii", newline="") if trace_path else contextlib.nullcontext()
         with sink as fh:
             trace = TraceLog(fh) if fh is not None else None
             result = run_sweep(cfg, trace)
-        out_path = merged["out"] or "sweep.csv"
         emit_csv(result, out_path)
         print(f"wrote {len(result.rows)} rows to {out_path}")
         if trace is not None:
             print(f"wrote {trace.count} trace records to {trace_path}")
         if len(set(cfg.protocols)) == 2:
             print(compare_report(result))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, HorizonExceeded) as exc:
         print(f"voipsim: error: {exc}", file=sys.stderr)
         return 2
     return 0

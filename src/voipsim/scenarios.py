@@ -10,11 +10,13 @@ emulated WAN link and record per-packet send/arrival times:
   with the invitee) relays the invitation and the JOIN, media runs
   chairman -> server -> invitee as RTP, then the chairman ENDs.
 
+Every node is a ``_Node`` (name, link, stats, trace); the caller and the
+chairman are ``_MediaSource`` nodes, which pace, count and send the frames.
+
 The configured one-way delay is paid once per end-to-end path; the
-server-to-member hop of a co-located relay costs only the configurable
-processing time (0 by default).  With identical payloads the two media
-paths therefore differ by exactly the serialization of the 8 header bytes
-that separate a mini frame from an RTP packet.
+server-to-member hop of a co-located relay is free.  With identical
+payloads the two media paths therefore differ by exactly the serialization
+of the 8 header bytes that separate a mini frame from an RTP packet.
 """
 
 from __future__ import annotations
@@ -59,37 +61,30 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps would rebuild it per call
+_TIMER = EventKind.TIMER  # an Enum member read costs far more than a global's
+_INVITEE = "p1"  # the conference's one invitee, on the server's host
 
 
 class TraceLog:
     """Writes event records to a text stream as JSON Lines as they happen.
 
-    Nothing is kept per record; ``count`` is the number of lines written.
+    After ``begin(label)`` every record carries ``"scenario": label`` as its
+    first key.  Nothing is kept per record; ``count`` is the number of lines
+    written.
     """
 
     def __init__(self, stream: TextIO):
         self.stream = stream
         self.count = 0
+        self._head = "{"
+
+    def begin(self, label: str) -> None:
+        self._head = '{"scenario":' + _encode(label) + ","
 
     def add(self, **fields) -> None:
-        self.stream.write(_encode(fields) + "\n")
+        # splice the encoded fields (never empty here) in after the head
+        self.stream.write(self._head + _encode(fields)[1:] + "\n")
         self.count += 1
-
-
-class _ScenarioTrace:
-    """Labels every record with the scenario it came from, as its first key."""
-
-    __slots__ = ("log", "head")
-
-    def __init__(self, log: TraceLog, label: str):
-        self.log = log
-        self.head = '{"scenario":' + _encode(label) + ","
-
-    def add(self, **fields) -> None:
-        # splice the encoded fields (never empty here) in after the label
-        log = self.log
-        log.stream.write(self.head + _encode(fields)[1:] + "\n")
-        log.count += 1
 
 
 @dataclass
@@ -106,114 +101,126 @@ class MediaStats:
         return [self.recv[key] - t for key, t in self.sent if key in self.recv]
 
 
-def _horizon(delay_ms: float, cfg: SweepConfig) -> float:
-    return cfg.duration_s * 1000.0 + 20.0 * delay_ms + 60_000.0
+def _run(label: str, delay_ms: float, cfg: SweepConfig, trace: TraceLog | None, *nodes: _Node) -> None:
+    """Register the nodes, start the first one and drain the run."""
+    if trace is not None:
+        trace.begin(label)
+    sim = Simulator(seed=cfg.seed)
+    for node in nodes:
+        sim.register(node.name, node.handle)
+    nodes[0].start(sim)
+    sim.run_until_idle(cfg.duration_s * 1000.0 + 20.0 * delay_ms + 60_000.0)
 
 
-# --------------------------------------------------------------------------
-# two-party call
-# --------------------------------------------------------------------------
+class _Node:
+    """One endpoint of a run; ``peer`` is where its control messages go."""
 
-
-class _IaxCallerNode:
-    def __init__(self, link, cfg, stats, trace):
+    def __init__(self, name: str, peer: str | None, link: LinkConfig | None, stats: MediaStats, trace):
+        self.name = name
+        self.peer = peer
         self.link = link
-        self.cfg = cfg
         self.stats = stats
         self.trace = trace
-        self.endpoint = IaxEndpoint("caller")
+
+    def _note(self, now: float, kind: str, **fields) -> None:
+        """Trace one control-plane record (``signal``, ``state``, ``conf``)."""
+        if self.trace is not None:
+            self.trace.add(t=now, kind=kind, **fields)
+
+    def _send_control(self, sim: Simulator, kind: str, data: bytes, **fields) -> None:
+        self._note(sim.now, kind, src=self.name, dst=self.peer, **fields, bytes=len(data))
+        sim.reliable_send(self.link, data, self.name, self.peer)
+
+
+class _MediaSource(_Node):
+    """Paces ``cfg.media_frame_count()`` counted frames to its peer, then tears down.
+
+    Subclasses supply ``_control`` (non-timer events), ``_next_frame(now) ->
+    (stats key, wire bytes)`` and ``_teardown``, and call ``_begin_media``.
+    """
+
+    def __init__(self, name: str, peer: str, link: LinkConfig, cfg: SweepConfig, stats: MediaStats, trace):
+        super().__init__(name, peer, link, stats, trace)
+        self.interval = cfg.frame_interval_ms
         self.payload = bytes(cfg.payload_bytes)
         self.frames_left = cfg.media_frame_count()
+
+    def handle(self, sim: Simulator, ev: SimEvent) -> None:
+        if ev.kind is not _TIMER:
+            self._control(sim, ev.payload)
+        elif self.frames_left > 0:
+            key, data = self._next_frame(sim.now)
+            self.stats.sent.append((key, sim.now))
+            self._send_media(sim, data)
+            self.frames_left -= 1
+            sim.schedule_timer(self.interval, self.name, "media")
+        else:
+            self._teardown(sim)  # no tick is scheduled after this one
+
+    def _begin_media(self, sim: Simulator, first_tick_ms: float) -> None:
+        self.stats.setup_ms = sim.now
+        sim.schedule_timer(first_tick_ms, self.name, "media")
+
+    def _send_media(self, sim: Simulator, data: bytes) -> None:
+        if self.trace is not None:
+            self.trace.add(t=sim.now, kind="media", src=self.name, dst=self.peer, bytes=len(data))
+        sim.transmit(self.link, data, self.name, self.peer)
+
+
+def _send_signal(node: _Node, sim: Simulator, frame: FullFrame) -> None:
+    node._send_control(sim, "signal", encode_full(frame), signal=Signal(frame.subclass).name)
+
+
+class _IaxCallerNode(_MediaSource):
+    def __init__(self, link, cfg, stats, trace):
+        super().__init__("caller", "callee", link, cfg, stats, trace)
+        self.endpoint = IaxEndpoint("caller")
         self.call = None
-        self.hung_up = False
 
     def start(self, sim: Simulator) -> None:
         frame, self.call = self.endpoint.place_call("callee", sim.now)
-        self._signal_out(sim, frame)
+        _send_signal(self, sim, frame)
 
-    def handle(self, sim: Simulator, ev: SimEvent) -> None:
-        if ev.kind is EventKind.TIMER:
-            self._media_tick(sim)
-            return
-        frame = decode_full(ev.payload)
+    def _control(self, sim: Simulator, data: bytes) -> None:
+        frame = decode_full(data)
         before = self.call.state
         replies, cs = self.endpoint.handle_signal(frame, sim.now)
         for reply in replies:
-            self._signal_out(sim, reply)
-        if self.trace is not None:
-            self.trace.add(
-                t=sim.now, kind="state", endpoint="caller",
-                event=Signal(frame.subclass).name,
-                state_before=before.value, state_after=cs.state.value,
-            )
+            _send_signal(self, sim, reply)
+        self._note(
+            sim.now, "state", endpoint="caller", event=Signal(frame.subclass).name,
+            state_before=before.value, state_after=cs.state.value,
+        )
         if cs.state is CallState.UP and self.stats.setup_ms is None:
-            self.stats.setup_ms = sim.now
-            self._send_anchor(sim)
-            sim.schedule_timer(self.cfg.frame_interval_ms, "caller", "media")
+            # The first voice frame is a full frame that anchors the receiver's
+            # 16-bit timestamp window; its size differs, so it goes uncounted.
+            self._send_media(sim, self._next_frame(sim.now)[1])
+            self._begin_media(sim, self.interval)
 
-    def _signal_out(self, sim: Simulator, frame: FullFrame) -> None:
-        data = encode_full(frame)
-        if self.trace is not None:
-            self.trace.add(
-                t=sim.now, kind="signal", src="caller", dst="callee",
-                signal=Signal(frame.subclass).name, bytes=len(data),
-            )
-        sim.reliable_send(self.link, data, "caller", "callee")
-
-    def _send_anchor(self, sim: Simulator) -> None:
-        # The first voice frame of a call is always a full frame (it anchors
-        # the receiver's 16-bit timestamp window).  Its wire size differs
-        # from the steady-state mini frames, so it is sent as a warmup packet
-        # and excluded from the per-packet delay statistics.
-        frame = self.endpoint.send_media(self.call.local_call, self.payload, sim.now)
+    def _next_frame(self, now: float) -> tuple[int, bytes]:
+        frame = self.endpoint.send_media(self.call.local_call, self.payload, now)
         data = encode_full(frame) if isinstance(frame, FullFrame) else encode_mini(frame)
-        if self.trace is not None:
-            self.trace.add(t=sim.now, kind="media", src="caller", dst="callee", bytes=len(data))
-        sim.transmit(self.link, data, "caller", "callee")
+        return int(now - self.call.start_time), data
 
-    def _media_tick(self, sim: Simulator) -> None:
-        if self.frames_left > 0:
-            frame = self.endpoint.send_media(self.call.local_call, self.payload, sim.now)
-            key = int(sim.now - self.call.start_time)
-            self.stats.sent.append((key, sim.now))
-            data = encode_full(frame) if isinstance(frame, FullFrame) else encode_mini(frame)
-            if self.trace is not None:
-                self.trace.add(t=sim.now, kind="media", src="caller", dst="callee", bytes=len(data))
-            sim.transmit(self.link, data, "caller", "callee")
-            self.frames_left -= 1
-            sim.schedule_timer(self.cfg.frame_interval_ms, "caller", "media")
-        elif not self.hung_up:
-            self.hung_up = True
-            self._signal_out(sim, self.endpoint.hangup(self.call.local_call, sim.now))
+    def _teardown(self, sim: Simulator) -> None:
+        _send_signal(self, sim, self.endpoint.hangup(self.call.local_call, sim.now))
 
 
-class _IaxCalleeNode:
+class _IaxCalleeNode(_Node):
     def __init__(self, link, stats, trace):
-        self.link = link
-        self.stats = stats
-        self.trace = trace
+        super().__init__("callee", "caller", link, stats, trace)
         self.endpoint = IaxEndpoint("callee")  # open policy, immediate answer
 
     def handle(self, sim: Simulator, ev: SimEvent) -> None:
         data = ev.payload
         if data[0] & 0x80:
             frame = decode_full(data)
-            if frame.frame_type is FrameKind.VOICE:
-                self._media_in(sim, frame)
+            if frame.frame_type is not FrameKind.VOICE:
+                for reply in self.endpoint.handle_signal(frame, sim.now)[0]:
+                    _send_signal(self, sim, reply)
                 return
-            replies, cs = self.endpoint.handle_signal(frame, sim.now)
-            for reply in replies:
-                raw = encode_full(reply)
-                if self.trace is not None:
-                    self.trace.add(
-                        t=sim.now, kind="signal", src="callee", dst="caller",
-                        signal=Signal(reply.subclass).name, bytes=len(raw),
-                    )
-                sim.reliable_send(self.link, raw, "callee", "caller")
         else:
-            self._media_in(sim, decode_mini(data))
-
-    def _media_in(self, sim: Simulator, frame) -> None:
+            frame = decode_mini(data)
         try:
             ts32, _payload = self.endpoint.receive_media_frame(frame)
         except NotInCall:
@@ -225,172 +232,108 @@ class _IaxCalleeNode:
 
 def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
     """Simulate one two-party call; returns the raw measurements."""
-    sim = Simulator(seed=cfg.seed)
     link = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
     stats = MediaStats()
-    scenario_trace = _ScenarioTrace(trace, f"IAX:{delay_ms:g}") if trace is not None else None
-    caller = _IaxCallerNode(link, cfg, stats, scenario_trace)
-    callee = _IaxCalleeNode(link, stats, scenario_trace)
-    sim.register("caller", caller.handle)
-    sim.register("callee", callee.handle)
-    caller.start(sim)
-    sim.run_until_idle(_horizon(delay_ms, cfg))
+    _run(
+        f"IAX:{delay_ms:g}", delay_ms, cfg, trace,
+        _IaxCallerNode(link, cfg, stats, trace), _IaxCalleeNode(link, stats, trace),
+    )
     return stats
 
 
-# --------------------------------------------------------------------------
-# conference
-# --------------------------------------------------------------------------
-
-
-class _RswChairNode:
+class _RswChairNode(_MediaSource):
     def __init__(self, wan, cfg, stats, trace, tx):
-        self.wan = wan
-        self.cfg = cfg
-        self.stats = stats
-        self.trace = trace
+        super().__init__("chair", "server", wan, cfg, stats, trace)
         self.tx = tx
-        self.payload = bytes(cfg.payload_bytes)
-        self.frames_left = cfg.media_frame_count()
-        self.conf_id = 1
-        self.ended = False
 
     def start(self, sim: Simulator) -> None:
-        media_desc = f"codec=pcm;frame_ms={self.cfg.frame_interval_ms:g}"
-        msg, _view = create_conference("chair", ["p1"], media_desc, conf_id=self.conf_id)
-        self._signal_out(sim, msg)
+        media_desc = f"codec=pcm;frame_ms={self.interval:g}"
+        msg, _view = create_conference("chair", [_INVITEE], media_desc, conf_id=1)
+        self._send_conf(sim, msg)
 
-    def handle(self, sim: Simulator, ev: SimEvent) -> None:
-        if ev.kind is EventKind.TIMER:
-            self._media_tick(sim)
-            return
-        msg = decode_rsw(ev.payload)
-        if msg.verb is Verb.JOIN and self.stats.setup_ms is None:
-            self.stats.setup_ms = sim.now
-            sim.schedule_timer(0.0, "chair", "media")
+    def _control(self, sim: Simulator, data: bytes) -> None:
         # ACKs and REJECT/BUSY relays need no action from the chairman here:
         # with no JOIN there is never media, and the run simply drains.
+        if decode_rsw(data).verb is Verb.JOIN and self.stats.setup_ms is None:
+            self._begin_media(sim, 0.0)
 
-    def _signal_out(self, sim: Simulator, msg) -> None:
-        data = encode_rsw(msg)
-        if self.trace is not None:
-            self.trace.add(
-                t=sim.now, kind="conf", src="chair", dst="server",
-                verb=msg.verb.value, bytes=len(data),
-            )
-        sim.reliable_send(self.wan, data, "chair", "server")
+    def _next_frame(self, now: float) -> tuple[int, bytes]:
+        pkt = send_media_rtp(self.tx, self.payload, role=Role.CHAIRMAN, phase=ConferencePhase.ACTIVE)
+        return pkt.seq, encode_rtp(pkt)
 
-    def _media_tick(self, sim: Simulator) -> None:
-        if self.frames_left > 0:
-            pkt = send_media_rtp(self.tx, self.payload, role=Role.CHAIRMAN, phase=ConferencePhase.ACTIVE)
-            self.stats.sent.append((pkt.seq, sim.now))
-            data = encode_rtp(pkt)
-            if self.trace is not None:
-                self.trace.add(t=sim.now, kind="media", src="chair", dst="server", bytes=len(data))
-            sim.transmit(self.wan, data, "chair", "server")
-            self.frames_left -= 1
-            sim.schedule_timer(self.cfg.frame_interval_ms, "chair", "media")
-        elif not self.ended:
-            self.ended = True
-            self._signal_out(sim, RswMessage(Verb.END, self.conf_id, "chair", "server"))
+    def _teardown(self, sim: Simulator) -> None:
+        self._send_conf(sim, RswMessage(Verb.END, 1, "chair", "server"))
+
+    def _send_conf(self, sim: Simulator, msg: RswMessage) -> None:
+        self._send_control(sim, "conf", encode_rsw(msg), verb=msg.verb.value)
 
 
-class _RswServerNode:
+class _RswServerNode(_Node):
     """Routes control messages and bridges media to Joined members.
 
-    Members listed in ``local_members`` sit on the server's host and are
-    reached for free (plus ``processing_ms``); everyone else is across the
-    WAN link.
+    The invitee sits on the server's host and is reached for free; everyone
+    else is across the WAN link.
     """
 
-    def __init__(self, wan, trace, *, media_sources, local_members, processing_ms=0.0):
-        self.wan = wan
-        self.trace = trace
-        self.media_sources = media_sources  # ssrc -> member id
-        self.local_members = local_members
-        self.processing_ms = processing_ms
+    def __init__(self, wan, trace, chair_ssrc: int):
+        super().__init__("server", None, wan, None, trace)
+        self.chair_ssrc = chair_ssrc
         self.conf = None
 
     def handle(self, sim: Simulator, ev: SimEvent) -> None:
         data = ev.payload
         if data.startswith(b"RSW/1 "):
-            msg = decode_rsw(data)
-            out, self.conf = server_route(msg, self.conf)
+            out, self.conf = server_route(decode_rsw(data), self.conf)
             for reply in out:
-                self._route(sim, encode_rsw(reply), reply.recipient, media=False, verb=reply.verb.value)
+                raw, dst = encode_rsw(reply), reply.recipient
+                self._note(sim.now, "conf", src="server", dst=dst, bytes=len(raw), verb=reply.verb.value)
+                self._route(sim.reliable_send, sim, raw, dst)
+        elif self.conf is not None and self.conf.phase is ConferencePhase.ACTIVE:
+            sender = "chair" if rtp_ssrc(data) == self.chair_ssrc else None
+            for member_id, member in self.conf.members.items():
+                if member.status is MemberStatus.JOINED and member_id != sender:
+                    if self.trace is not None:
+                        self.trace.add(t=sim.now, kind="relay", src="server", dst=member_id, bytes=len(data))
+                    self._route(sim.transmit, sim, data, member_id)
+        # media outside an active conference is dropped
+
+    def _route(self, send, sim: Simulator, data: bytes, dst: str) -> None:
+        if dst == _INVITEE:
+            sim.deliver_local(data, dst)
         else:
-            self._bridge(sim, data)
-
-    def _bridge(self, sim: Simulator, data: bytes) -> None:
-        if self.conf is None or self.conf.phase is not ConferencePhase.ACTIVE:
-            return  # media outside an active conference is dropped
-        sender = self.media_sources.get(rtp_ssrc(data))
-        for member_id, member in self.conf.members.items():
-            if member.status is MemberStatus.JOINED and member_id != sender:
-                self._route(sim, data, member_id, media=True)
-
-    def _route(self, sim: Simulator, data: bytes, recipient: str, *, media: bool, verb: str | None = None) -> None:
-        if self.trace is not None:
-            kind = "relay" if media else "conf"
-            fields = {"t": sim.now, "kind": kind, "src": "server", "dst": recipient, "bytes": len(data)}
-            if verb is not None:
-                fields["verb"] = verb
-            self.trace.add(**fields)
-        if recipient in self.local_members:
-            sim.deliver_local(data, recipient, self.processing_ms)
-        elif media:
-            sim.transmit(self.wan, data, "server", recipient)
-        else:
-            sim.reliable_send(self.wan, data, "server", recipient)
+            send(self.link, data, "server", dst)
 
 
-class _RswParticipantNode:
-    def __init__(self, stats, trace, name="p1", policy=ResponsePolicy.ACCEPT):
-        self.stats = stats
-        self.trace = trace
-        self.name = name
-        self.policy = policy
-        self.invitee = RswInvitee(name)
+class _RswParticipantNode(_Node):
+    def __init__(self, stats, trace):
+        super().__init__(_INVITEE, "server", None, stats, trace)
+        self.invitee = RswInvitee(_INVITEE)
 
     def handle(self, sim: Simulator, ev: SimEvent) -> None:
         data = ev.payload
-        if data.startswith(b"RSW/1 "):
-            msg = decode_rsw(data)
-            if msg.verb is Verb.CREATE:
-                self.invitee.receive_invitation(msg)
-                reply = self.invitee.respond(self.policy)
-                raw = encode_rsw(reply)
-                if self.trace is not None:
-                    self.trace.add(
-                        t=sim.now, kind="conf", src=self.name, dst="server",
-                        verb=reply.verb.value, bytes=len(raw),
-                    )
-                sim.deliver_local(raw, "server")
-            # ACK and END need no reply
+        if not data.startswith(b"RSW/1 "):
+            seq = decode_rtp(data).seq
+            self.stats.recv.setdefault(seq, sim.now)
+            if self.trace is not None:
+                self.trace.add(t=sim.now, kind="deliver", dst=_INVITEE, seq=seq)
             return
-        pkt = decode_rtp(data)
-        self.stats.recv.setdefault(pkt.seq, sim.now)
-        if self.trace is not None:
-            self.trace.add(t=sim.now, kind="deliver", dst=self.name, seq=pkt.seq)
+        msg = decode_rsw(data)
+        if msg.verb is Verb.CREATE:  # ACK and END need no reply
+            self.invitee.receive_invitation(msg)
+            reply = self.invitee.respond(ResponsePolicy.ACCEPT)
+            raw = encode_rsw(reply)
+            self._note(sim.now, "conf", src=self.name, dst=self.peer, verb=reply.verb.value, bytes=len(raw))
+            sim.deliver_local(raw, self.peer)  # the server is on this host
 
 
 def run_rsw_conference(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
     """Simulate one two-member conference; returns the raw measurements."""
-    sim = Simulator(seed=cfg.seed)
     wan = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
     stats = MediaStats()
-    scenario_trace = _ScenarioTrace(trace, f"RSW:{delay_ms:g}") if trace is not None else None
     tx = new_rtp_tx(random.Random(cfg.seed), samples_per_frame=cfg.payload_bytes)
-    chair = _RswChairNode(wan, cfg, stats, scenario_trace, tx)
-    server = _RswServerNode(
-        wan, scenario_trace,
-        media_sources={tx.ssrc: "chair"},
-        local_members=frozenset({"p1"}),
+    _run(
+        f"RSW:{delay_ms:g}", delay_ms, cfg, trace,
+        _RswChairNode(wan, cfg, stats, trace, tx), _RswServerNode(wan, trace, tx.ssrc),
+        _RswParticipantNode(stats, trace),
     )
-    participant = _RswParticipantNode(stats, scenario_trace)
-    sim.register("chair", chair.handle)
-    sim.register("server", server.handle)
-    sim.register("p1", participant.handle)
-    chair.start(sim)
-    sim.run_until_idle(_horizon(delay_ms, cfg))
     return stats

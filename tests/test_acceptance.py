@@ -341,3 +341,13 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path):
         17_750_739, "97aca0d32f662e3fe21324426dc62403173c0c78574c3464196de44512b5e43a")
     size = len(outputs[0][0]) + len(outputs[0][1])
     print(f"PASS: criterion 8 — two runs, {size} bytes, byte-identical")
+
+
+def test_untraced_default_sweep_writes_the_golden_csv(default_sweep, tmp_path):
+    # criterion 8 pins a traced run; the trace must not change what is measured
+    result, _ = default_sweep
+    csv_path = tmp_path / "untraced.csv"
+    emit_csv(result, csv_path)
+    csv = csv_path.read_bytes()
+    assert (len(csv), hashlib.sha256(csv).hexdigest()) == (
+        9_269, "a9ae73160b9dc967281eda3401b6444a0e4b79e0f44a3d8180f04f96cc797d9a")

@@ -29,7 +29,7 @@ from voipsim import (
     run_sweep,
     sweep_points,
 )
-from voipsim.cli import load_config_file, main
+from voipsim.cli import build_parser, load_config_file, main, resolve_settings
 
 FAST = dict(delay_end_ms=50.0, duration_s=0.5)  # 3 grid points, 25 frames/run
 
@@ -445,6 +445,18 @@ def test_cli_rejects_bad_sweep_settings(capsys):
     assert "delay_step_ms" in err
 
 
+def test_cli_reports_a_run_past_its_horizon(tmp_path, capsys, monkeypatch):
+    # at 10 bit/s the first packet alone takes minutes to serialize
+    monkeypatch.chdir(tmp_path)
+    code = main(["--link-rate", "10", "--delay-end", "0", "--duration", "0.1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("voipsim: error:")
+    assert "horizon" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "settings.conf"
     config.write_text("volume=11\n", encoding="utf-8")
@@ -484,6 +496,51 @@ def test_config_file_parser_details(tmp_path):
     empty.write_text("seed=\n", encoding="utf-8")
     with pytest.raises(ValueError, match="empty value"):
         load_config_file(str(empty))
+
+
+# config-file key -> a value other than the default
+_SETTING_VALUES = {
+    "delay-start": "25",
+    "delay-end": "50",
+    "delay-step": "12.5",
+    "protocol": "RSW",
+    "duration": "0.5",
+    "frame-ms": "10",
+    "payload-bytes": "80",
+    "link-rate": "64000",
+    "seed": "3",
+    "out": "run.csv",
+    "trace": "run.jsonl",
+}
+
+
+@pytest.mark.parametrize("key", list(_SETTING_VALUES))
+def test_every_setting_reads_the_same_from_a_config_file_and_a_flag(key, tmp_path, monkeypatch, capsys):
+    value = _SETTING_VALUES[key]
+    fast = ["--delay-end", "0", "--duration", "0.1", "--protocol", "iax"]
+    seen = []
+    for door in ("file", "flag"):
+        workdir = tmp_path / door
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        if door == "file":
+            (workdir / "settings.conf").write_text(f"{key}={value}\n", encoding="utf-8")
+            argv = ["--config", "settings.conf"]
+        else:
+            argv = [f"--{key}", value]
+        if key in ("out", "trace"):
+            assert main(fast + argv) == 0
+            capsys.readouterr()
+            seen.append(sorted((p.name, p.read_bytes()) for p in workdir.iterdir() if p.name != "settings.conf"))
+        else:
+            seen.append(resolve_settings(build_parser().parse_args(argv)))
+    assert seen[0] == seen[1]
+    if key == "out":
+        assert [name for name, _ in seen[0]] == ["run.csv"]
+    elif key == "trace":
+        assert [name for name, _ in seen[0]] == ["run.jsonl", "sweep.csv"]
+    else:
+        assert seen[0][0] != SweepConfig() and seen[0][1:] == ("sweep.csv", None)
 
 
 def test_package_exports_names_not_modules():
