@@ -10,6 +10,7 @@ byte-identical output files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
@@ -47,6 +48,10 @@ class SweepConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for name in ("delay_start_ms", "delay_end_ms", "delay_step_ms", "duration_s", "frame_interval_ms"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.delay_start_ms < 0:
             raise NegativeDelay(f"delay_start_ms must be >= 0, got {self.delay_start_ms}")
         if self.delay_end_ms < self.delay_start_ms:

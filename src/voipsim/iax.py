@@ -79,8 +79,20 @@ class StaleFrame(IaxError):
 
 
 @dataclass
+class MediaRxState:
+    """Receiver-side timestamp reconstruction state."""
+
+    high16: int = 0
+    last_reconstructed_ts: int | None = None
+
+
+@dataclass
 class IaxCallState:
-    """Public per-call state; ``remote_call`` binds at ACCEPT."""
+    """Per-call state, one record per call.
+
+    ``peer_call`` addresses the peer from the peer's first frame on;
+    ``remote_call`` binds at ACCEPT.
+    """
 
     state: CallState
     local_call: int
@@ -89,14 +101,11 @@ class IaxCallState:
     last_full_ts: int = 0
     oseqno: int = 0
     iseqno: int = 0
-
-
-@dataclass
-class MediaRxState:
-    """Receiver-side timestamp reconstruction state."""
-
-    high16: int = 0
-    last_reconstructed_ts: int | None = None
+    role: str = "caller"  # or "callee"
+    peer_call: int = 0
+    challenge: bytes | None = None
+    media_started: bool = False
+    rx: MediaRxState = field(default_factory=MediaRxState)
 
 
 def receive_media(rx: MediaRxState, frame: FullFrame | MiniFrame) -> tuple[int, bytes]:
@@ -127,6 +136,15 @@ def receive_media(rx: MediaRxState, frame: FullFrame | MiniFrame) -> tuple[int, 
     return ts32, frame.payload
 
 
+def _full_frame(cs: IaxCallState, kind: FrameKind, subclass: int, ts32: int, payload: bytes) -> FullFrame:
+    """The next full frame of ``cs`` to its peer; advances ``oseqno``."""
+    frame = FullFrame(
+        cs.local_call, cs.peer_call, ts32, cs.oseqno, cs.iseqno, kind, subclass, payload
+    )
+    cs.oseqno = (cs.oseqno + 1) & 0xFF
+    return frame
+
+
 @dataclass
 class _TimerRequest:
     """A deferred ANSWER the driving loop should fire after ``delay_ms``."""
@@ -134,16 +152,6 @@ class _TimerRequest:
     delay_ms: float
     tag: str
     local_call: int
-
-
-@dataclass
-class _CallRuntime:
-    cs: IaxCallState
-    role: str  # "caller" or "callee"
-    peer_call: int = 0  # peer's call number for addressing, before binding
-    challenge: bytes | None = None
-    media_started: bool = False
-    rx: MediaRxState = field(default_factory=MediaRxState)
 
 
 # (state, received signal) -> next state, caller side
@@ -184,7 +192,7 @@ class IaxEndpoint:
         self.answer_delay_ms = answer_delay_ms
         self.send_proceeding = send_proceeding
         self.secret = secret
-        self.calls: dict[int, _CallRuntime] = {}
+        self.calls: dict[int, IaxCallState] = {}
         self._rng = rng if rng is not None else random.Random(0)
         self._next_hint = 1
         self._timer_requests: list[_TimerRequest] = []
@@ -204,38 +212,35 @@ class IaxEndpoint:
 
     def place_call(self, dest: str, now: float) -> tuple[FullFrame, IaxCallState]:
         """Start an outbound call; returns the NEW frame to send."""
-        local = self._allocate_call()
-        cs = IaxCallState(state=CallState.WAITING_FOR_RESPONSE, local_call=local, start_time=now)
-        rt = _CallRuntime(cs=cs, role="caller")
-        self.calls[local] = rt
-        return self._control(rt, Signal.NEW, now, payload=dest.encode("utf-8")), cs
+        cs = IaxCallState(CallState.WAITING_FOR_RESPONSE, self._allocate_call(), start_time=now)
+        self.calls[cs.local_call] = cs
+        return self._control(cs, Signal.NEW, now, payload=dest.encode("utf-8")), cs
 
     def handle_signal(self, f: FullFrame, now: float) -> tuple[list[FullFrame], IaxCallState]:
         """Apply one received Control frame; returns (replies, call state)."""
         if f.frame_type is not FrameKind.CONTROL:
             raise ValueError("handle_signal takes Control frames")
         sig = Signal(f.subclass)
-        rt = self.calls.get(f.dest_call) if f.dest_call else None
-        if rt is None:
+        cs = self.calls.get(f.dest_call) if f.dest_call else None
+        if cs is None:
             if sig is Signal.NEW:
                 return self._on_new(f, now)
             raise ProtocolViolation(None, sig)
-        cs = rt.cs
         cs.iseqno = (f.oseqno + 1) & 0xFF
         if sig in (Signal.REJECT, Signal.HANGUP):
             if cs.remote_call is None:
                 cs.remote_call = f.source_call  # record who tore the call down
             cs.state = CallState.HUNGUP
             return [], cs
-        if rt.role == "caller":
-            return self._caller_signal(rt, sig, f, now)
-        return self._callee_signal(rt, sig, f, now)
+        if cs.role == "caller":
+            return self._caller_signal(cs, sig, f, now)
+        return self._callee_signal(cs, sig, f, now)
 
     def hangup(self, local_call: int, now: float) -> FullFrame:
         """Tear down a call locally and return the HANGUP frame to send."""
-        rt = self._runtime(local_call)
-        frame = self._control(rt, Signal.HANGUP, now)
-        rt.cs.state = CallState.HUNGUP
+        cs = self._call(local_call)
+        frame = self._control(cs, Signal.HANGUP, now)
+        cs.state = CallState.HUNGUP
         return frame
 
     def pop_timer_requests(self) -> list[_TimerRequest]:
@@ -245,12 +250,12 @@ class IaxEndpoint:
 
     def fire_answer_timer(self, local_call: int, now: float) -> tuple[list[FullFrame], IaxCallState]:
         """Emit the deferred ANSWER; a no-op if the call was torn down."""
-        rt = self._runtime(local_call)
-        if rt.cs.state is not CallState.RINGING:
-            return [], rt.cs
-        answer = self._control(rt, Signal.ANSWER, now)
-        rt.cs.state = CallState.UP
-        return [answer], rt.cs
+        cs = self._call(local_call)
+        if cs.state is not CallState.RINGING:
+            return [], cs
+        answer = self._control(cs, Signal.ANSWER, now)
+        cs.state = CallState.UP
+        return [answer], cs
 
     # -- media -------------------------------------------------------------
 
@@ -260,121 +265,96 @@ class IaxEndpoint:
         A Voice full frame goes out for the first media frame and whenever
         the high 16 timestamp bits change; otherwise a mini frame.
         """
-        rt = self._runtime(local_call)
-        cs = rt.cs
+        cs = self._call(local_call)
         if cs.state is not CallState.UP:
             raise NotInCall(f"call {local_call} is {cs.state.value}, not Up")
         ts32 = int(now - cs.start_time) & 0xFFFFFFFF
-        if not rt.media_started or (ts32 >> 16) != (cs.last_full_ts >> 16):
-            rt.media_started = True
+        if not cs.media_started or (ts32 >> 16) != (cs.last_full_ts >> 16):
+            cs.media_started = True
             cs.last_full_ts = ts32
-            frame = FullFrame(
-                source_call=cs.local_call,
-                dest_call=cs.remote_call or 0,
-                timestamp=ts32,
-                oseqno=cs.oseqno,
-                iseqno=cs.iseqno,
-                frame_type=FrameKind.VOICE,
-                subclass=0,
-                payload=payload,
-            )
-            cs.oseqno = (cs.oseqno + 1) & 0xFF
-            return frame
+            return _full_frame(cs, FrameKind.VOICE, 0, ts32, payload)
         return MiniFrame(source_call=cs.local_call, ts16=ts32 & 0xFFFF, payload=payload)
 
     def receive_media_frame(self, frame: FullFrame | MiniFrame) -> tuple[int, bytes]:
         """Locate the call a media frame belongs to and reconstruct its ts."""
         if isinstance(frame, FullFrame):
-            rt = self.calls.get(frame.dest_call)
+            cs = self.calls.get(frame.dest_call)
         else:
-            rt = next((r for r in self.calls.values() if r.peer_call == frame.source_call), None)
-        if rt is None or rt.cs.state is not CallState.UP:
+            cs = next((c for c in self.calls.values() if c.peer_call == frame.source_call), None)
+        if cs is None or cs.state is not CallState.UP:
             raise NotInCall("no Up call for this media frame")
-        return receive_media(rt.rx, frame)
+        return receive_media(cs.rx, frame)
 
     # -- internals -----------------------------------------------------------
 
-    def _runtime(self, local_call: int) -> _CallRuntime:
-        rt = self.calls.get(local_call)
-        if rt is None:
+    def _call(self, local_call: int) -> IaxCallState:
+        cs = self.calls.get(local_call)
+        if cs is None:
             raise NotInCall(f"no call numbered {local_call}")
-        return rt
+        return cs
 
-    def _control(self, rt: _CallRuntime, sig: Signal, now: float, payload: bytes = b"") -> FullFrame:
-        cs = rt.cs
-        frame = FullFrame(
-            source_call=cs.local_call,
-            dest_call=rt.peer_call,
-            timestamp=int(now - cs.start_time) & 0xFFFFFFFF,
-            oseqno=cs.oseqno,
-            iseqno=cs.iseqno,
-            frame_type=FrameKind.CONTROL,
-            subclass=sig,
-            payload=payload,
-        )
-        cs.oseqno = (cs.oseqno + 1) & 0xFF
-        return frame
+    def _control(self, cs: IaxCallState, sig: Signal, now: float, payload: bytes = b"") -> FullFrame:
+        return _full_frame(cs, FrameKind.CONTROL, sig, int(now - cs.start_time) & 0xFFFFFFFF, payload)
 
-    def _on_new(self, f: FullFrame, now: float) -> tuple[list[FullFrame], IaxCallState]:
-        local = self._allocate_call()
-        cs = IaxCallState(state=CallState.IDLE, local_call=local, start_time=now)
-        rt = _CallRuntime(cs=cs, role="callee", peer_call=f.source_call)
-        self.calls[local] = rt
-        cs.iseqno = (f.oseqno + 1) & 0xFF
-        if self.policy is CalleePolicy.OPEN:
-            return self._accept_path(rt, now)
-        if self.policy is CalleePolicy.CHALLENGE:
-            rt.challenge = bytes(self._rng.randrange(256) for _ in range(8))
-            cs.state = CallState.AUTH_SENT
-            return [self._control(rt, Signal.AUTHREQ, now, payload=rt.challenge)], cs
-        cause = b"busy" if self.policy is CalleePolicy.BUSY else b"rejected"
-        reject = self._control(rt, Signal.REJECT, now, payload=cause)
-        cs.remote_call = rt.peer_call
+    def _reject(
+        self, cs: IaxCallState, now: float, cause: bytes
+    ) -> tuple[list[FullFrame], IaxCallState]:
+        reject = self._control(cs, Signal.REJECT, now, payload=cause)
+        cs.remote_call = cs.peer_call
         cs.state = CallState.HUNGUP
         return [reject], cs
 
-    def _accept_path(self, rt: _CallRuntime, now: float) -> tuple[list[FullFrame], IaxCallState]:
-        cs = rt.cs
-        cs.remote_call = rt.peer_call  # ACCEPT establishes the leg
-        frames = [self._control(rt, Signal.ACCEPT, now)]
+    def _on_new(self, f: FullFrame, now: float) -> tuple[list[FullFrame], IaxCallState]:
+        cs = IaxCallState(
+            CallState.IDLE, self._allocate_call(), start_time=now, role="callee", peer_call=f.source_call
+        )
+        self.calls[cs.local_call] = cs
+        cs.iseqno = (f.oseqno + 1) & 0xFF
+        if self.policy is CalleePolicy.OPEN:
+            return self._accept_path(cs, now)
+        if self.policy is CalleePolicy.CHALLENGE:
+            cs.challenge = bytes(self._rng.randrange(256) for _ in range(8))
+            cs.state = CallState.AUTH_SENT
+            return [self._control(cs, Signal.AUTHREQ, now, payload=cs.challenge)], cs
+        return self._reject(cs, now, b"busy" if self.policy is CalleePolicy.BUSY else b"rejected")
+
+    def _accept_path(self, cs: IaxCallState, now: float) -> tuple[list[FullFrame], IaxCallState]:
+        cs.remote_call = cs.peer_call  # ACCEPT establishes the leg
+        frames = [self._control(cs, Signal.ACCEPT, now)]
         if self.answer_delay_ms <= 0:
-            frames.append(self._control(rt, Signal.ANSWER, now))
+            frames.append(self._control(cs, Signal.ANSWER, now))
             cs.state = CallState.UP
             return frames, cs
         if self.send_proceeding:
-            frames.append(self._control(rt, Signal.PROCEEDING, now))
-        frames.append(self._control(rt, Signal.RINGING, now))
+            frames.append(self._control(cs, Signal.PROCEEDING, now))
+        frames.append(self._control(cs, Signal.RINGING, now))
         cs.state = CallState.RINGING
         self._timer_requests.append(_TimerRequest(self.answer_delay_ms, "answer", cs.local_call))
         return frames, cs
 
     def _caller_signal(
-        self, rt: _CallRuntime, sig: Signal, f: FullFrame, now: float
+        self, cs: IaxCallState, sig: Signal, f: FullFrame, now: float
     ) -> tuple[list[FullFrame], IaxCallState]:
-        cs = rt.cs
         nxt = _CALLER_NEXT.get((cs.state, sig))
         if nxt is None:
             raise ProtocolViolation(cs.state, sig)
         replies: list[FullFrame] = []
         if sig is Signal.AUTHREQ:
-            rt.peer_call = f.source_call
-            rt.challenge = f.payload
-            replies.append(self._control(rt, Signal.AUTHREP, now, payload=f.payload + self.secret))
+            cs.peer_call = f.source_call
+            cs.challenge = f.payload
+            replies.append(self._control(cs, Signal.AUTHREP, now, payload=f.payload + self.secret))
         elif sig is Signal.ACCEPT:
-            rt.peer_call = f.source_call
+            cs.peer_call = f.source_call
             cs.remote_call = f.source_call  # leg established
         cs.state = nxt
         return replies, cs
 
     def _callee_signal(
-        self, rt: _CallRuntime, sig: Signal, f: FullFrame, now: float
+        self, cs: IaxCallState, sig: Signal, f: FullFrame, now: float
     ) -> tuple[list[FullFrame], IaxCallState]:
-        cs = rt.cs
         if cs.state is CallState.AUTH_SENT and sig is Signal.AUTHREP:
-            if rt.challenge is not None and f.payload == rt.challenge + self.secret:
-                return self._accept_path(rt, now)
-            reject = self._control(rt, Signal.REJECT, now, payload=b"bad-auth")
-            cs.remote_call = rt.peer_call
-            cs.state = CallState.HUNGUP
-            return [reject], cs
+            if cs.challenge is not None and f.payload == cs.challenge + self.secret:
+                return self._accept_path(cs, now)
+            return self._reject(cs, now, b"bad-auth")
         raise ProtocolViolation(cs.state, sig)
+

@@ -23,6 +23,7 @@ order hold for all of them.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -53,6 +54,10 @@ class LinkConfig:
     overhead_bytes: int = 28
 
     def __post_init__(self):
+        for name in ("delay_ms", "jitter_ms"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.delay_ms < 0:
             raise NegativeDelay(f"delay_ms {self.delay_ms}")
         if self.jitter_ms < 0:

@@ -123,27 +123,17 @@ def score_run(
         raise EModelError(f"recv={recv} exceeds sent={sent}")
 
     if recv == 0:
-        return QosReport(
-            protocol=protocol,
-            configured_delay_ms=configured_delay_ms,
-            mean_e2e_delay_ms=0.0,
-            setup_time_ms=setup_time_ms,
-            pkts_sent=sent,
-            pkts_recv=0,
-            loss_fraction=1.0 if sent else 0.0,
-            r_factor=0.0,
-            mos=1.0,
-            no_packets=True,
-        )
-
-    mean_delay = sum(delays) / len(delays)
-    if percentile is None:
-        scored_delay = mean_delay
+        mean_delay = r = 0.0
+        loss_fraction = 1.0 if sent else 0.0
     else:
-        ranked = sorted(delays)
-        scored_delay = ranked[max(0, math.ceil(percentile / 100.0 * recv) - 1)]
-    loss_fraction = 1.0 - recv / sent
-    r = params.r0 - idd(scored_delay) - params.ie - 30.0 * loss_fraction + params.advantage
+        mean_delay = sum(delays) / len(delays)
+        if percentile is None:
+            scored_delay = mean_delay
+        else:
+            ranked = sorted(delays)
+            scored_delay = ranked[max(0, math.ceil(percentile / 100.0 * recv) - 1)]
+        loss_fraction = 1.0 - recv / sent
+        r = params.r0 - idd(scored_delay) - params.ie - 30.0 * loss_fraction + params.advantage
     return QosReport(
         protocol=protocol,
         configured_delay_ms=configured_delay_ms,
@@ -154,4 +144,5 @@ def score_run(
         loss_fraction=loss_fraction,
         r_factor=r,
         mos=r_to_mos(r),
+        no_packets=recv == 0,
     )

@@ -128,37 +128,29 @@ def create_conference(
     conf_id: int = 1,
     observers: Sequence[str] = (),
 ) -> tuple[RswMessage, ConferenceState]:
-    """Build the CREATE message and the chairman's view of the conference.
+    """Build the CREATE message and the chairman's view of the conference,
+    the same record the server builds from that CREATE.
 
     The chairman is marked Joined immediately; all invitees (participants
     and passive observers) start Invited.
     """
-    if not list(invitees) and not list(observers):
+    ids = [chairman, *invitees, *observers]
+    if len(ids) == 1:
         raise EmptyInviteeList("a conference needs at least one invitee")
     if not media_desc:
         raise EmptyMediaDescription("media description must be non-empty")
-    _check_member_id(chairman)
-    members = {chairman: Member(Role.CHAIRMAN, MemberStatus.JOINED)}
-    specs: list[str] = []
-    for invitee in invitees:
-        _check_member_id(invitee)
-        members[invitee] = Member(Role.PARTICIPANT, MemberStatus.INVITED)
-        specs.append(invitee)
-    for observer in observers:
-        _check_member_id(observer)
-        members[observer] = Member(Role.PASSIVE_OBSERVER, MemberStatus.INVITED)
-        specs.append(f"{observer}:observer")
-    if len(members) != 1 + len(list(invitees)) + len(list(observers)):
+    for member_id in ids:
+        _check_member_id(member_id)
+    if len(set(ids)) != len(ids):
         raise ValueError("duplicate member ids")
-    msg = RswMessage(Verb.CREATE, conf_id, chairman, ",".join(specs), media_desc)
-    return msg, ConferenceState(conf_id, chairman, members, media_desc, ConferencePhase.CREATING)
+    recipient = ",".join([*invitees, *(f"{observer}:observer" for observer in observers)])
+    msg = RswMessage(Verb.CREATE, conf_id, chairman, recipient, media_desc)
+    return msg, _conference_from_create(msg)
 
 
 def server_route(
     msg: RswMessage,
     conf: ConferenceState | None,
-    *,
-    server_id: str = DEFAULT_SERVER_ID,
 ) -> tuple[list[RswMessage], ConferenceState]:
     """Process one signal at the server; returns (messages out, conference).
 
@@ -173,11 +165,11 @@ def server_route(
             raise RswError(f"conference {conf.conf_id} already exists")
         conf = _conference_from_create(msg)
         out = [
-            RswMessage(Verb.CREATE, conf.conf_id, server_id, invitee, conf.media_desc)
+            RswMessage(Verb.CREATE, conf.conf_id, DEFAULT_SERVER_ID, invitee, conf.media_desc)
             for invitee, member in conf.members.items()
             if member.role is not Role.CHAIRMAN
         ]
-        out.append(RswMessage(Verb.ACK, conf.conf_id, server_id, conf.chairman))
+        out.append(RswMessage(Verb.ACK, conf.conf_id, DEFAULT_SERVER_ID, conf.chairman))
         return out, conf
 
     if conf is None or conf.conf_id != msg.conf_id:
@@ -194,7 +186,7 @@ def server_route(
         if msg.verb is Verb.JOIN and conf.phase is ConferencePhase.CREATING:
             conf.phase = ConferencePhase.ACTIVE
         return [
-            RswMessage(Verb.ACK, conf.conf_id, server_id, sender),
+            RswMessage(Verb.ACK, conf.conf_id, DEFAULT_SERVER_ID, sender),
             RswMessage(msg.verb, conf.conf_id, sender, conf.chairman),
         ], conf
 
@@ -203,15 +195,15 @@ def server_route(
         if member is None or member.status is not MemberStatus.JOINED:
             raise NotInvited(f"{sender} is not joined")
         member.status = MemberStatus.LEFT
-        return [RswMessage(Verb.ACK, conf.conf_id, server_id, sender)], conf
+        return [RswMessage(Verb.ACK, conf.conf_id, DEFAULT_SERVER_ID, sender)], conf
 
     if msg.verb is Verb.END:
         if sender != conf.chairman:
             raise NotChairman(f"{sender} is not the chairman")
         conf.phase = ConferencePhase.ENDED
-        out = [RswMessage(Verb.ACK, conf.conf_id, server_id, sender)]
+        out = [RswMessage(Verb.ACK, conf.conf_id, DEFAULT_SERVER_ID, sender)]
         out.extend(
-            RswMessage(Verb.END, conf.conf_id, server_id, member_id)
+            RswMessage(Verb.END, conf.conf_id, DEFAULT_SERVER_ID, member_id)
             for member_id, member in conf.members.items()
             if member.status is MemberStatus.JOINED and member_id != sender
         )
@@ -254,12 +246,12 @@ class RswInvitee:
         self._invitation = Invitation(msg.conf_id, msg.body, msg.sender)
         return self._invitation
 
-    def respond(self, policy: ResponsePolicy, *, server_id: str = DEFAULT_SERVER_ID) -> RswMessage:
+    def respond(self, policy: ResponsePolicy) -> RswMessage:
         """Answer the pending invitation once; a second respond raises."""
         if self._invitation is None:
             raise NotInvited(f"{self.endpoint_id} holds no open invitation")
         invitation, self._invitation = self._invitation, None
-        return RswMessage(_RESPONSE_VERB[policy], invitation.conf_id, self.endpoint_id, server_id)
+        return RswMessage(_RESPONSE_VERB[policy], invitation.conf_id, self.endpoint_id, DEFAULT_SERVER_ID)
 
 
 @dataclass

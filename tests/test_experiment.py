@@ -87,11 +87,26 @@ def test_negative_start_delay_is_typed():
         dict(link_rate_bps=0),
         dict(duration_s=0.005),  # rounds to zero media frames
         dict(duration_s=2000.0),  # frame count would overflow 16-bit sequencing
+        dict(delay_start_ms=float("nan")),
+        dict(delay_end_ms=float("inf")),
+        dict(delay_end_ms=float("nan")),
+        dict(delay_step_ms=float("inf")),
+        dict(delay_step_ms=float("nan")),
+        dict(duration_s=float("inf")),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SweepConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "name", ["delay_start_ms", "delay_end_ms", "delay_step_ms", "duration_s", "frame_interval_ms"]
+)
+def test_config_names_a_non_finite_setting(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SweepConfig(**{name: value})
 
 
 # -- single-scenario runs ------------------------------------------------------------
@@ -443,6 +458,19 @@ def test_cli_rejects_bad_sweep_settings(capsys):
     err = capsys.readouterr().err
     assert err.startswith("voipsim: error:")
     assert "delay_step_ms" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value,name", [("--delay-end", "inf", "delay_end_ms"), ("--duration", "nan", "duration_s")]
+)
+def test_cli_rejects_a_non_finite_setting(flag, value, name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("voipsim: error:")
+    assert name in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_cli_reports_a_run_past_its_horizon(tmp_path, capsys, monkeypatch):

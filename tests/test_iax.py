@@ -413,6 +413,21 @@ def test_first_media_frame_is_full_then_minis():
         assert nxt.source_call == caller_cs.local_call
 
 
+def test_callee_first_media_frame_is_full_to_the_caller():
+    caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
+    callee.place_call("elsewhere", 0.0)  # so the two ends hold different call numbers
+    caller_cs, callee_cs = connect(caller, callee)
+    assert callee_cs.local_call != caller_cs.local_call
+    first = callee.send_media(callee_cs.local_call, b"y" * 160, 0.0)
+    assert isinstance(first, FullFrame)
+    assert first.frame_type is FrameKind.VOICE
+    assert first.source_call == callee_cs.local_call
+    assert first.dest_call == caller_cs.local_call
+    assert first.oseqno == 2  # ACCEPT and ANSWER went out before it
+    assert first.iseqno == 1  # the caller's NEW was received
+    assert caller.receive_media_frame(decode_media(encode_full(first))) == (0, b"y" * 160)
+
+
 def test_full_frame_resent_when_high_bits_change():
     """A 70 s call at 20 ms cadence crosses ts 65536 once: exactly two fulls."""
     caller, callee = IaxEndpoint("a"), IaxEndpoint("b")

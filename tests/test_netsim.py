@@ -55,6 +55,13 @@ def test_link_config_validation():
         LinkConfig(overhead_bytes=-1)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("name", ["delay_ms", "jitter_ms"])
+def test_link_config_rejects_a_non_finite_time(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        LinkConfig(**{name: value})
+
+
 # ------------------------------------------------------------------ transmit
 
 

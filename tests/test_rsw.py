@@ -121,6 +121,13 @@ def test_server_fans_out_one_invitation_per_invitee():
     assert all(over_wire(m) == m for m in out)
 
 
+def test_chairman_view_equals_the_server_record():
+    msg, view = create_conference("chair", ["p1", "p2"], MEDIA, conf_id=7, observers=["watch"])
+    _, record = server_route(over_wire(msg), None)
+    assert view == record
+    assert list(view.members) == ["chair", "p1", "p2", "watch"]
+
+
 def test_server_refuses_second_create():
     _, conf = fresh_conference()
     msg, _ = create_conference("chair", ["p9"], MEDIA, conf_id=7)
