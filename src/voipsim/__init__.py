@@ -50,14 +50,10 @@ from .rsw import (
     ConferenceState,
     EmptyInviteeList,
     EmptyMediaDescription,
-    Member,
     MemberStatus,
     NotChairman,
     NotInvited,
-    ObserverCannotSend,
     ConferenceNotActive,
-    ResponsePolicy,
-    Role,
     RswError,
     RswInvitee,
     RtpTxState,
@@ -78,12 +74,10 @@ from .netsim import (
 )
 from .qos import (
     EModelError,
-    EModelParams,
-    MOS_LABELS,
     NegativeDelay,
     QosReport,
+    R0,
     idd,
-    mos_label,
     r_to_mos,
     score_run,
 )

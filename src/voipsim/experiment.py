@@ -11,7 +11,8 @@ byte-identical output files.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import dataclass, field
 from itertools import groupby
 
 from .qos import NegativeDelay, QosReport, score_run
@@ -23,6 +24,10 @@ KNOWN_PROTOCOLS = ("IAX", "RSW")
 
 _RUNNERS = {"IAX": run_iax_call, "RSW": run_rsw_conference}
 
+# far above any paper grid (81 points at the defaults), far below one that
+# would exhaust memory before its first run
+MAX_DELAY_POINTS = 10_000
+
 
 class MissingProtocol(ValueError):
     """A comparison needs results from both protocols."""
@@ -33,8 +38,9 @@ class SweepConfig:
     """Parameters of one delay sweep.
 
     The delay grid is ``delay_start_ms, delay_start_ms + delay_step_ms, ...``
-    up to and including ``delay_end_ms``; a degenerate sweep with
-    ``delay_start_ms == delay_end_ms`` runs a single point per protocol.
+    up to and including ``delay_end_ms``, at most ``MAX_DELAY_POINTS``
+    delays; a degenerate sweep with ``delay_start_ms == delay_end_ms`` runs a
+    single point per protocol.
     """
 
     delay_start_ms: float = 0.0
@@ -60,6 +66,9 @@ class SweepConfig:
             )
         if self.delay_step_ms <= 0:
             raise ValueError(f"delay_step_ms must be > 0, got {self.delay_step_ms}")
+        points = self.delay_point_count()
+        if points > MAX_DELAY_POINTS:
+            raise ValueError(f"the delay grid has {points} points, more than the {MAX_DELAY_POINTS} allowed")
         if not self.protocols:
             raise ValueError("protocols must not be empty")
         for name in self.protocols:
@@ -70,6 +79,8 @@ class SweepConfig:
         if self.frame_interval_ms < 1.0:
             # sub-millisecond cadence would alias the integer media timestamps
             raise ValueError(f"frame_interval_ms must be >= 1, got {self.frame_interval_ms}")
+        if type(self.payload_bytes) is not int:
+            raise ValueError(f"payload_bytes must be an int, got {self.payload_bytes!r}")
         if not 1 <= self.payload_bytes <= 1400:
             raise ValueError(f"payload_bytes must be in 1..1400, got {self.payload_bytes}")
         if self.link_rate_bps <= 0:
@@ -82,18 +93,20 @@ class SweepConfig:
     def media_frame_count(self) -> int:
         return int(round(self.duration_s * 1000.0 / self.frame_interval_ms))
 
+    def delay_point_count(self) -> int:
+        """Delays on the grid, endpoints included."""
+        steps = (self.delay_end_ms - self.delay_start_ms) / self.delay_step_ms + 1e-9
+        return int(min(steps, sys.float_info.max)) + 1  # an overflowed quotient is inf, which int() refuses
+
 
 def sweep_points(cfg: SweepConfig) -> list[float]:
     """The delay grid for *cfg*, endpoints included."""
-    span = cfg.delay_end_ms - cfg.delay_start_ms
-    n = int(span / cfg.delay_step_ms + 1e-9) + 1
-    return [cfg.delay_start_ms + i * cfg.delay_step_ms for i in range(n)]
+    return [cfg.delay_start_ms + i * cfg.delay_step_ms for i in range(cfg.delay_point_count())]
 
 
 @dataclass
 class SweepResult:
     rows: list[QosReport] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
 
 def run_scenario(
@@ -128,7 +141,7 @@ def run_sweep(cfg: SweepConfig | None = None, trace: TraceLog | None = None) -> 
         for protocol in sorted(set(cfg.protocols))
         for delay_ms in sweep_points(cfg)
     ]
-    return SweepResult(rows=rows, metadata={"generator": "voipsim", "config": asdict(cfg)})
+    return SweepResult(rows=rows)
 
 
 def _csv_row(r: QosReport) -> str:

@@ -8,15 +8,11 @@ reconstruct full 32-bit timestamps with at most a single wrap correction.
 
 Received-signal transitions:
 
-    caller  WaitingForResponse --AUTHREQ-->  AuthSent   (replies AUTHREP)
-            WaitingForResponse --ACCEPT--->  Accepted
-            AuthSent           --ACCEPT--->  Accepted
-            Accepted           --PROCEEDING->Proceeding
-            Accepted/Proceeding--RINGING--->  Ringing
-            Accepted/Proceeding/Ringing --ANSWER--> Up
-    callee  Idle --NEW--> per policy: open -> ACCEPT (+ANSWER or RINGING),
-            challenge -> AUTHREQ, reject/busy -> REJECT
-            AuthSent --AUTHREP--> token ok -> ACCEPT path, else REJECT
+    caller  WaitingForResponse --AUTHREQ--> AuthSent   (replies AUTHREP)
+            WaitingForResponse/AuthSent --ACCEPT--> Accepted --ANSWER--> Up
+    callee  NEW --> per policy: open -> ACCEPT and ANSWER, and Up at once;
+            challenge -> AUTHREQ; reject/busy -> REJECT
+            AuthSent --AUTHREP--> token ok -> ACCEPT and ANSWER, else REJECT
     both    any --REJECT/HANGUP--> Hungup
 
 Anything else raises :class:`ProtocolViolation`.  ACCEPT establishes the
@@ -36,12 +32,9 @@ MAX_CALL_NUMBER = 0x7FFF
 
 
 class CallState(Enum):
-    IDLE = "Idle"
     WAITING_FOR_RESPONSE = "WaitingForResponse"
     AUTH_SENT = "AuthSent"
     ACCEPTED = "Accepted"
-    PROCEEDING = "Proceeding"
-    RINGING = "Ringing"
     UP = "Up"
     HUNGUP = "Hungup"
 
@@ -101,9 +94,8 @@ class IaxCallState:
     last_full_ts: int = 0
     oseqno: int = 0
     iseqno: int = 0
-    role: str = "caller"  # or "callee"
     peer_call: int = 0
-    challenge: bytes | None = None
+    challenge: bytes | None = None  # set on a callee that challenged the caller
     media_started: bool = False
     rx: MediaRxState = field(default_factory=MediaRxState)
 
@@ -145,36 +137,20 @@ def _full_frame(cs: IaxCallState, kind: FrameKind, subclass: int, ts32: int, pay
     return frame
 
 
-@dataclass
-class _TimerRequest:
-    """A deferred ANSWER the driving loop should fire after ``delay_ms``."""
-
-    delay_ms: float
-    tag: str
-    local_call: int
-
-
 # (state, received signal) -> next state, caller side
 _CALLER_NEXT = {
     (CallState.WAITING_FOR_RESPONSE, Signal.AUTHREQ): CallState.AUTH_SENT,
     (CallState.WAITING_FOR_RESPONSE, Signal.ACCEPT): CallState.ACCEPTED,
     (CallState.AUTH_SENT, Signal.ACCEPT): CallState.ACCEPTED,
-    (CallState.ACCEPTED, Signal.PROCEEDING): CallState.PROCEEDING,
-    (CallState.ACCEPTED, Signal.RINGING): CallState.RINGING,
-    (CallState.PROCEEDING, Signal.RINGING): CallState.RINGING,
     (CallState.ACCEPTED, Signal.ANSWER): CallState.UP,
-    (CallState.PROCEEDING, Signal.ANSWER): CallState.UP,
-    (CallState.RINGING, Signal.ANSWER): CallState.UP,
 }
 
 
 class IaxEndpoint:
     """One signaling peer: allocates call numbers, runs the state machine.
 
-    Callee behavior is fixed at construction: ``policy`` picks the response
-    to NEW, ``answer_delay_ms`` > 0 defers ANSWER behind a RINGING phase
-    (exposed as a timer request for the driving loop), and
-    ``send_proceeding`` inserts PROCEEDING before RINGING.
+    As callee, ``policy`` picks the response to NEW; a challenging callee
+    asks for ``secret`` behind a nonce drawn from ``rng``.
     """
 
     def __init__(
@@ -182,20 +158,15 @@ class IaxEndpoint:
         name: str,
         *,
         policy: CalleePolicy = CalleePolicy.OPEN,
-        answer_delay_ms: float = 0.0,
-        send_proceeding: bool = False,
         secret: bytes = b"shared-secret",
         rng: random.Random | None = None,
     ):
         self.name = name
         self.policy = policy
-        self.answer_delay_ms = answer_delay_ms
-        self.send_proceeding = send_proceeding
         self.secret = secret
         self.calls: dict[int, IaxCallState] = {}
         self._rng = rng if rng is not None else random.Random(0)
         self._next_hint = 1
-        self._timer_requests: list[_TimerRequest] = []
 
     # -- call number allocation ------------------------------------------
 
@@ -232,9 +203,19 @@ class IaxEndpoint:
                 cs.remote_call = f.source_call  # record who tore the call down
             cs.state = CallState.HUNGUP
             return [], cs
-        if cs.role == "caller":
-            return self._caller_signal(cs, sig, f, now)
-        return self._callee_signal(cs, sig, f, now)
+        if cs.challenge is not None:
+            return self._on_authrep(cs, sig, f, now)
+        nxt = _CALLER_NEXT.get((cs.state, sig))
+        if nxt is None:
+            raise ProtocolViolation(cs.state, sig)
+        replies: list[FullFrame] = []
+        if sig is Signal.AUTHREQ:
+            cs.peer_call = f.source_call
+            replies.append(self._control(cs, Signal.AUTHREP, now, payload=f.payload + self.secret))
+        elif sig is Signal.ACCEPT:
+            cs.peer_call = cs.remote_call = f.source_call  # leg established
+        cs.state = nxt
+        return replies, cs
 
     def hangup(self, local_call: int, now: float) -> FullFrame:
         """Tear down a call locally and return the HANGUP frame to send."""
@@ -242,20 +223,6 @@ class IaxEndpoint:
         frame = self._control(cs, Signal.HANGUP, now)
         cs.state = CallState.HUNGUP
         return frame
-
-    def pop_timer_requests(self) -> list[_TimerRequest]:
-        """Drain deferred-ANSWER requests queued by recent signaling."""
-        out, self._timer_requests = self._timer_requests, []
-        return out
-
-    def fire_answer_timer(self, local_call: int, now: float) -> tuple[list[FullFrame], IaxCallState]:
-        """Emit the deferred ANSWER; a no-op if the call was torn down."""
-        cs = self._call(local_call)
-        if cs.state is not CallState.RINGING:
-            return [], cs
-        answer = self._control(cs, Signal.ANSWER, now)
-        cs.state = CallState.UP
-        return [answer], cs
 
     # -- media -------------------------------------------------------------
 
@@ -296,6 +263,32 @@ class IaxEndpoint:
     def _control(self, cs: IaxCallState, sig: Signal, now: float, payload: bytes = b"") -> FullFrame:
         return _full_frame(cs, FrameKind.CONTROL, sig, int(now - cs.start_time) & 0xFFFFFFFF, payload)
 
+    def _on_new(self, f: FullFrame, now: float) -> tuple[list[FullFrame], IaxCallState]:
+        cs = IaxCallState(CallState.UP, self._allocate_call(), start_time=now, peer_call=f.source_call)
+        self.calls[cs.local_call] = cs
+        cs.iseqno = (f.oseqno + 1) & 0xFF
+        if self.policy is CalleePolicy.OPEN:
+            return self._accept(cs, now)
+        if self.policy is CalleePolicy.CHALLENGE:
+            cs.challenge = bytes(self._rng.randrange(256) for _ in range(8))
+            cs.state = CallState.AUTH_SENT
+            return [self._control(cs, Signal.AUTHREQ, now, payload=cs.challenge)], cs
+        return self._reject(cs, now, b"busy" if self.policy is CalleePolicy.BUSY else b"rejected")
+
+    def _on_authrep(
+        self, cs: IaxCallState, sig: Signal, f: FullFrame, now: float
+    ) -> tuple[list[FullFrame], IaxCallState]:
+        if sig is not Signal.AUTHREP or cs.state is not CallState.AUTH_SENT:
+            raise ProtocolViolation(cs.state, sig)
+        if f.payload == cs.challenge + self.secret:
+            return self._accept(cs, now)
+        return self._reject(cs, now, b"bad-auth")
+
+    def _accept(self, cs: IaxCallState, now: float) -> tuple[list[FullFrame], IaxCallState]:
+        cs.remote_call = cs.peer_call  # ACCEPT establishes the leg
+        cs.state = CallState.UP
+        return [self._control(cs, Signal.ACCEPT, now), self._control(cs, Signal.ANSWER, now)], cs
+
     def _reject(
         self, cs: IaxCallState, now: float, cause: bytes
     ) -> tuple[list[FullFrame], IaxCallState]:
@@ -303,58 +296,3 @@ class IaxEndpoint:
         cs.remote_call = cs.peer_call
         cs.state = CallState.HUNGUP
         return [reject], cs
-
-    def _on_new(self, f: FullFrame, now: float) -> tuple[list[FullFrame], IaxCallState]:
-        cs = IaxCallState(
-            CallState.IDLE, self._allocate_call(), start_time=now, role="callee", peer_call=f.source_call
-        )
-        self.calls[cs.local_call] = cs
-        cs.iseqno = (f.oseqno + 1) & 0xFF
-        if self.policy is CalleePolicy.OPEN:
-            return self._accept_path(cs, now)
-        if self.policy is CalleePolicy.CHALLENGE:
-            cs.challenge = bytes(self._rng.randrange(256) for _ in range(8))
-            cs.state = CallState.AUTH_SENT
-            return [self._control(cs, Signal.AUTHREQ, now, payload=cs.challenge)], cs
-        return self._reject(cs, now, b"busy" if self.policy is CalleePolicy.BUSY else b"rejected")
-
-    def _accept_path(self, cs: IaxCallState, now: float) -> tuple[list[FullFrame], IaxCallState]:
-        cs.remote_call = cs.peer_call  # ACCEPT establishes the leg
-        frames = [self._control(cs, Signal.ACCEPT, now)]
-        if self.answer_delay_ms <= 0:
-            frames.append(self._control(cs, Signal.ANSWER, now))
-            cs.state = CallState.UP
-            return frames, cs
-        if self.send_proceeding:
-            frames.append(self._control(cs, Signal.PROCEEDING, now))
-        frames.append(self._control(cs, Signal.RINGING, now))
-        cs.state = CallState.RINGING
-        self._timer_requests.append(_TimerRequest(self.answer_delay_ms, "answer", cs.local_call))
-        return frames, cs
-
-    def _caller_signal(
-        self, cs: IaxCallState, sig: Signal, f: FullFrame, now: float
-    ) -> tuple[list[FullFrame], IaxCallState]:
-        nxt = _CALLER_NEXT.get((cs.state, sig))
-        if nxt is None:
-            raise ProtocolViolation(cs.state, sig)
-        replies: list[FullFrame] = []
-        if sig is Signal.AUTHREQ:
-            cs.peer_call = f.source_call
-            cs.challenge = f.payload
-            replies.append(self._control(cs, Signal.AUTHREP, now, payload=f.payload + self.secret))
-        elif sig is Signal.ACCEPT:
-            cs.peer_call = f.source_call
-            cs.remote_call = f.source_call  # leg established
-        cs.state = nxt
-        return replies, cs
-
-    def _callee_signal(
-        self, cs: IaxCallState, sig: Signal, f: FullFrame, now: float
-    ) -> tuple[list[FullFrame], IaxCallState]:
-        if cs.state is CallState.AUTH_SENT and sig is Signal.AUTHREP:
-            if cs.challenge is not None and f.payload == cs.challenge + self.secret:
-                return self._accept_path(cs, now)
-            return self._reject(cs, now, b"bad-auth")
-        raise ProtocolViolation(cs.state, sig)
-

@@ -12,8 +12,8 @@ Packet timing on a link::
 ``transmit`` models the lossy media channel (loss, duplication, reordering,
 jitter); ``reliable_send`` models the in-order signaling channel and never
 consumes randomness.  ``deliver_local`` moves a packet between co-located
-nodes (e.g. a conference server and a member on the same host) for free,
-plus an optional processing delay.
+nodes (e.g. a conference server and a member on the same host) at no cost:
+it arrives at the current time.
 
 Events are plain ``__slots__`` objects, one per scheduled occurrence, and
 :meth:`Simulator.schedule` is the one entry to the queue: every send and
@@ -186,11 +186,11 @@ class Simulator:
         self._reliable_front[(src, dst)] = arrival
         return self.schedule(arrival, _DELIVER, dst, pkt)
 
-    def deliver_local(self, pkt: bytes, dst: str, processing_ms: float = 0.0) -> SimEvent:
-        """Hand a packet to a co-located node: no link, no serialization."""
+    def deliver_local(self, pkt: bytes, dst: str) -> SimEvent:
+        """Hand a packet to a co-located node now: no link, no serialization."""
         if len(pkt) == 0:
             raise EmptyPacket(f"local->{dst}")
-        return self.schedule(self.now + processing_ms, _DELIVER, dst, pkt)
+        return self.schedule(self.now, _DELIVER, dst, pkt)
 
     def run_until_idle(self, horizon_ms: float | None = None) -> float:
         """Dispatch events in (due, seq) order until the queue drains.

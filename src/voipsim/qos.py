@@ -2,7 +2,7 @@
 
 The transmission rating for a run is
 
-    r = r0 - idd(mean_delay) - ie - 30 * loss_fraction + advantage
+    r = R0 - idd(mean_delay) - 30 * loss_fraction,    R0 = 93.2
 
 and MOS follows the standard piecewise cubic on the 1..4.5 scale.  The raw
 cubic dips slightly below 1 for small positive ratings, so the result is
@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-#: Subjective meaning of the integer MOS grades.
-MOS_LABELS = {1: "bad", 2: "poor", 3: "fair", 4: "good", 5: "excellent"}
+#: Base transmission rating (no equipment impairment, no advantage factor).
+R0 = 93.2
 
 _SIXTH = 1.0 / 6.0
 _LN2 = math.log(2.0)
@@ -27,7 +27,7 @@ class NegativeDelay(ValueError):
 
 
 class EModelError(ValueError):
-    """Invalid E-model parameters or inconsistent run counters."""
+    """Inconsistent run counters."""
 
 
 def idd(ta_ms: float) -> float:
@@ -53,28 +53,6 @@ def r_to_mos(r: float) -> float:
     return max(mos, 1.0)
 
 
-def mos_label(mos: float) -> str:
-    """Nearest subjective grade for a MOS value."""
-    return MOS_LABELS[min(5, max(1, round(mos)))]
-
-
-@dataclass(frozen=True)
-class EModelParams:
-    """Scoring constants: base rating, equipment impairment, advantage."""
-
-    r0: float = 93.2
-    ie: float = 0.0
-    advantage: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.r0 <= 100.0:
-            raise EModelError(f"r0 must be in (0, 100], got {self.r0}")
-        if self.ie < 0.0:
-            raise EModelError(f"ie must be >= 0, got {self.ie}")
-        if self.advantage < 0.0:
-            raise EModelError(f"advantage must be >= 0, got {self.advantage}")
-
-
 @dataclass(frozen=True)
 class QosReport:
     """Scored outcome of one simulated call or conference run."""
@@ -95,26 +73,18 @@ def score_run(
     delays: Sequence[float],
     sent: int,
     recv: int,
-    params: EModelParams | None = None,
     *,
     protocol: str = "",
     configured_delay_ms: float = 0.0,
     setup_time_ms: float = 0.0,
-    percentile: float | None = None,
 ) -> QosReport:
     """Score one run from its per-packet one-way delays and packet counters.
 
     ``delays`` holds one entry per received packet (duplicates already
     removed), so ``len(delays) == recv <= sent``.  A run that received
     nothing is reported as MOS 1.0 with ``no_packets`` set instead of
-    raising.  By default the mean delay feeds the impairment curve;
-    ``percentile`` switches that to a nearest-rank percentile (the report's
-    ``mean_e2e_delay_ms`` stays the mean either way).
+    raising.  The mean delay feeds the impairment curve.
     """
-    if params is None:
-        params = EModelParams()
-    if percentile is not None and not 0.0 < percentile <= 100.0:
-        raise EModelError(f"percentile must be in (0, 100], got {percentile}")
     if sent < 0 or recv < 0:
         raise EModelError("packet counters must be non-negative")
     if recv != len(delays):
@@ -127,13 +97,8 @@ def score_run(
         loss_fraction = 1.0 if sent else 0.0
     else:
         mean_delay = sum(delays) / len(delays)
-        if percentile is None:
-            scored_delay = mean_delay
-        else:
-            ranked = sorted(delays)
-            scored_delay = ranked[max(0, math.ceil(percentile / 100.0 * recv) - 1)]
         loss_fraction = 1.0 - recv / sent
-        r = params.r0 - idd(scored_delay) - params.ie - 30.0 * loss_fraction + params.advantage
+        r = R0 - idd(mean_delay) - 30.0 * loss_fraction
     return QosReport(
         protocol=protocol,
         configured_delay_ms=configured_delay_ms,

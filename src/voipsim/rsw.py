@@ -3,13 +3,13 @@
 A chairman CREATEs a conference naming its invitees; the server fans the
 invitation out, relays each invitee's JOIN/REJECT/BUSY answer back to the
 chairman, and ACKs every signal it accepts.  Only the chairman may END.
-Member status moves along Invited -> Joined -> Left (or Invited ->
-Rejected/Busy) and never backwards.
+An invitee's status moves once, from Invited to Joined, Rejected or Busy.
+The server ignores a stray ACK and refuses every other verb it does not
+route (LEAVE) with :class:`RswError`.
 
 On the wire a chairman's CREATE carries the comma-separated invitee list in
-the recipient field (``id`` or ``id:observer``); every other message is
-point-to-point.  Media is plain RTP; passive observers receive but are
-refused at the sending API.
+the recipient field; every other message is point-to-point.  Media is plain
+RTP.
 """
 
 from __future__ import annotations
@@ -24,16 +24,9 @@ from .frames import RswMessage, RtpPacket, Verb
 DEFAULT_SERVER_ID = "server"
 
 
-class Role(Enum):
-    CHAIRMAN = "chairman"
-    PARTICIPANT = "participant"
-    PASSIVE_OBSERVER = "passive_observer"
-
-
 class MemberStatus(Enum):
     INVITED = "invited"
     JOINED = "joined"
-    LEFT = "left"
     REJECTED = "rejected"
     BUSY = "busy"
 
@@ -42,14 +35,6 @@ class ConferencePhase(Enum):
     CREATING = "creating"
     ACTIVE = "active"
     ENDED = "ended"
-
-
-class ResponsePolicy(Enum):
-    """How an invitee answers an invitation."""
-
-    ACCEPT = "accept"
-    REJECT = "reject"
-    BUSY = "busy"
 
 
 class RswError(Exception):
@@ -76,27 +61,17 @@ class NotInvited(RswError):
     """Sender holds no usable invitation (or already responded)."""
 
 
-class ObserverCannotSend(RswError):
-    """Passive observers receive media but never send."""
-
-
 class ConferenceNotActive(RswError):
     """Media was sent while the conference was not active."""
 
 
 @dataclass
-class Member:
-    role: Role
-    status: MemberStatus
-
-
-@dataclass
 class ConferenceState:
-    """The server's record of one conference."""
+    """The server's record of one conference; ``members`` includes the chairman."""
 
     conf_id: int
     chairman: str
-    members: dict[str, Member]
+    members: dict[str, MemberStatus]
     media_desc: str
     phase: ConferencePhase
 
@@ -105,12 +80,6 @@ _RESPONSE_STATUS = {
     Verb.JOIN: MemberStatus.JOINED,
     Verb.REJECT: MemberStatus.REJECTED,
     Verb.BUSY: MemberStatus.BUSY,
-}
-
-_RESPONSE_VERB = {
-    ResponsePolicy.ACCEPT: Verb.JOIN,
-    ResponsePolicy.REJECT: Verb.REJECT,
-    ResponsePolicy.BUSY: Verb.BUSY,
 }
 
 
@@ -126,15 +95,13 @@ def create_conference(
     media_desc: str,
     *,
     conf_id: int = 1,
-    observers: Sequence[str] = (),
 ) -> tuple[RswMessage, ConferenceState]:
     """Build the CREATE message and the chairman's view of the conference,
     the same record the server builds from that CREATE.
 
-    The chairman is marked Joined immediately; all invitees (participants
-    and passive observers) start Invited.
+    The chairman is marked Joined immediately; all invitees start Invited.
     """
-    ids = [chairman, *invitees, *observers]
+    ids = [chairman, *invitees]
     if len(ids) == 1:
         raise EmptyInviteeList("a conference needs at least one invitee")
     if not media_desc:
@@ -143,8 +110,7 @@ def create_conference(
         _check_member_id(member_id)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate member ids")
-    recipient = ",".join([*invitees, *(f"{observer}:observer" for observer in observers)])
-    msg = RswMessage(Verb.CREATE, conf_id, chairman, recipient, media_desc)
+    msg = RswMessage(Verb.CREATE, conf_id, chairman, ",".join(invitees), media_desc)
     return msg, _conference_from_create(msg)
 
 
@@ -158,7 +124,8 @@ def server_route(
     invitee plus an ACK to the chairman.  Every other accepted signal is
     ACKed to its sender; invitee responses are additionally relayed to the
     chairman.  The conference becomes Active on the first JOIN and Ended
-    only on the chairman's END.
+    only on the chairman's END.  A stray ACK is ignored; any other verb
+    raises :class:`RswError`.
     """
     if msg.verb is Verb.CREATE:
         if conf is not None:
@@ -166,8 +133,8 @@ def server_route(
         conf = _conference_from_create(msg)
         out = [
             RswMessage(Verb.CREATE, conf.conf_id, DEFAULT_SERVER_ID, invitee, conf.media_desc)
-            for invitee, member in conf.members.items()
-            if member.role is not Role.CHAIRMAN
+            for invitee in conf.members
+            if invitee != conf.chairman
         ]
         out.append(RswMessage(Verb.ACK, conf.conf_id, DEFAULT_SERVER_ID, conf.chairman))
         return out, conf
@@ -179,23 +146,15 @@ def server_route(
 
     sender = msg.sender
     if msg.verb in _RESPONSE_STATUS:
-        member = conf.members.get(sender)
-        if member is None or member.status is not MemberStatus.INVITED:
+        if conf.members.get(sender) is not MemberStatus.INVITED:
             raise NotInvited(f"{sender} holds no open invitation")
-        member.status = _RESPONSE_STATUS[msg.verb]
+        conf.members[sender] = _RESPONSE_STATUS[msg.verb]
         if msg.verb is Verb.JOIN and conf.phase is ConferencePhase.CREATING:
             conf.phase = ConferencePhase.ACTIVE
         return [
             RswMessage(Verb.ACK, conf.conf_id, DEFAULT_SERVER_ID, sender),
             RswMessage(msg.verb, conf.conf_id, sender, conf.chairman),
         ], conf
-
-    if msg.verb is Verb.LEAVE:
-        member = conf.members.get(sender)
-        if member is None or member.status is not MemberStatus.JOINED:
-            raise NotInvited(f"{sender} is not joined")
-        member.status = MemberStatus.LEFT
-        return [RswMessage(Verb.ACK, conf.conf_id, DEFAULT_SERVER_ID, sender)], conf
 
     if msg.verb is Verb.END:
         if sender != conf.chairman:
@@ -204,25 +163,24 @@ def server_route(
         out = [RswMessage(Verb.ACK, conf.conf_id, DEFAULT_SERVER_ID, sender)]
         out.extend(
             RswMessage(Verb.END, conf.conf_id, DEFAULT_SERVER_ID, member_id)
-            for member_id, member in conf.members.items()
-            if member.status is MemberStatus.JOINED and member_id != sender
+            for member_id, status in conf.members.items()
+            if status is MemberStatus.JOINED and member_id != sender
         )
         return out, conf
 
-    # A stray ACK carries no state; accept it silently.
-    return [], conf
+    if msg.verb is not Verb.ACK:
+        raise RswError(f"the server does not route {msg.verb.value}")
+    return [], conf  # a stray ACK carries no state
 
 
 def _conference_from_create(msg: RswMessage) -> ConferenceState:
-    members = {msg.sender: Member(Role.CHAIRMAN, MemberStatus.JOINED)}
-    for spec in msg.recipient.split(","):
-        name, _, tag = spec.partition(":")
-        if not name or (tag and tag != "observer"):
-            raise RswError(f"bad invitee spec {spec!r}")
-        role = Role.PASSIVE_OBSERVER if tag else Role.PARTICIPANT
+    members = {msg.sender: MemberStatus.JOINED}
+    for name in msg.recipient.split(","):
+        if not name or ":" in name:
+            raise RswError(f"bad invitee {name!r}")
         if name in members:
             raise RswError(f"duplicate invitee {name!r}")
-        members[name] = Member(role, MemberStatus.INVITED)
+        members[name] = MemberStatus.INVITED
     return ConferenceState(msg.conf_id, msg.sender, members, msg.body, ConferencePhase.CREATING)
 
 
@@ -246,12 +204,12 @@ class RswInvitee:
         self._invitation = Invitation(msg.conf_id, msg.body, msg.sender)
         return self._invitation
 
-    def respond(self, policy: ResponsePolicy) -> RswMessage:
-        """Answer the pending invitation once; a second respond raises."""
+    def respond(self) -> RswMessage:
+        """JOIN the pending invitation's conference once; a second respond raises."""
         if self._invitation is None:
             raise NotInvited(f"{self.endpoint_id} holds no open invitation")
         invitation, self._invitation = self._invitation, None
-        return RswMessage(_RESPONSE_VERB[policy], invitation.conf_id, self.endpoint_id, DEFAULT_SERVER_ID)
+        return RswMessage(Verb.JOIN, invitation.conf_id, self.endpoint_id, DEFAULT_SERVER_ID)
 
 
 @dataclass
@@ -274,16 +232,14 @@ def new_rtp_tx(rng: random.Random, samples_per_frame: int = 160) -> RtpTxState:
     )
 
 
-def send_media_rtp(tx: RtpTxState, payload: bytes, *, role: Role, phase: ConferencePhase) -> RtpPacket:
+def send_media_rtp(tx: RtpTxState, payload: bytes, *, phase: ConferencePhase) -> RtpPacket:
     """Emit the next RTP packet and advance the stream counters.
 
     seq advances by 1 mod 2**16 and timestamp by samples_per_frame mod 2**32
-    per packet.  Refused for passive observers and inactive conferences.
+    per packet.  Refused for inactive conferences.
     """
     if phase is not ConferencePhase.ACTIVE:
         raise ConferenceNotActive(f"conference is {phase.value}")
-    if role is Role.PASSIVE_OBSERVER:
-        raise ObserverCannotSend("passive observers receive only")
     pkt = RtpPacket(seq=tx.seq, timestamp=tx.timestamp, ssrc=tx.ssrc, payload=payload)
     tx.seq = (tx.seq + 1) & 0xFFFF
     tx.timestamp = (tx.timestamp + tx.samples_per_frame) & 0xFFFFFFFF

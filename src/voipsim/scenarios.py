@@ -47,8 +47,6 @@ from .netsim import EventKind, LinkConfig, SimEvent, Simulator
 from .rsw import (
     ConferencePhase,
     MemberStatus,
-    ResponsePolicy,
-    Role,
     RswInvitee,
     create_conference,
     new_rtp_tx,
@@ -184,14 +182,12 @@ class _IaxCallerNode(_MediaSource):
     def _control(self, sim: Simulator, data: bytes) -> None:
         frame = decode_full(data)
         before = self.call.state
-        replies, cs = self.endpoint.handle_signal(frame, sim.now)
-        for reply in replies:
-            _send_signal(self, sim, reply)
+        self.endpoint.handle_signal(frame, sim.now)  # the open callee asks for no AUTHREP
         self._note(
             sim.now, "state", endpoint="caller", event=Signal(frame.subclass).name,
-            state_before=before.value, state_after=cs.state.value,
+            state_before=before.value, state_after=self.call.state.value,
         )
-        if cs.state is CallState.UP and self.stats.setup_ms is None:
+        if self.call.state is CallState.UP and self.stats.setup_ms is None:
             # The first voice frame is a full frame that anchors the receiver's
             # 16-bit timestamp window; its size differs, so it goes uncounted.
             self._send_media(sim, self._next_frame(sim.now)[1])
@@ -252,13 +248,12 @@ class _RswChairNode(_MediaSource):
         self._send_conf(sim, msg)
 
     def _control(self, sim: Simulator, data: bytes) -> None:
-        # ACKs and REJECT/BUSY relays need no action from the chairman here:
-        # with no JOIN there is never media, and the run simply drains.
+        # the relayed JOIN starts the media; ACKs need no action
         if decode_rsw(data).verb is Verb.JOIN and self.stats.setup_ms is None:
             self._begin_media(sim, 0.0)
 
     def _next_frame(self, now: float) -> tuple[int, bytes]:
-        pkt = send_media_rtp(self.tx, self.payload, role=Role.CHAIRMAN, phase=ConferencePhase.ACTIVE)
+        pkt = send_media_rtp(self.tx, self.payload, phase=ConferencePhase.ACTIVE)
         return pkt.seq, encode_rtp(pkt)
 
     def _teardown(self, sim: Simulator) -> None:
@@ -290,8 +285,8 @@ class _RswServerNode(_Node):
                 self._route(sim.reliable_send, sim, raw, dst)
         elif self.conf is not None and self.conf.phase is ConferencePhase.ACTIVE:
             sender = "chair" if rtp_ssrc(data) == self.chair_ssrc else None
-            for member_id, member in self.conf.members.items():
-                if member.status is MemberStatus.JOINED and member_id != sender:
+            for member_id, status in self.conf.members.items():
+                if status is MemberStatus.JOINED and member_id != sender:
                     if self.trace is not None:
                         self.trace.add(t=sim.now, kind="relay", src="server", dst=member_id, bytes=len(data))
                     self._route(sim.transmit, sim, data, member_id)
@@ -320,7 +315,7 @@ class _RswParticipantNode(_Node):
         msg = decode_rsw(data)
         if msg.verb is Verb.CREATE:  # ACK and END need no reply
             self.invitee.receive_invitation(msg)
-            reply = self.invitee.respond(ResponsePolicy.ACCEPT)
+            reply = self.invitee.respond()
             raw = encode_rsw(reply)
             self._note(sim.now, "conf", src=self.name, dst=self.peer, verb=reply.verb.value, bytes=len(raw))
             sim.deliver_local(raw, self.peer)  # the server is on this host

@@ -93,11 +93,20 @@ def test_negative_start_delay_is_typed():
         dict(delay_step_ms=float("inf")),
         dict(delay_step_ms=float("nan")),
         dict(duration_s=float("inf")),
+        dict(delay_end_ms=1e12),  # 40,000,000,001 delays
+        dict(delay_step_ms=1e-9),  # 2,000,000,000,001 delays
+        dict(payload_bytes=160.5),
+        dict(delay_end_ms=1e308, delay_step_ms=0.1),  # the point count overflows a float
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SweepConfig(**kwargs)
+
+
+def test_config_names_a_non_integer_payload():
+    with pytest.raises(ValueError, match="payload_bytes must be an int"):
+        SweepConfig(payload_bytes=160.5)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
@@ -197,13 +206,6 @@ def test_sweep_rows_are_sorted_by_protocol_then_delay(fast_sweep):
         ("RSW", 25.0),
         ("RSW", 50.0),
     ]
-
-
-def test_sweep_metadata_records_the_config(fast_sweep):
-    result, _ = fast_sweep
-    assert result.metadata["generator"] == "voipsim"
-    assert result.metadata["config"]["delay_end_ms"] == 50.0
-    assert result.metadata["config"]["seed"] == 1
 
 
 def test_sweep_deduplicates_protocols():
@@ -469,6 +471,16 @@ def test_cli_rejects_a_non_finite_setting(flag, value, name, tmp_path, capsys, m
     captured = capsys.readouterr()
     assert captured.err.startswith("voipsim: error:")
     assert name in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_rejects_an_oversized_delay_grid(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--delay-end", "1e12"]) == 2  # refused before any delay list is built
+    captured = capsys.readouterr()
+    assert captured.err.startswith("voipsim: error:")
+    assert "40000000001 points" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "sweep.csv").exists()
 

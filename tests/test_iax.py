@@ -49,26 +49,13 @@ def decode_media(wire: bytes):
 
 
 def connect(caller, callee, now=0.0):
-    """Run the signaling ping-pong (through the wire codec) until Up."""
+    """Run NEW and the callee's ACCEPT + ANSWER through the wire codec; both end Up."""
     frame, caller_cs = caller.place_call(callee.name, now)
-    to_callee = [frame]
-    callee_cs = None
-    for _ in range(8):
-        to_caller = []
-        for f in to_callee:
-            replies, callee_cs = callee.handle_signal(decode_full(encode_full(f)), now)
-            to_caller.extend(replies)
-        to_callee = []
-        for req in callee.pop_timer_requests():
-            replies, callee_cs = callee.fire_answer_timer(req.local_call, now + req.delay_ms)
-            to_caller.extend(replies)
-        for f in to_caller:
-            replies, _ = caller.handle_signal(decode_full(encode_full(f)), now)
-            to_callee.extend(replies)
-        if caller_cs.state is CallState.UP and not to_callee:
-            break
+    replies, callee_cs = callee.handle_signal(decode_full(encode_full(frame)), now)
+    for f in replies:
+        assert caller.handle_signal(decode_full(encode_full(f)), now)[0] == []
     assert caller_cs.state is CallState.UP
-    assert callee_cs is not None and callee_cs.state is CallState.UP
+    assert callee_cs.state is CallState.UP
     return caller_cs, callee_cs
 
 
@@ -76,8 +63,6 @@ _CALLER_PATHS = {
     CallState.WAITING_FOR_RESPONSE: [],
     CallState.AUTH_SENT: [Signal.AUTHREQ],
     CallState.ACCEPTED: [Signal.ACCEPT],
-    CallState.PROCEEDING: [Signal.ACCEPT, Signal.PROCEEDING],
-    CallState.RINGING: [Signal.ACCEPT, Signal.RINGING],
     CallState.UP: [Signal.ACCEPT, Signal.ANSWER],
 }
 
@@ -119,46 +104,6 @@ def test_open_policy_immediate_answer():
         caller.handle_signal(f, 0.0)
     assert caller_cs.state is CallState.UP
     assert caller_cs.remote_call == callee_cs.local_call
-
-
-def test_delayed_answer_rings_then_answers():
-    caller = IaxEndpoint("a")
-    callee = IaxEndpoint("b", answer_delay_ms=150.0)
-    new, caller_cs = caller.place_call("b", 0.0)
-    replies, callee_cs = callee.handle_signal(new, 0.0)
-    assert [Signal(f.subclass) for f in replies] == [Signal.ACCEPT, Signal.RINGING]
-    assert callee_cs.state is CallState.RINGING
-    for f in replies:
-        caller.handle_signal(f, 0.0)
-    assert caller_cs.state is CallState.RINGING
-
-    reqs = callee.pop_timer_requests()
-    assert len(reqs) == 1
-    assert reqs[0].delay_ms == 150.0
-    assert reqs[0].tag == "answer"
-    assert reqs[0].local_call == callee_cs.local_call
-    assert callee.pop_timer_requests() == []  # drained
-
-    answers, _ = callee.fire_answer_timer(callee_cs.local_call, 150.0)
-    assert [Signal(f.subclass) for f in answers] == [Signal.ANSWER]
-    assert callee_cs.state is CallState.UP
-    caller.handle_signal(answers[0], 150.0)
-    assert caller_cs.state is CallState.UP
-
-
-def test_proceeding_inserted_before_ringing():
-    caller = IaxEndpoint("a")
-    callee = IaxEndpoint("b", answer_delay_ms=90.0, send_proceeding=True)
-    new, caller_cs = caller.place_call("b", 0.0)
-    replies, _ = callee.handle_signal(new, 0.0)
-    assert [Signal(f.subclass) for f in replies] == [
-        Signal.ACCEPT,
-        Signal.PROCEEDING,
-        Signal.RINGING,
-    ]
-    for f in replies:
-        caller.handle_signal(f, 0.0)
-    assert caller_cs.state is CallState.RINGING
 
 
 def test_challenge_policy_full_auth_round():
@@ -217,6 +162,17 @@ def test_refusing_policies_send_reject(policy, cause):
     assert caller_cs.remote_call == callee_cs.local_call
 
 
+def test_settled_challenge_refuses_a_second_authrep():
+    callee = IaxEndpoint("b", policy=CalleePolicy.CHALLENGE)
+    (authreq,), cs = callee.handle_signal(signal_frame(Signal.NEW, 5, 0), 0.0)
+    authrep = signal_frame(Signal.AUTHREP, 5, cs.local_call, oseqno=1, payload=authreq.payload + SECRET)
+    callee.handle_signal(authrep, 0.0)
+    assert cs.state is CallState.UP
+    with pytest.raises(ProtocolViolation):
+        callee.handle_signal(authrep, 0.0)
+    assert cs.state is CallState.UP
+
+
 def test_challenge_nonce_is_seed_deterministic():
     one = IaxEndpoint("b", policy=CalleePolicy.CHALLENGE, rng=random.Random(7))
     two = IaxEndpoint("b", policy=CalleePolicy.CHALLENGE, rng=random.Random(7))
@@ -254,10 +210,11 @@ def test_sequence_numbers_through_open_handshake():
         (CallState.AUTH_SENT, Signal.AUTHREQ),
         (CallState.AUTH_SENT, Signal.ANSWER),
         (CallState.ACCEPTED, Signal.ACCEPT),
-        (CallState.RINGING, Signal.PROCEEDING),
         (CallState.UP, Signal.NEW),
         (CallState.UP, Signal.ANSWER),
         (CallState.UP, Signal.ACCEPT),
+        (CallState.ACCEPTED, Signal.PROCEEDING),  # no callee defers its ANSWER
+        (CallState.ACCEPTED, Signal.RINGING),
     ],
 )
 def test_undefined_caller_transitions_raise(state, sig):
@@ -304,6 +261,16 @@ def test_callee_awaiting_auth_rejects_other_signals(sig):
     assert cs.state is CallState.AUTH_SENT
 
 
+@pytest.mark.parametrize("sig", [s for s in Signal if s not in (Signal.REJECT, Signal.HANGUP)])
+def test_answered_callee_refuses_all_but_teardown(sig):
+    callee = IaxEndpoint("b")
+    _, cs = callee.handle_signal(signal_frame(Signal.NEW, 5, 0), 0.0)
+    with pytest.raises(ProtocolViolation) as exc_info:
+        callee.handle_signal(signal_frame(sig, 5, cs.local_call, oseqno=1), 0.0)
+    assert exc_info.value.state is CallState.UP
+    assert cs.state is CallState.UP
+
+
 # -- teardown ------------------------------------------------------------------
 
 
@@ -342,16 +309,6 @@ def test_hangup_unknown_call_raises():
     ep = IaxEndpoint("a")
     with pytest.raises(NotInCall):
         ep.hangup(42, 0.0)
-
-
-def test_answer_timer_is_noop_after_teardown():
-    callee = IaxEndpoint("b", answer_delay_ms=100.0)
-    _, cs = callee.handle_signal(signal_frame(Signal.NEW, 5, 0), 0.0)
-    assert cs.state is CallState.RINGING
-    callee.handle_signal(signal_frame(Signal.HANGUP, 5, cs.local_call, oseqno=1), 10.0)
-    replies, _ = callee.fire_answer_timer(cs.local_call, 100.0)
-    assert replies == []
-    assert cs.state is CallState.HUNGUP
 
 
 # -- the remote-call binding invariant ----------------------------------------
@@ -534,11 +491,3 @@ def test_receive_media_frame_routing():
         callee.receive_media_frame(MiniFrame(source_call=999, ts16=40))
     with pytest.raises(NotInCall):
         callee.receive_media_frame(voice_frame(40, dest_call=999))
-
-
-def test_media_to_ringing_call_is_refused():
-    callee = IaxEndpoint("b", answer_delay_ms=100.0)
-    _, cs = callee.handle_signal(signal_frame(Signal.NEW, 5, 0), 0.0)
-    assert cs.state is CallState.RINGING
-    with pytest.raises(NotInCall):
-        callee.receive_media_frame(MiniFrame(source_call=5, ts16=20))

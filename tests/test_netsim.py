@@ -248,14 +248,16 @@ def test_missing_handler_is_an_error():
         sim.run_until_idle()
 
 
-def test_deliver_local_costs_only_processing_time():
+def test_deliver_local_arrives_at_once():
     sim = Simulator(seed=1)
     log = []
     sim.register("x", _sink(log))
     sim.deliver_local(b"a", "x")
-    sim.deliver_local(b"b", "x", processing_ms=2.5)
+    sim.schedule_timer(2.5, "x", "later")
     sim.run_until_idle()
-    assert [(t, p) for t, _, p in log] == [(0.0, b"a"), (2.5, b"b")]
+    sim.deliver_local(b"b", "x")  # from the clock as it stands, not from zero
+    sim.run_until_idle()
+    assert [(t, p) for t, _, p in log] == [(0.0, b"a"), (2.5, "later"), (2.5, b"b")]
 
 
 def test_dispatch_trace_is_deterministic():

@@ -13,11 +13,8 @@ from hypothesis import given, strategies as st
 
 from voipsim.qos import (
     EModelError,
-    EModelParams,
-    MOS_LABELS,
     NegativeDelay,
     idd,
-    mos_label,
     r_to_mos,
     score_run,
 )
@@ -118,14 +115,6 @@ def test_r_to_mos_range(r):
     assert 1.0 <= r_to_mos(r) <= 4.5
 
 
-def test_mos_labels():
-    assert MOS_LABELS == {1: "bad", 2: "poor", 3: "fair", 4: "good", 5: "excellent"}
-    assert mos_label(4.409285824) == "good"
-    assert mos_label(1.0) == "bad"
-    assert mos_label(2.4) == "poor"
-    assert mos_label(4.6) == "excellent"
-
-
 # ------------------------------------------------------------------ score_run
 
 
@@ -175,36 +164,6 @@ def test_score_run_counter_validation():
         score_run([1.0, 2.0], 1, 2)  # recv > sent
     with pytest.raises(EModelError):
         score_run([], -1, 0)
-
-
-def test_score_run_percentile_option():
-    delays = [10.0] * 90 + [400.0] * 10
-    by_mean = score_run(delays, 100, 100)
-    by_p99 = score_run(delays, 100, 100, percentile=99.0)
-    assert by_mean.mean_e2e_delay_ms == 49.0
-    assert by_mean.r_factor == 93.2  # mean below the knee
-    assert by_p99.r_factor == 93.2 - idd(400.0)  # 99th percentile lands on the tail
-    assert by_p99.mean_e2e_delay_ms == 49.0  # reported statistic stays the mean
-    with pytest.raises(EModelError):
-        score_run(delays, 100, 100, percentile=0.0)
-    with pytest.raises(EModelError):
-        score_run(delays, 100, 100, percentile=101.0)
-
-
-def test_params_validation():
-    with pytest.raises(EModelError):
-        EModelParams(r0=0.0)
-    with pytest.raises(EModelError):
-        EModelParams(r0=100.5)
-    with pytest.raises(EModelError):
-        EModelParams(ie=-1.0)
-    with pytest.raises(EModelError):
-        EModelParams(advantage=-0.1)
-
-
-def test_params_shift_the_rating():
-    report = score_run([0.0] * 10, 10, 10, EModelParams(r0=80.0, ie=10.0, advantage=5.0))
-    assert math.isclose(report.r_factor, 75.0)
 
 
 # ----------------------------------------------------------------- properties

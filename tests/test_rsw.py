@@ -14,9 +14,6 @@ from voipsim import (
     MemberStatus,
     NotChairman,
     NotInvited,
-    ObserverCannotSend,
-    ResponsePolicy,
-    Role,
     RswError,
     RswInvitee,
     RswMessage,
@@ -41,11 +38,9 @@ def over_wire(msg: RswMessage) -> RswMessage:
     return decode_rsw(encode_rsw(msg))
 
 
-def fresh_conference(invitees=("p1", "p2"), observers=(), conf_id=7):
+def fresh_conference(invitees=("p1", "p2"), conf_id=7):
     """CREATE routed through the server; returns (fan-out, server's state)."""
-    msg, _ = create_conference(
-        "chair", list(invitees), MEDIA, conf_id=conf_id, observers=list(observers)
-    )
+    msg, _ = create_conference("chair", list(invitees), MEDIA, conf_id=conf_id)
     return server_route(over_wire(msg), None)
 
 
@@ -58,24 +53,7 @@ def test_create_message_shape():
     assert over_wire(msg) == msg
     assert conf.chairman == "chair"
     assert conf.phase is ConferencePhase.CREATING
-    assert conf.members["chair"].role is Role.CHAIRMAN
-    assert conf.members["chair"].status is MemberStatus.JOINED
-    assert conf.members["p1"].role is Role.PARTICIPANT
-    assert conf.members["p1"].status is MemberStatus.INVITED
-
-
-def test_create_lists_observers_with_tag():
-    msg, conf = create_conference("chair", ["p1", "p2"], MEDIA, observers=["watch"])
-    assert msg.recipient == "p1,p2,watch:observer"
-    assert conf.members["watch"].role is Role.PASSIVE_OBSERVER
-    assert conf.members["watch"].status is MemberStatus.INVITED
-    assert over_wire(msg) == msg
-
-
-def test_create_with_observers_only_is_allowed():
-    msg, conf = create_conference("chair", [], MEDIA, observers=["watch"])
-    assert msg.recipient == "watch:observer"
-    assert set(conf.members) == {"chair", "watch"}
+    assert conf.members == {"chair": MemberStatus.JOINED, "p1": MemberStatus.INVITED}
 
 
 def test_create_requires_someone_to_invite():
@@ -96,36 +74,32 @@ def test_create_rejects_malformed_member_ids(bad):
         create_conference(bad, ["p1"], MEDIA)
 
 
-@pytest.mark.parametrize(
-    "invitees,observers",
-    [(["p1", "p1"], []), (["p1"], ["p1"]), (["chair"], [])],
-)
-def test_create_rejects_duplicate_members(invitees, observers):
+@pytest.mark.parametrize("invitees", [["p1", "p1"], ["chair"]])
+def test_create_rejects_duplicate_members(invitees):
     with pytest.raises(ValueError):
-        create_conference("chair", invitees, MEDIA, observers=observers)
+        create_conference("chair", invitees, MEDIA)
 
 
 # -- server: CREATE fan-out ------------------------------------------------------
 
 
 def test_server_fans_out_one_invitation_per_invitee():
-    out, conf = fresh_conference(invitees=("p1", "p2"), observers=("watch",))
+    out, conf = fresh_conference(invitees=("p1", "p2"))
     invitations, ack = out[:-1], out[-1]
-    assert [m.verb for m in invitations] == [Verb.CREATE] * 3
-    assert [m.recipient for m in invitations] == ["p1", "p2", "watch"]
+    assert [m.verb for m in invitations] == [Verb.CREATE] * 2
+    assert [m.recipient for m in invitations] == ["p1", "p2"]
     assert all(m.sender == "server" for m in invitations)
     assert all(m.body == MEDIA for m in invitations)
     assert ack == RswMessage(Verb.ACK, 7, "server", "chair")
     assert conf.phase is ConferencePhase.CREATING
-    assert conf.members["watch"].role is Role.PASSIVE_OBSERVER
     assert all(over_wire(m) == m for m in out)
 
 
 def test_chairman_view_equals_the_server_record():
-    msg, view = create_conference("chair", ["p1", "p2"], MEDIA, conf_id=7, observers=["watch"])
+    msg, view = create_conference("chair", ["p1", "p2"], MEDIA, conf_id=7)
     _, record = server_route(over_wire(msg), None)
     assert view == record
-    assert list(view.members) == ["chair", "p1", "p2", "watch"]
+    assert list(view.members) == ["chair", "p1", "p2"]
 
 
 def test_server_refuses_second_create():
@@ -135,7 +109,7 @@ def test_server_refuses_second_create():
         server_route(msg, conf)
 
 
-@pytest.mark.parametrize("spec", ["p1,:observer", "p1:boss", "p1,p1"])
+@pytest.mark.parametrize("spec", ["p1,:observer", "p1:boss", "p1,p1", "p1:observer"])
 def test_server_rejects_bad_invitee_specs(spec):
     msg = RswMessage(Verb.CREATE, 7, "chair", spec, MEDIA)
     with pytest.raises(RswError):
@@ -148,7 +122,7 @@ def test_server_rejects_bad_invitee_specs(spec):
 def test_join_activates_and_relays_to_chairman():
     _, conf = fresh_conference()
     out, conf = server_route(RswMessage(Verb.JOIN, 7, "p1", "server"), conf)
-    assert conf.members["p1"].status is MemberStatus.JOINED
+    assert conf.members["p1"] is MemberStatus.JOINED
     assert conf.phase is ConferencePhase.ACTIVE
     assert out == [
         RswMessage(Verb.ACK, 7, "server", "p1"),
@@ -164,7 +138,7 @@ def test_join_activates_and_relays_to_chairman():
 def test_decline_responses_do_not_activate(verb, status):
     _, conf = fresh_conference()
     out, conf = server_route(RswMessage(verb, 7, "p1", "server"), conf)
-    assert conf.members["p1"].status is status
+    assert conf.members["p1"] is status
     assert conf.phase is ConferencePhase.CREATING  # only a JOIN activates
     assert out == [
         RswMessage(Verb.ACK, 7, "server", "p1"),
@@ -177,7 +151,7 @@ def test_second_join_keeps_conference_active():
     _, conf = server_route(RswMessage(Verb.JOIN, 7, "p1", "server"), conf)
     _, conf = server_route(RswMessage(Verb.JOIN, 7, "p2", "server"), conf)
     assert conf.phase is ConferencePhase.ACTIVE
-    assert conf.members["p2"].status is MemberStatus.JOINED
+    assert conf.members["p2"] is MemberStatus.JOINED
 
 
 def test_stranger_cannot_respond():
@@ -200,35 +174,7 @@ def test_status_never_moves_backwards():
     _, conf = server_route(RswMessage(Verb.REJECT, 7, "p1", "server"), conf)
     with pytest.raises(NotInvited):  # a decline cannot become a join
         server_route(RswMessage(Verb.JOIN, 7, "p1", "server"), conf)
-    assert conf.members["p1"].status is MemberStatus.REJECTED
-
-
-# -- server: leaving ---------------------------------------------------------------
-
-
-def test_leave_after_join():
-    _, conf = fresh_conference()
-    _, conf = server_route(RswMessage(Verb.JOIN, 7, "p1", "server"), conf)
-    out, conf = server_route(RswMessage(Verb.LEAVE, 7, "p1", "server"), conf)
-    assert out == [RswMessage(Verb.ACK, 7, "server", "p1")]
-    assert conf.members["p1"].status is MemberStatus.LEFT
-    assert conf.phase is ConferencePhase.ACTIVE  # the room outlives one member
-
-
-@pytest.mark.parametrize("who", ["p2", "gatecrasher"])
-def test_leave_requires_joined_membership(who):
-    _, conf = fresh_conference()
-    _, conf = server_route(RswMessage(Verb.JOIN, 7, "p1", "server"), conf)
-    with pytest.raises(NotInvited):
-        server_route(RswMessage(Verb.LEAVE, 7, who, "server"), conf)
-
-
-def test_leave_then_rejoin_is_refused():
-    _, conf = fresh_conference()
-    _, conf = server_route(RswMessage(Verb.JOIN, 7, "p1", "server"), conf)
-    _, conf = server_route(RswMessage(Verb.LEAVE, 7, "p1", "server"), conf)
-    with pytest.raises(NotInvited):
-        server_route(RswMessage(Verb.JOIN, 7, "p1", "server"), conf)
+    assert conf.members["p1"] is MemberStatus.REJECTED
 
 
 # -- server: ending ------------------------------------------------------------------
@@ -273,6 +219,21 @@ def test_unknown_conference_is_refused():
         server_route(RswMessage(Verb.JOIN, 8, "p1", "server"), conf)
 
 
+@pytest.mark.parametrize("verb", list(Verb))
+def test_every_verb_is_routed_acked_or_refused(verb):
+    """On an active conference nothing but an ACK is dropped without a word."""
+    _, conf = fresh_conference()
+    _, conf = server_route(RswMessage(Verb.JOIN, 7, "p1", "server"), conf)
+    try:
+        out, conf = server_route(RswMessage(verb, 7, "p1", "server"), conf)
+    except RswError:
+        return
+    if verb is Verb.ACK:
+        assert out == []
+    else:
+        assert out, f"{verb.value} was dropped without a reply"
+
+
 def test_stray_ack_is_ignored():
     _, conf = fresh_conference()
     out, conf2 = server_route(RswMessage(Verb.ACK, 7, "p1", "server"), conf)
@@ -291,33 +252,22 @@ def test_invitee_accepts_with_join_to_server():
     assert invitation.conf_id == 7
     assert invitation.media_desc == MEDIA
     assert invitation.inviter == "server"
-    reply = invitee.respond(ResponsePolicy.ACCEPT)
+    reply = invitee.respond()
     assert reply == RswMessage(Verb.JOIN, 7, "p1", "server")
-
-
-@pytest.mark.parametrize(
-    "policy,verb",
-    [(ResponsePolicy.REJECT, Verb.REJECT), (ResponsePolicy.BUSY, Verb.BUSY)],
-)
-def test_invitee_decline_responses(policy, verb):
-    out, _ = fresh_conference(invitees=("p1",))
-    invitee = RswInvitee("p1")
-    invitee.receive_invitation(out[0])
-    assert invitee.respond(policy) == RswMessage(verb, 7, "p1", "server")
 
 
 def test_invitee_response_is_single_use():
     out, _ = fresh_conference(invitees=("p1",))
     invitee = RswInvitee("p1")
     invitee.receive_invitation(out[0])
-    invitee.respond(ResponsePolicy.ACCEPT)
+    invitee.respond()
     with pytest.raises(NotInvited):
-        invitee.respond(ResponsePolicy.ACCEPT)
+        invitee.respond()
 
 
 def test_invitee_cannot_respond_uninvited():
     with pytest.raises(NotInvited):
-        RswInvitee("p1").respond(ResponsePolicy.ACCEPT)
+        RswInvitee("p1").respond()
 
 
 def test_invitee_rejects_non_invitations():
@@ -336,7 +286,7 @@ def test_invitee_id_is_validated():
 def test_rtp_stream_counters_stride():
     tx = RtpTxState(seq=10, timestamp=1000, ssrc=0xABCD, samples_per_frame=160)
     pkts = [
-        send_media_rtp(tx, b"x", role=Role.PARTICIPANT, phase=ConferencePhase.ACTIVE)
+        send_media_rtp(tx, b"x", phase=ConferencePhase.ACTIVE)
         for _ in range(3)
     ]
     assert [p.seq for p in pkts] == [10, 11, 12]
@@ -348,7 +298,7 @@ def test_rtp_counters_wrap():
     tx = RtpTxState(seq=0xFFFE, timestamp=0xFFFFFF60, ssrc=1, samples_per_frame=160)
     seqs, stamps = [], []
     for _ in range(4):
-        p = send_media_rtp(tx, b"", role=Role.CHAIRMAN, phase=ConferencePhase.ACTIVE)
+        p = send_media_rtp(tx, b"", phase=ConferencePhase.ACTIVE)
         seqs.append(p.seq)
         stamps.append(p.timestamp)
     assert seqs == [0xFFFE, 0xFFFF, 0x0000, 0x0001]
@@ -364,22 +314,16 @@ def test_new_rtp_tx_is_seed_deterministic():
     assert 0 <= a.ssrc < 1 << 32
 
 
-def test_observers_cannot_send_media():
-    tx = new_rtp_tx(random.Random(1))
-    with pytest.raises(ObserverCannotSend):
-        send_media_rtp(tx, b"x", role=Role.PASSIVE_OBSERVER, phase=ConferencePhase.ACTIVE)
-
-
 @pytest.mark.parametrize("phase", [ConferencePhase.CREATING, ConferencePhase.ENDED])
 def test_media_requires_active_conference(phase):
     tx = new_rtp_tx(random.Random(1))
     with pytest.raises(ConferenceNotActive):
-        send_media_rtp(tx, b"x", role=Role.CHAIRMAN, phase=phase)
+        send_media_rtp(tx, b"x", phase=phase)
 
 
 def test_rtp_media_round_trips_the_wire():
     tx = RtpTxState(seq=1, timestamp=2, ssrc=3, samples_per_frame=160)
-    pkt = send_media_rtp(tx, b"voice!", role=Role.CHAIRMAN, phase=ConferencePhase.ACTIVE)
+    pkt = send_media_rtp(tx, b"voice!", phase=ConferencePhase.ACTIVE)
     wire = encode_rtp(pkt)
     assert wire[0] == 0x80  # version 2, nothing else in byte 0
     assert decode_rtp(wire) == pkt
@@ -389,30 +333,30 @@ def test_rtp_media_round_trips_the_wire():
 
 
 def test_full_conference_lifecycle():
-    msg, _ = create_conference("chair", ["p1", "p2"], MEDIA, conf_id=3, observers=["watch"])
+    msg, _ = create_conference("chair", ["p1", "p2", "p3"], MEDIA, conf_id=3)
     out, conf = server_route(over_wire(msg), None)
 
-    invitees = {mid: RswInvitee(mid) for mid in ("p1", "p2", "watch")}
-    answers = {"p1": ResponsePolicy.ACCEPT, "p2": ResponsePolicy.BUSY, "watch": ResponsePolicy.ACCEPT}
     relayed = []
     for invitation in out[:-1]:
-        invitee = invitees[invitation.recipient]
+        invitee = RswInvitee(invitation.recipient)
         invitee.receive_invitation(over_wire(invitation))
-        reply = invitee.respond(answers[invitation.recipient])
+        reply = invitee.respond()
+        if reply.sender == "p2":  # p2 is busy elsewhere; a BUSY arrives from the wire
+            reply = RswMessage(Verb.BUSY, 3, "p2", "server")
         replies, conf = server_route(over_wire(reply), conf)
         relayed.extend(m for m in replies if m.recipient == "chair")
 
     assert conf.phase is ConferencePhase.ACTIVE
     assert {m.verb for m in relayed} == {Verb.JOIN, Verb.BUSY}
-    assert conf.members["p1"].status is MemberStatus.JOINED
-    assert conf.members["p2"].status is MemberStatus.BUSY
-    assert conf.members["watch"].status is MemberStatus.JOINED
+    assert conf.members["p1"] is MemberStatus.JOINED
+    assert conf.members["p2"] is MemberStatus.BUSY
+    assert conf.members["p3"] is MemberStatus.JOINED
 
     tx = new_rtp_tx(random.Random(9))
-    pkt = send_media_rtp(tx, b"\x00" * 160, role=Role.CHAIRMAN, phase=conf.phase)
+    pkt = send_media_rtp(tx, b"\x00" * 160, phase=conf.phase)
     assert decode_rtp(encode_rtp(pkt)) == pkt
 
     out, conf = server_route(over_wire(RswMessage(Verb.END, 3, "chair", "server")), conf)
     assert conf.phase is ConferencePhase.ENDED
-    assert {m.recipient for m in out[1:]} == {"p1", "watch"}
+    assert {m.recipient for m in out[1:]} == {"p1", "p3"}
     assert all(m.verb is Verb.END for m in out[1:])
