@@ -6,11 +6,21 @@ each run with the E-model, and writes the results as CSV (one row per run).
 An optional JSONL event trace streams to its file while the runs proceed.
 Runs are deterministic: the same configuration and seed produce
 byte-identical output files.
+
+The runs share no state, so a sweep of more than one run is spread over one
+forked worker per CPU this process may use, never more workers than runs
+(see :mod:`voipsim.forked`).  The rows, the CSV and the trace are the bytes
+a serial sweep writes, and a failing sweep raises the error of its earliest
+failing run in grid order.  The sweep stays in this process when it has one
+run, when only one CPU is usable, when ``os.fork`` is missing, or when the
+process already runs other threads (a forked child would inherit their
+locks held).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -79,8 +89,10 @@ class SweepConfig:
         if self.frame_interval_ms < 1.0:
             # sub-millisecond cadence would alias the integer media timestamps
             raise ValueError(f"frame_interval_ms must be >= 1, got {self.frame_interval_ms}")
-        if type(self.payload_bytes) is not int:
-            raise ValueError(f"payload_bytes must be an int, got {self.payload_bytes!r}")
+        for name in ("payload_bytes", "link_rate_bps", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool, or a float such as nan, would reach the run
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not 1 <= self.payload_bytes <= 1400:
             raise ValueError(f"payload_bytes must be in 1..1400, got {self.payload_bytes}")
         if self.link_rate_bps <= 0:
@@ -136,12 +148,34 @@ def run_scenario(
 def run_sweep(cfg: SweepConfig | None = None, trace: TraceLog | None = None) -> SweepResult:
     """Run the full grid; rows come back sorted by (protocol, delay)."""
     cfg = cfg if cfg is not None else SweepConfig()
-    rows = [
-        run_scenario(protocol, delay_ms, cfg, trace)
-        for protocol in sorted(set(cfg.protocols))
-        for delay_ms in sweep_points(cfg)
-    ]
-    return SweepResult(rows=rows)
+    protocols = sorted(set(cfg.protocols))
+    runs = [(protocol, delay_ms, cfg) for protocol in protocols for delay_ms in sweep_points(cfg)]
+    workers = _worker_count(len(runs))
+    if workers > 1:
+        # imported only here: compiling it with the package would raise every process's peak memory
+        from .forked import run_forked
+
+        return SweepResult(rows=run_forked(run_scenario, runs, trace, workers))
+    return SweepResult(rows=[run_scenario(*run, trace) for run in runs])
+
+
+def _worker_count(runs: int) -> int:
+    """Processes to spread *runs* runs over; 1 keeps the sweep in this process."""
+    if runs < 2 or not hasattr(os, "fork") or _runs_other_threads():
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, runs)
+
+
+def _runs_other_threads() -> bool:
+    try:
+        return len(os.listdir("/proc/self/task")) > 1
+    except OSError:  # no procfs: only the threads Python started can be seen
+        threading = sys.modules.get("threading")
+        return threading is not None and threading.active_count() > 1
 
 
 def _csv_row(r: QosReport) -> str:

@@ -1,0 +1,150 @@
+"""Run a sweep's independent runs in forked worker processes.
+
+``run_forked(run, jobs, trace, workers)`` returns what
+``[run(*job, trace) for job in jobs]`` returns, and leaves in *trace* the
+records that loop would write, byte for byte.  Worker ``w`` of ``n`` takes
+jobs ``w, w + n, ...`` in order and stops at its first failure.  It sends
+its rows back through a pipe as ``marshal``-ed field tuples (``marshal`` is
+built into the interpreter, where importing ``pickle`` would add about
+0.3 MiB to the parent's peak memory); only a failing run's exception is
+pickled.  A traced worker writes its JSONL to an anonymous temporary file
+and notes where each run's records end; once every worker is reaped, the
+parent copies the runs' records into the caller's stream in job order, a
+bounded chunk at a time, and raises the exception of the earliest failing
+job.  Workers leave through ``os._exit``, so they never flush the parent's
+buffers or run its exit handlers.
+
+``experiment.run_sweep`` imports this module only when a sweep forks.
+"""
+
+from __future__ import annotations
+
+import marshal
+import os
+import tempfile
+from dataclasses import astuple
+from typing import Callable
+
+from .qos import QosReport
+from .scenarios import TraceLog
+
+# bytes of trace the parent holds at once while copying a worker's file
+_COPY_CHUNK = 1 << 20
+
+
+def run_forked(
+    run: Callable[..., QosReport], jobs: list[tuple], trace: TraceLog | None, workers: int
+) -> list[QosReport]:
+    """The rows of ``run(*job, trace)`` over *jobs*, run by *workers* forked processes."""
+    files = [] if trace is None else [
+        tempfile.TemporaryFile("w+", encoding="ascii", newline="") for _ in range(workers)
+    ]
+    try:
+        shares = [marshal.loads(blob) for blob in _fork_workers(run, jobs, files, workers)]
+        failures = [w + error[0] * workers for w, (_rows, _marks, error) in enumerate(shares) if error]
+        done = min(failures) + 1 if failures else len(jobs)
+        if trace is not None:
+            # the failing run's records up to its failure too, as a serial sweep leaves them
+            for job in range(done):
+                marks = shares[job % workers][1]
+                i = job // workers
+                start, before = marks[i - 1] if i else (0, 0)
+                end, after = marks[i]
+                _copy_range(files[job % workers].fileno(), start, end, trace.stream)
+                trace.count += after - before
+    finally:
+        for fh in files:
+            fh.close()
+    if failures:
+        import pickle
+
+        raise pickle.loads(shares[(done - 1) % workers][2][1])
+    return [QosReport(*shares[job % workers][0][job // workers]) for job in range(len(jobs))]
+
+
+def _fork_workers(run, jobs: list[tuple], files: list, workers: int) -> list[bytes]:
+    """Fork the workers, reap them all, and return each one's marshalled share."""
+    pids: list[int] = []
+    readers: list[int] = []
+    blobs: list[bytes] = []
+    try:
+        for w in range(workers):
+            reader, writer = os.pipe()
+            readers.append(reader)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        share = _run_share(run, jobs[w::workers], files[w] if files else None)
+                        with open(writer, "wb", closefd=False) as pipe:
+                            pipe.write(marshal.dumps(share))
+                        status = 0
+                    finally:
+                        os._exit(status)
+            finally:
+                os.close(writer)  # the pipe reads to its end once the worker is gone
+            pids.append(pid)
+        for reader in readers:
+            with open(reader, "rb", closefd=False) as pipe:
+                blobs.append(pipe.read())
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for reader in readers:
+            os.close(reader)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for w, code in enumerate(codes):
+        if code != 0:
+            raise RuntimeError(f"sweep worker {w} of {workers} exited with status {code}")
+    return blobs
+
+
+def _run_share(run, jobs: list[tuple], out) -> tuple:
+    """A worker's runs, in order, up to its first failure: ``(rows, marks, error)``.
+
+    ``rows`` holds each report's field tuple; ``marks[i]`` is ``(trace bytes,
+    trace records)`` written by the end of run ``i`` (the failing run
+    included); ``error`` is ``(i, pickled exception)`` or None.
+    """
+    trace = TraceLog(out) if out is not None else None
+    rows: list[tuple] = []
+    marks: list[tuple[int, int]] = []
+    for i, job in enumerate(jobs):
+        error = None
+        try:
+            rows.append(astuple(run(*job, trace)))
+        except Exception as exc:  # handed to the parent, which raises it
+            error = (i, _pickled(exc))
+        if trace is not None:
+            out.flush()
+            marks.append((os.lseek(out.fileno(), 0, os.SEEK_CUR), trace.count))
+        if error is not None:
+            return rows, marks, error
+    return rows, marks, None
+
+
+def _pickled(exc: Exception) -> bytes:
+    """*exc* pickled, or its text in a RuntimeError when it does not survive pickling."""
+    import pickle
+
+    try:
+        blob = pickle.dumps(exc)
+        pickle.loads(blob)
+    except Exception:
+        blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    return blob
+
+
+def _copy_range(fd: int, start: int, end: int, stream) -> None:
+    """Copy bytes ``start:end`` of file *fd* into the text *stream*, a bounded chunk at a time."""
+    while start < end:
+        chunk = os.pread(fd, min(_COPY_CHUNK, end - start), start)
+        if not chunk:
+            raise RuntimeError("a sweep worker's trace file ended early")
+        stream.write(chunk.decode("ascii"))
+        start += len(chunk)

@@ -39,6 +39,12 @@ class CallState(Enum):
     HUNGUP = "Hungup"
 
 
+# bound once for the per-packet paths: reading a member off an Enum class is
+# slow on CPython 3.11
+_UP = CallState.UP
+_VOICE = FrameKind.VOICE
+
+
 class CalleePolicy(Enum):
     OPEN = "open"
     CHALLENGE = "challenge"
@@ -109,7 +115,7 @@ def receive_media(rx: MediaRxState, frame: FullFrame | MiniFrame) -> tuple[int, 
     """
     last = rx.last_reconstructed_ts
     if isinstance(frame, FullFrame):
-        if frame.frame_type is not FrameKind.VOICE:
+        if frame.frame_type is not _VOICE:
             raise ValueError("receive_media takes voice frames only")
         ts32 = frame.timestamp
         if last is not None and last - ts32 > TS_WRAP:
@@ -233,13 +239,13 @@ class IaxEndpoint:
         the high 16 timestamp bits change; otherwise a mini frame.
         """
         cs = self._call(local_call)
-        if cs.state is not CallState.UP:
+        if cs.state is not _UP:
             raise NotInCall(f"call {local_call} is {cs.state.value}, not Up")
         ts32 = int(now - cs.start_time) & 0xFFFFFFFF
         if not cs.media_started or (ts32 >> 16) != (cs.last_full_ts >> 16):
             cs.media_started = True
             cs.last_full_ts = ts32
-            return _full_frame(cs, FrameKind.VOICE, 0, ts32, payload)
+            return _full_frame(cs, _VOICE, 0, ts32, payload)
         return MiniFrame(source_call=cs.local_call, ts16=ts32 & 0xFFFF, payload=payload)
 
     def receive_media_frame(self, frame: FullFrame | MiniFrame) -> tuple[int, bytes]:
@@ -248,7 +254,7 @@ class IaxEndpoint:
             cs = self.calls.get(frame.dest_call)
         else:
             cs = next((c for c in self.calls.values() if c.peer_call == frame.source_call), None)
-        if cs is None or cs.state is not CallState.UP:
+        if cs is None or cs.state is not _UP:
             raise NotInCall("no Up call for this media frame")
         return receive_media(cs.rx, frame)
 

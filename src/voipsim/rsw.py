@@ -37,6 +37,9 @@ class ConferencePhase(Enum):
     ENDED = "ended"
 
 
+_ACTIVE = ConferencePhase.ACTIVE  # bound once: reading an Enum member off its class is slow
+
+
 class RswError(Exception):
     """Base class for conference control errors."""
 
@@ -238,7 +241,7 @@ def send_media_rtp(tx: RtpTxState, payload: bytes, *, phase: ConferencePhase) ->
     seq advances by 1 mod 2**16 and timestamp by samples_per_frame mod 2**32
     per packet.  Refused for inactive conferences.
     """
-    if phase is not ConferencePhase.ACTIVE:
+    if phase is not _ACTIVE:
         raise ConferenceNotActive(f"conference is {phase.value}")
     pkt = RtpPacket(seq=tx.seq, timestamp=tx.timestamp, ssrc=tx.ssrc, payload=payload)
     tx.seq = (tx.seq + 1) & 0xFFFF

@@ -59,7 +59,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps would rebuild it per call
-_TIMER = EventKind.TIMER  # an Enum member read costs far more than a global's
+# an Enum member read costs far more than a global's
+_TIMER = EventKind.TIMER
+_VOICE = FrameKind.VOICE
+_ACTIVE = ConferencePhase.ACTIVE
+_JOINED = MemberStatus.JOINED
 _INVITEE = "p1"  # the conference's one invitee, on the server's host
 
 
@@ -211,7 +215,7 @@ class _IaxCalleeNode(_Node):
         data = ev.payload
         if data[0] & 0x80:
             frame = decode_full(data)
-            if frame.frame_type is not FrameKind.VOICE:
+            if frame.frame_type is not _VOICE:
                 for reply in self.endpoint.handle_signal(frame, sim.now)[0]:
                     _send_signal(self, sim, reply)
                 return
@@ -253,7 +257,7 @@ class _RswChairNode(_MediaSource):
             self._begin_media(sim, 0.0)
 
     def _next_frame(self, now: float) -> tuple[int, bytes]:
-        pkt = send_media_rtp(self.tx, self.payload, phase=ConferencePhase.ACTIVE)
+        pkt = send_media_rtp(self.tx, self.payload, phase=_ACTIVE)
         return pkt.seq, encode_rtp(pkt)
 
     def _teardown(self, sim: Simulator) -> None:
@@ -283,10 +287,10 @@ class _RswServerNode(_Node):
                 raw, dst = encode_rsw(reply), reply.recipient
                 self._note(sim.now, "conf", src="server", dst=dst, bytes=len(raw), verb=reply.verb.value)
                 self._route(sim.reliable_send, sim, raw, dst)
-        elif self.conf is not None and self.conf.phase is ConferencePhase.ACTIVE:
+        elif self.conf is not None and self.conf.phase is _ACTIVE:
             sender = "chair" if rtp_ssrc(data) == self.chair_ssrc else None
             for member_id, status in self.conf.members.items():
-                if status is MemberStatus.JOINED and member_id != sender:
+                if status is _JOINED and member_id != sender:
                     if self.trace is not None:
                         self.trace.add(t=sim.now, kind="relay", src="server", dst=member_id, bytes=len(data))
                     self._route(sim.transmit, sim, data, member_id)

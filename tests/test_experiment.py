@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import threading
 import tracemalloc
 import types
 
@@ -29,7 +30,10 @@ from voipsim import (
     run_sweep,
     sweep_points,
 )
+from voipsim import experiment
 from voipsim.cli import build_parser, load_config_file, main, resolve_settings
+from voipsim.frames import Signal
+from voipsim.iax import CallState, ProtocolViolation
 
 FAST = dict(delay_end_ms=50.0, duration_s=0.5)  # 3 grid points, 25 frames/run
 
@@ -97,6 +101,11 @@ def test_negative_start_delay_is_typed():
         dict(delay_step_ms=1e-9),  # 2,000,000,000,001 delays
         dict(payload_bytes=160.5),
         dict(delay_end_ms=1e308, delay_step_ms=0.1),  # the point count overflows a float
+        dict(link_rate_bps=float("nan")),
+        dict(link_rate_bps=float("inf")),  # would score a link with no serialization
+        dict(link_rate_bps=128_000.0),
+        dict(seed=1.5),
+        dict(seed=True),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -104,9 +113,20 @@ def test_config_rejects_bad_values(kwargs):
         SweepConfig(**kwargs)
 
 
-def test_config_names_a_non_integer_payload():
-    with pytest.raises(ValueError, match="payload_bytes must be an int"):
-        SweepConfig(payload_bytes=160.5)
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("payload_bytes", 160.5),
+        ("link_rate_bps", float("nan")),
+        ("link_rate_bps", float("inf")),
+        ("link_rate_bps", True),
+        ("seed", 1.5),
+        ("seed", True),
+    ],
+)
+def test_config_names_a_non_integer_setting(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        SweepConfig(**{name: value})
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
@@ -311,6 +331,90 @@ def test_traced_sweep_memory_stays_flat_as_the_grid_grows():
     # peak nearly in step with the grid (about 3.8x from 2 to 8 points)
     small, large = _traced_sweep_peak_bytes(2), _traced_sweep_peak_bytes(8)
     assert large < 1.5 * small, (small, large)
+
+
+# -- the sweep across processes ---------------------------------------------------------
+
+ODD_GRID = dict(delay_end_ms=100.0, duration_s=0.5)  # 5 delays x 2 protocols
+
+
+def _traced_sweep_with_workers(workers, monkeypatch, tmp_path):
+    """(CSV bytes, or the error raised; the trace) of the odd grid on *workers* processes."""
+    monkeypatch.setattr(experiment, "_worker_count", lambda runs: min(workers, runs))
+    trace = TraceLog(io.StringIO())
+    try:
+        result = run_sweep(SweepConfig(**ODD_GRID), trace)
+    except Exception as exc:
+        return exc, trace
+    csv_path = tmp_path / f"workers{workers}.csv"
+    emit_csv(result, csv_path)
+    return csv_path.read_bytes(), trace
+
+
+def test_sweep_writes_the_same_bytes_over_any_worker_count(monkeypatch, tmp_path):
+    outputs = []
+    for workers in (1, 2, 3):
+        csv, trace = _traced_sweep_with_workers(workers, monkeypatch, tmp_path)
+        outputs.append((csv, trace.stream.getvalue(), trace.count))
+    assert outputs[0][2] == len(outputs[0][1].splitlines()) > 0
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_forked_sweep_raises_the_earliest_failing_run(monkeypatch, tmp_path, capsys):
+    # with two workers, IAX:75 (run 3) is worker 1's and RSW:25 (run 6) is worker 0's
+    real = dict(experiment._RUNNERS)
+
+    def failing(protocol):
+        def runner(delay_ms, cfg, trace=None):
+            stats = real[protocol](delay_ms, cfg, trace)  # the failing run's records reach the trace
+            if (protocol, delay_ms) == ("IAX", 75.0):
+                raise ValueError("boom at IAX:75")
+            if (protocol, delay_ms) == ("RSW", 25.0):
+                raise ZeroDivisionError("a later run's failure")
+            return stats
+
+        return runner
+
+    for protocol in real:
+        monkeypatch.setitem(experiment._RUNNERS, protocol, failing(protocol))
+    serial, serial_trace = _traced_sweep_with_workers(1, monkeypatch, tmp_path)
+    forked, forked_trace = _traced_sweep_with_workers(2, monkeypatch, tmp_path)
+    assert type(forked) is ValueError and str(forked) == "boom at IAX:75"
+    assert (type(serial), str(serial)) == (ValueError, "boom at IAX:75")
+    assert forked_trace.stream.getvalue() == serial_trace.stream.getvalue()
+    assert forked_trace.count == serial_trace.count
+
+    out = tmp_path / "failed.csv"
+    assert main(["--delay-end", "100", "--duration", "0.5", "--out", str(out)]) == 2
+    assert "boom at IAX:75" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+
+def test_forked_sweep_reports_an_error_that_cannot_cross_processes(monkeypatch, tmp_path):
+    def runner(delay_ms, cfg, trace=None):
+        raise ProtocolViolation(CallState.UP, Signal.NEW)  # its args do not rebuild it
+
+    monkeypatch.setitem(experiment._RUNNERS, "IAX", runner)
+    error, _trace = _traced_sweep_with_workers(2, monkeypatch, tmp_path)
+    assert type(error) is RuntimeError
+    assert str(error) == "ProtocolViolation: signal NEW in state Up"
+
+
+def test_sweep_stays_in_process_for_one_run_or_other_threads():
+    assert experiment._worker_count(1) == 1
+    assert experiment._worker_count(10) == min(len(os.sched_getaffinity(0)), 10)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert experiment._worker_count(10) == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 # -- comparison report --------------------------------------------------------------------
