@@ -171,6 +171,9 @@ class IaxEndpoint:
         self.policy = policy
         self.secret = secret
         self.calls: dict[int, IaxCallState] = {}
+        # peer call number -> the first call in ``calls`` with that peer_call,
+        # so a mini frame finds its call without a scan
+        self._by_peer: dict[int, IaxCallState] = {}
         self._rng = rng if rng is not None else random.Random(0)
         self._next_hint = 1
 
@@ -190,7 +193,7 @@ class IaxEndpoint:
     def place_call(self, dest: str, now: float) -> tuple[FullFrame, IaxCallState]:
         """Start an outbound call; returns the NEW frame to send."""
         cs = IaxCallState(CallState.WAITING_FOR_RESPONSE, self._allocate_call(), start_time=now)
-        self.calls[cs.local_call] = cs
+        self._add_call(cs)
         return self._control(cs, Signal.NEW, now, payload=dest.encode("utf-8")), cs
 
     def handle_signal(self, f: FullFrame, now: float) -> tuple[list[FullFrame], IaxCallState]:
@@ -216,10 +219,11 @@ class IaxEndpoint:
             raise ProtocolViolation(cs.state, sig)
         replies: list[FullFrame] = []
         if sig is Signal.AUTHREQ:
-            cs.peer_call = f.source_call
+            self._set_peer(cs, f.source_call)
             replies.append(self._control(cs, Signal.AUTHREP, now, payload=f.payload + self.secret))
         elif sig is Signal.ACCEPT:
-            cs.peer_call = cs.remote_call = f.source_call  # leg established
+            self._set_peer(cs, f.source_call)
+            cs.remote_call = f.source_call  # leg established
         cs.state = nxt
         return replies, cs
 
@@ -253,7 +257,7 @@ class IaxEndpoint:
         if isinstance(frame, FullFrame):
             cs = self.calls.get(frame.dest_call)
         else:
-            cs = next((c for c in self.calls.values() if c.peer_call == frame.source_call), None)
+            cs = self._by_peer.get(frame.source_call)
         if cs is None or cs.state is not _UP:
             raise NotInCall("no Up call for this media frame")
         return receive_media(cs.rx, frame)
@@ -266,12 +270,25 @@ class IaxEndpoint:
             raise NotInCall(f"no call numbered {local_call}")
         return cs
 
+    def _add_call(self, cs: IaxCallState) -> None:
+        self.calls[cs.local_call] = cs  # calls are never removed, so cs is last
+        self._by_peer.setdefault(cs.peer_call, cs)
+
+    def _set_peer(self, cs: IaxCallState, peer_call: int) -> None:
+        old, cs.peer_call = cs.peer_call, peer_call
+        for p in (old, peer_call):  # a signal, not a media frame: the scan is cheap here
+            first = next((c for c in self.calls.values() if c.peer_call == p), None)
+            if first is None:
+                self._by_peer.pop(p, None)
+            else:
+                self._by_peer[p] = first
+
     def _control(self, cs: IaxCallState, sig: Signal, now: float, payload: bytes = b"") -> FullFrame:
         return _full_frame(cs, FrameKind.CONTROL, sig, int(now - cs.start_time) & 0xFFFFFFFF, payload)
 
     def _on_new(self, f: FullFrame, now: float) -> tuple[list[FullFrame], IaxCallState]:
         cs = IaxCallState(CallState.UP, self._allocate_call(), start_time=now, peer_call=f.source_call)
-        self.calls[cs.local_call] = cs
+        self._add_call(cs)
         cs.iseqno = (f.oseqno + 1) & 0xFF
         if self.policy is CalleePolicy.OPEN:
             return self._accept(cs, now)

@@ -71,8 +71,12 @@ class TraceLog:
     """Writes event records to a text stream as JSON Lines as they happen.
 
     After ``begin(label)`` every record carries ``"scenario": label`` as its
-    first key.  Nothing is kept per record; ``count`` is the number of lines
-    written.
+    first key, then ``t`` and ``kind``.  Control records go through ``add``,
+    which JSON-encodes their fields.  The per-packet records (``media``,
+    ``relay``, ``deliver``) go through ``packet``: each node encodes their
+    fixed fields once, and a record writes only its time and its one varying
+    integer, in the bytes ``add`` would write for the same fields.
+    Nothing is kept per record; ``count`` is the number of lines written.
     """
 
     def __init__(self, stream: TextIO):
@@ -83,10 +87,21 @@ class TraceLog:
     def begin(self, label: str) -> None:
         self._head = '{"scenario":' + _encode(label) + ","
 
-    def add(self, **fields) -> None:
-        # splice the encoded fields (never empty here) in after the head
-        self.stream.write(self._head + _encode(fields)[1:] + "\n")
+    def add(self, t: float, kind: str, **fields) -> None:
+        # splice the encoded fields in after the head
+        self.stream.write(self._head + _encode({"t": t, "kind": kind, **fields})[1:] + "\n")
         self.count += 1
+
+    def packet(self, t: float, tail: str, value: int) -> None:
+        """Write ``add(t, kind, **fields, key=value)``; ``tail`` is ``_packet_tail(kind, key, **fields)``."""
+        # json writes a finite float as its repr and an int as its decimal digits
+        self.stream.write(f'{self._head}"t":{t!r},{tail}{value:d}}}\n')
+        self.count += 1
+
+
+def _packet_tail(kind: str, key: str, **fields) -> str:
+    """The encoded ``"kind":…`` through ``"key":`` of a ``TraceLog.packet`` record."""
+    return _encode({"kind": kind, **fields})[1:-1] + "," + _encode(key) + ":"
 
 
 @dataclass
@@ -127,7 +142,7 @@ class _Node:
     def _note(self, now: float, kind: str, **fields) -> None:
         """Trace one control-plane record (``signal``, ``state``, ``conf``)."""
         if self.trace is not None:
-            self.trace.add(t=now, kind=kind, **fields)
+            self.trace.add(now, kind, **fields)
 
     def _send_control(self, sim: Simulator, kind: str, data: bytes, **fields) -> None:
         self._note(sim.now, kind, src=self.name, dst=self.peer, **fields, bytes=len(data))
@@ -146,6 +161,7 @@ class _MediaSource(_Node):
         self.interval = cfg.frame_interval_ms
         self.payload = bytes(cfg.payload_bytes)
         self.frames_left = cfg.media_frame_count()
+        self._media_tail = _packet_tail("media", "bytes", src=name, dst=peer)
 
     def handle(self, sim: Simulator, ev: SimEvent) -> None:
         if ev.kind is not _TIMER:
@@ -165,7 +181,7 @@ class _MediaSource(_Node):
 
     def _send_media(self, sim: Simulator, data: bytes) -> None:
         if self.trace is not None:
-            self.trace.add(t=sim.now, kind="media", src=self.name, dst=self.peer, bytes=len(data))
+            self.trace.packet(sim.now, self._media_tail, len(data))
         sim.transmit(self.link, data, self.name, self.peer)
 
 
@@ -210,6 +226,7 @@ class _IaxCalleeNode(_Node):
     def __init__(self, link, stats, trace):
         super().__init__("callee", "caller", link, stats, trace)
         self.endpoint = IaxEndpoint("callee")  # open policy, immediate answer
+        self._deliver_tail = _packet_tail("deliver", "ts", dst="callee")
 
     def handle(self, sim: Simulator, ev: SimEvent) -> None:
         data = ev.payload
@@ -227,7 +244,7 @@ class _IaxCalleeNode(_Node):
             return  # media straggling past teardown is dropped, not fatal
         self.stats.recv.setdefault(ts32, sim.now)
         if self.trace is not None:
-            self.trace.add(t=sim.now, kind="deliver", dst="callee", ts=ts32)
+            self.trace.packet(sim.now, self._deliver_tail, ts32)
 
 
 def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
@@ -278,6 +295,8 @@ class _RswServerNode(_Node):
         super().__init__("server", None, wan, None, trace)
         self.chair_ssrc = chair_ssrc
         self.conf = None
+        # media is relayed only to the conference's members: the chair and the invitee
+        self._relay_tails = {m: _packet_tail("relay", "bytes", src="server", dst=m) for m in ("chair", _INVITEE)}
 
     def handle(self, sim: Simulator, ev: SimEvent) -> None:
         data = ev.payload
@@ -292,7 +311,7 @@ class _RswServerNode(_Node):
             for member_id, status in self.conf.members.items():
                 if status is _JOINED and member_id != sender:
                     if self.trace is not None:
-                        self.trace.add(t=sim.now, kind="relay", src="server", dst=member_id, bytes=len(data))
+                        self.trace.packet(sim.now, self._relay_tails[member_id], len(data))
                     self._route(sim.transmit, sim, data, member_id)
         # media outside an active conference is dropped
 
@@ -307,6 +326,7 @@ class _RswParticipantNode(_Node):
     def __init__(self, stats, trace):
         super().__init__(_INVITEE, "server", None, stats, trace)
         self.invitee = RswInvitee(_INVITEE)
+        self._deliver_tail = _packet_tail("deliver", "seq", dst=_INVITEE)
 
     def handle(self, sim: Simulator, ev: SimEvent) -> None:
         data = ev.payload
@@ -314,7 +334,7 @@ class _RswParticipantNode(_Node):
             seq = decode_rtp(data).seq
             self.stats.recv.setdefault(seq, sim.now)
             if self.trace is not None:
-                self.trace.add(t=sim.now, kind="deliver", dst=_INVITEE, seq=seq)
+                self.trace.packet(sim.now, self._deliver_tail, seq)
             return
         msg = decode_rsw(data)
         if msg.verb is Verb.CREATE:  # ACK and END need no reply

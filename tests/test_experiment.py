@@ -14,6 +14,7 @@ import tracemalloc
 import types
 
 import pytest
+from hypothesis import given, strategies as st
 
 from voipsim import (
     CSV_HEADER,
@@ -34,6 +35,7 @@ from voipsim import experiment
 from voipsim.cli import build_parser, load_config_file, main, resolve_settings
 from voipsim.frames import Signal
 from voipsim.iax import CallState, ProtocolViolation
+from voipsim.scenarios import _packet_tail
 
 FAST = dict(delay_end_ms=50.0, duration_s=0.5)  # 3 grid points, 25 frames/run
 
@@ -286,6 +288,41 @@ def test_trace_is_json_lines(fast_sweep):
         labels.add(record["scenario"])
         assert "t" in record and "kind" in record
     assert labels == {f"{p}:{d:g}" for p in ("IAX", "RSW") for d in (0, 25, 50)}
+
+
+def test_trace_record_needs_a_time_and_a_kind():
+    trace = TraceLog(io.StringIO())
+    trace.begin("IAX:0")
+    with pytest.raises(TypeError):
+        trace.add()  # would write '{"scenario":"IAX:0",}'
+    trace.add(0.0, "state")
+    assert json.loads(trace.stream.getvalue()) == {"scenario": "IAX:0", "t": 0.0, "kind": "state"}
+    assert trace.count == 1
+
+
+_NAMES = st.text(max_size=6) | st.sampled_from(['"', "\\", 'a"\\b', "\u00e9\u20ac", "\U0001f4de", "\x00\n"])
+_TAKEN_KEYS = {"scenario", "t", "kind", "src", "dst"}
+
+
+@given(
+    label=_NAMES,
+    t=st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 123456789012345678.0]),
+    kind=_NAMES,
+    fields=st.dictionaries(st.sampled_from(["src", "dst"]), _NAMES),
+    key=st.sampled_from(["bytes", "ts", "seq"]) | _NAMES.filter(lambda k: k not in _TAKEN_KEYS),
+    value=st.integers(),
+)
+def test_packet_record_is_the_line_add_writes(label, t, kind, fields, key, value):
+    by_add, by_packet = TraceLog(io.StringIO()), TraceLog(io.StringIO())
+    for trace in (by_add, by_packet):
+        trace.begin(label)
+    by_add.add(t, kind, **fields, **{key: value})
+    by_packet.packet(t, _packet_tail(kind, key, **fields), value)
+    line = by_packet.stream.getvalue()
+    assert line == by_add.stream.getvalue()
+    assert by_packet.count == by_add.count == 1
+    assert json.loads(line) == {"scenario": label, "t": t, "kind": kind, **fields, key: value}
 
 
 def test_fast_sweep_matches_golden_digests(tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from voipsim import (
     CalleePolicy,
@@ -491,3 +492,36 @@ def test_receive_media_frame_routing():
         callee.receive_media_frame(MiniFrame(source_call=999, ts16=40))
     with pytest.raises(NotInCall):
         callee.receive_media_frame(voice_frame(40, dest_call=999))
+
+
+_OPS = st.sampled_from(["place", *Signal])  # place_call, or a signal received
+
+
+@given(
+    policy=st.sampled_from(CalleePolicy),
+    # peer numbers from a tiny range, so calls collide on them
+    ops=st.lists(st.tuples(_OPS, st.integers(0, 3), st.integers(0, 7)), max_size=30),
+)
+def test_mini_frames_route_to_the_first_call_with_their_peer(policy, ops):
+    ep = IaxEndpoint("ep", policy=policy)
+    probe = 0
+    for op, peer, pick in ops:
+        if op == "place":
+            ep.place_call("peer", 0.0)
+        else:
+            numbers = list(ep.calls)
+            dest = 0 if op is Signal.NEW or not numbers else numbers[pick % len(numbers)]
+            try:
+                ep.handle_signal(signal_frame(op, peer, dest, payload=b"x"), 0.0)
+            except ProtocolViolation:
+                pass
+        for p in range(4):
+            # the reference: scan the calls in order for the first with this peer
+            want = next((c for c in ep.calls.values() if c.peer_call == p), None)
+            probe += 1
+            if want is None or want.state is not CallState.UP:
+                with pytest.raises(NotInCall):
+                    ep.receive_media_frame(MiniFrame(source_call=p, ts16=probe))
+            else:
+                assert ep.receive_media_frame(MiniFrame(source_call=p, ts16=probe)) == (probe, b"")
+                assert want.rx.last_reconstructed_ts == probe
