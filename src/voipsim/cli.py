@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .experiment import (
@@ -96,10 +97,20 @@ def resolve_settings(args: argparse.Namespace) -> tuple[SweepConfig, str, str | 
     return SweepConfig(protocols=_PROTOCOL_CHOICES[protocol], **merged), out_path, trace_path
 
 
+def _check_writable(path: str) -> None:
+    """Refuse a CSV path that could not be written, before the sweep; creates nothing."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK | os.X_OK):
+        raise OSError(f"cannot write {path}: {folder} is not a writable directory")
+    if os.path.isdir(path) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise OSError(f"cannot write {path}: not a writable file")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, out_path, trace_path = resolve_settings(args)
+        _check_writable(out_path)
         # the trace streams out during the sweep, so a bad path fails before any run
         sink = open(trace_path, "w", encoding="ascii", newline="") if trace_path else contextlib.nullcontext()
         with sink as fh:

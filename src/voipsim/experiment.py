@@ -137,7 +137,7 @@ def run_scenario(
     delays = stats.delays
     return score_run(
         delays,
-        len(stats.sent),
+        stats.frames_sent,
         len(delays),
         protocol=protocol,
         configured_delay_ms=delay_ms,

@@ -244,7 +244,7 @@ def decode_mini(b: bytes) -> MiniFrame:
     w0, ts16 = _MINI_HDR.unpack_from(b)
     if w0 & 0x8000:
         raise NotMiniFrame("F bit is set")
-    return MiniFrame(source_call=w0, ts16=ts16, payload=bytes(b[MINI_HEADER_LEN:]))
+    return MiniFrame(w0, ts16, bytes(b[MINI_HEADER_LEN:]))
 
 
 def encode_rtp(p: RtpPacket) -> bytes:

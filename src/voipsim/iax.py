@@ -242,7 +242,7 @@ class IaxEndpoint:
         A Voice full frame goes out for the first media frame and whenever
         the high 16 timestamp bits change; otherwise a mini frame.
         """
-        cs = self._call(local_call)
+        cs = self.calls.get(local_call) or self._call(local_call)  # _call raises NotInCall
         if cs.state is not _UP:
             raise NotInCall(f"call {local_call} is {cs.state.value}, not Up")
         ts32 = int(now - cs.start_time) & 0xFFFFFFFF
@@ -250,7 +250,7 @@ class IaxEndpoint:
             cs.media_started = True
             cs.last_full_ts = ts32
             return _full_frame(cs, _VOICE, 0, ts32, payload)
-        return MiniFrame(source_call=cs.local_call, ts16=ts32 & 0xFFFF, payload=payload)
+        return MiniFrame(cs.local_call, ts32 & 0xFFFF, payload)
 
     def receive_media_frame(self, frame: FullFrame | MiniFrame) -> tuple[int, bytes]:
         """Locate the call a media frame belongs to and reconstruct its ts."""

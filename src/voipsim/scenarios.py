@@ -1,7 +1,8 @@
 """Executable scenarios: one call (or conference) per simulator run.
 
 Both scenarios stream one-way media at a fixed cadence across a single
-emulated WAN link and record per-packet send/arrival times:
+emulated WAN link and measure each counted frame's one-way delay, keeping
+one float per frame in a ``MediaStats``:
 
 * two-party call: caller places the call, the callee auto-answers, media
   runs caller -> callee in mini frames (full frames only to anchor), then
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, TextIO
 
 from .frames import (
@@ -104,18 +104,45 @@ def _packet_tail(kind: str, key: str, **fields) -> str:
     return _encode({"kind": kind, **fields})[1:-1] + "," + _encode(key) + ":"
 
 
-@dataclass
 class MediaStats:
-    """Raw per-run measurements, keyed by media timestamp or sequence."""
+    """Per-run media measurements: one float per counted frame.
 
-    sent: list[tuple[int, float]] = field(default_factory=list)
-    recv: dict[int, float] = field(default_factory=dict)
-    setup_ms: float | None = None
+    Slot ``i`` of ``_frames`` holds the send time of the ``i``-th counted
+    frame until its first copy arrives, and from then on its one-way delay
+    (arrival minus send time).  ``_in_flight`` maps the stats key of each
+    frame not yet arrived (IAX ``ts32``, RTP ``seq``; unique within a run)
+    to its slot, so it holds only the frames in flight and the lost ones.
+    A duplicate copy, or a key that was never counted (the IAX anchor full
+    frame), finds no entry and is ignored.
+    """
+
+    __slots__ = ("setup_ms", "_frames", "_in_flight")
+
+    def __init__(self):
+        self.setup_ms: float | None = None
+        self._frames: list[float] = []
+        self._in_flight: dict[int, int] = {}
+
+    def _sent(self, key: int, now: float) -> None:
+        self._in_flight[key] = len(self._frames)
+        self._frames.append(now)
+
+    def _arrived(self, key: int, now: float) -> None:
+        i = self._in_flight.pop(key, None)
+        if i is not None:
+            self._frames[i] = now - self._frames[i]
+
+    @property
+    def frames_sent(self) -> int:
+        return len(self._frames)
 
     @property
     def delays(self) -> list[float]:
-        """One-way delay per delivered packet, in send order."""
-        return [self.recv[key] - t for key, t in self.sent if key in self.recv]
+        """One-way delay per delivered frame, in send order."""
+        if not self._in_flight:
+            return self._frames  # every slot is a delay; no copy is made
+        lost = set(self._in_flight.values())
+        return [d for i, d in enumerate(self._frames) if i not in lost]
 
 
 def _run(label: str, delay_ms: float, cfg: SweepConfig, trace: TraceLog | None, *nodes: _Node) -> None:
@@ -168,7 +195,7 @@ class _MediaSource(_Node):
             self._control(sim, ev.payload)
         elif self.frames_left > 0:
             key, data = self._next_frame(sim.now)
-            self.stats.sent.append((key, sim.now))
+            self.stats._sent(key, sim.now)
             self._send_media(sim, data)
             self.frames_left -= 1
             sim.schedule_timer(self.interval, self.name, "media")
@@ -242,7 +269,7 @@ class _IaxCalleeNode(_Node):
             ts32, _payload = self.endpoint.receive_media_frame(frame)
         except NotInCall:
             return  # media straggling past teardown is dropped, not fatal
-        self.stats.recv.setdefault(ts32, sim.now)
+        self.stats._arrived(ts32, sim.now)
         if self.trace is not None:
             self.trace.packet(sim.now, self._deliver_tail, ts32)
 
@@ -332,7 +359,7 @@ class _RswParticipantNode(_Node):
         data = ev.payload
         if not data.startswith(b"RSW/1 "):
             seq = decode_rtp(data).seq
-            self.stats.recv.setdefault(seq, sim.now)
+            self.stats._arrived(seq, sim.now)
             if self.trace is not None:
                 self.trace.packet(sim.now, self._deliver_tail, seq)
             return

@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 
 from voipsim import (
     CSV_HEADER,
+    MediaStats,
     MissingProtocol,
     NegativeDelay,
     SweepConfig,
@@ -27,11 +28,12 @@ from voipsim import (
     emit_csv,
     idd,
     r_to_mos,
+    run_iax_call,
     run_scenario,
     run_sweep,
     sweep_points,
 )
-from voipsim import experiment
+from voipsim import cli, experiment
 from voipsim.cli import build_parser, load_config_file, main, resolve_settings
 from voipsim.frames import Signal
 from voipsim.iax import CallState, ProtocolViolation
@@ -206,6 +208,57 @@ def test_finished_run_is_freed_without_the_cycle_collector(protocol):
     finally:
         if was_enabled:
             gc.enable()
+
+
+# -- per-run media measurements -------------------------------------------------------
+
+
+@given(st.data())
+def test_media_stats_match_the_sent_list_and_arrival_dict_they_replace(data):
+    # The reference is the record MediaStats replaced: a (key, send time) per
+    # counted frame, the first arrival per key, and the delays in send order.
+    keys = data.draw(st.lists(st.integers(0, 0xFFFFFFFF), unique=True, max_size=30))
+    copies = data.draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)))  # 0: lost
+    strays = data.draw(st.lists(st.integers(0, 0xFFFFFFFF).filter(lambda k: k not in keys), max_size=4))
+    times = st.floats(min_value=0.0, max_value=1e7)
+    sent: list[tuple[int, float]] = []
+    recv: dict[int, float] = {}
+    stats = MediaStats()
+    pending = list(strays)  # copies on the wire, delivered in any order
+    next_frame = 0
+    while next_frame < len(keys) or pending:
+        now = data.draw(times)
+        if next_frame < len(keys) and (not pending or data.draw(st.booleans())):
+            key = keys[next_frame]
+            sent.append((key, now))
+            stats._sent(key, now)
+            pending.extend([key] * copies[next_frame])
+            next_frame += 1
+        else:
+            key = pending.pop(data.draw(st.integers(0, len(pending) - 1)))
+            recv.setdefault(key, now)
+            stats._arrived(key, now)
+        expected = [recv[k] - t for k, t in sent if k in recv]
+        assert [d.hex() for d in stats.delays] == [d.hex() for d in expected]
+        assert stats.frames_sent == len(sent)
+
+
+def test_a_run_keeps_about_one_float_per_counted_frame():
+    # A float in a list slot is 32 B (a 24 B object and an 8 B pointer); a
+    # (key, send time) tuple plus a key -> arrival entry per frame was ~240 B.
+    cfg = SweepConfig(duration_s=60.0, frame_interval_ms=10.0, payload_bytes=10)
+    run_iax_call(0.0, cfg)  # first-use caches are not the run's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        stats = run_iax_call(0.0, cfg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    frames = cfg.media_frame_count()
+    assert stats.frames_sent == len(stats.delays) == frames == 6000
+    assert held / frames < 48, held / frames
 
 
 # -- the sweep --------------------------------------------------------------------
@@ -593,6 +646,24 @@ def test_cli_refuses_an_unwritable_trace_before_the_sweep(tmp_path, capsys):
     assert captured.err.startswith("voipsim: error:")
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out_name", ["missing/x.csv", "a-directory"])
+def test_cli_refuses_an_unwritable_csv_before_the_sweep(out_name, tmp_path, capsys, monkeypatch):
+    def no_sweep(*_args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    (tmp_path / "a-directory").mkdir()
+    out = tmp_path / out_name
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["--out", str(out), "--trace", str(trace_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("voipsim: error:")
+    assert str(out) in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]  # no CSV, no trace
+    assert not any((tmp_path / "a-directory").iterdir())
 
 
 def test_cli_rejects_bad_sweep_settings(capsys):

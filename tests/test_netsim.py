@@ -248,6 +248,22 @@ def test_missing_handler_is_an_error():
         sim.run_until_idle()
 
 
+def test_dispatched_counts_handled_events_across_runs_and_a_raising_handler():
+    sim = Simulator(seed=1)
+
+    def handler(s, ev):
+        if ev.payload == b"boom":
+            raise RuntimeError("boom")
+
+    sim.register("x", handler)
+    for payload in (b"a", b"b", b"boom", b"c"):
+        sim.schedule(1.0, EventKind.DELIVER, "x", payload)
+    with pytest.raises(RuntimeError):
+        sim.run_until_idle()
+    assert sim.dispatched == 2  # the raising event is not counted
+    sim.run_until_idle()
+    assert sim.dispatched == 3
+
 def test_deliver_local_arrives_at_once():
     sim = Simulator(seed=1)
     log = []
