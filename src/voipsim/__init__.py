@@ -33,7 +33,6 @@ from .frames import (
     encode_rtp,
 )
 from .iax import (
-    CalleePolicy,
     CallState,
     IaxCallState,
     IaxEndpoint,

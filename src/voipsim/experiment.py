@@ -38,6 +38,9 @@ _RUNNERS = {"IAX": run_iax_call, "RSW": run_rsw_conference}
 # would exhaust memory before its first run
 MAX_DELAY_POINTS = 10_000
 
+# an IAX endpoint stamps its frames with a run's milliseconds in 32 bits
+MAX_RUN_MS = 2**32 - 1
+
 
 class MissingProtocol(ValueError):
     """A comparison needs results from both protocols."""
@@ -50,7 +53,8 @@ class SweepConfig:
     The delay grid is ``delay_start_ms, delay_start_ms + delay_step_ms, ...``
     up to and including ``delay_end_ms``, at most ``MAX_DELAY_POINTS``
     delays; a degenerate sweep with ``delay_start_ms == delay_end_ms`` runs a
-    single point per protocol.
+    single point per protocol.  The run at ``delay_end_ms`` must end within
+    ``MAX_RUN_MS`` of simulated time (see ``run_horizon_ms``).
     """
 
     delay_start_ms: float = 0.0
@@ -101,9 +105,19 @@ class SweepConfig:
             raise ValueError("duration_s too short for a single media frame at this cadence")
         if self.media_frame_count() > 0xFFFF:
             raise ValueError("duration_s / frame_interval_ms exceeds the 16-bit sequence space")
+        horizon = self.run_horizon_ms(self.delay_end_ms)
+        if horizon > MAX_RUN_MS:
+            raise ValueError(
+                f"a run at delay_end_ms={self.delay_end_ms:g} may last {horizon:.0f} ms, more than the "
+                f"{MAX_RUN_MS} ms (2**32 - 1) an IAX 32-bit timestamp can count"
+            )
 
     def media_frame_count(self) -> int:
         return int(round(self.duration_s * 1000.0 / self.frame_interval_ms))
+
+    def run_horizon_ms(self, delay_ms: float) -> float:
+        """Simulated time the run at ``delay_ms`` may take; a run still busy then fails."""
+        return self.duration_s * 1000.0 + 20.0 * delay_ms + 60_000.0
 
     def delay_point_count(self) -> int:
         """Delays on the grid, endpoints included."""

@@ -174,7 +174,7 @@ class RswMessage:
 
     ``sender``/``recipient`` are the from/to fields of the wire line.  In a
     chairman's CREATE the recipient field carries the comma-separated invitee
-    list (``id`` or ``id:observer``); everywhere else it is a single id.
+    ids; everywhere else it is a single id.
     """
 
     verb: Verb

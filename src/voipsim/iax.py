@@ -8,20 +8,17 @@ reconstruct full 32-bit timestamps with at most a single wrap correction.
 
 Received-signal transitions:
 
-    caller  WaitingForResponse --AUTHREQ--> AuthSent   (replies AUTHREP)
-            WaitingForResponse/AuthSent --ACCEPT--> Accepted --ANSWER--> Up
-    callee  NEW --> per policy: open -> ACCEPT and ANSWER, and Up at once;
-            challenge -> AUTHREQ; reject/busy -> REJECT
-            AuthSent --AUTHREP--> token ok -> ACCEPT and ANSWER, else REJECT
+    caller  WaitingForResponse --ACCEPT--> Accepted --ANSWER--> Up
+    callee  NEW --> replies ACCEPT and ANSWER, and is Up at once
     both    any --REJECT/HANGUP--> Hungup
 
-Anything else raises :class:`ProtocolViolation`.  ACCEPT establishes the
-call leg: ``remote_call`` stays None until ACCEPT is sent or received.
+Anything else raises :class:`ProtocolViolation`, AUTHREQ and AUTHREP
+included: no endpoint challenges a caller.  ACCEPT establishes the call
+leg: ``remote_call`` stays None until ACCEPT is sent or received.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -33,7 +30,6 @@ MAX_CALL_NUMBER = 0x7FFF
 
 class CallState(Enum):
     WAITING_FOR_RESPONSE = "WaitingForResponse"
-    AUTH_SENT = "AuthSent"
     ACCEPTED = "Accepted"
     UP = "Up"
     HUNGUP = "Hungup"
@@ -43,13 +39,6 @@ class CallState(Enum):
 # slow on CPython 3.11
 _UP = CallState.UP
 _VOICE = FrameKind.VOICE
-
-
-class CalleePolicy(Enum):
-    OPEN = "open"
-    CHALLENGE = "challenge"
-    REJECT = "reject"
-    BUSY = "busy"
 
 
 class IaxError(Exception):
@@ -101,7 +90,6 @@ class IaxCallState:
     oseqno: int = 0
     iseqno: int = 0
     peer_call: int = 0
-    challenge: bytes | None = None  # set on a callee that challenged the caller
     media_started: bool = False
     rx: MediaRxState = field(default_factory=MediaRxState)
 
@@ -145,9 +133,7 @@ def _full_frame(cs: IaxCallState, kind: FrameKind, subclass: int, ts32: int, pay
 
 # (state, received signal) -> next state, caller side
 _CALLER_NEXT = {
-    (CallState.WAITING_FOR_RESPONSE, Signal.AUTHREQ): CallState.AUTH_SENT,
     (CallState.WAITING_FOR_RESPONSE, Signal.ACCEPT): CallState.ACCEPTED,
-    (CallState.AUTH_SENT, Signal.ACCEPT): CallState.ACCEPTED,
     (CallState.ACCEPTED, Signal.ANSWER): CallState.UP,
 }
 
@@ -155,26 +141,15 @@ _CALLER_NEXT = {
 class IaxEndpoint:
     """One signaling peer: allocates call numbers, runs the state machine.
 
-    As callee, ``policy`` picks the response to NEW; a challenging callee
-    asks for ``secret`` behind a nonce drawn from ``rng``.
+    As callee it answers every NEW at once with ACCEPT and ANSWER.
     """
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        policy: CalleePolicy = CalleePolicy.OPEN,
-        secret: bytes = b"shared-secret",
-        rng: random.Random | None = None,
-    ):
+    def __init__(self, name: str):
         self.name = name
-        self.policy = policy
-        self.secret = secret
         self.calls: dict[int, IaxCallState] = {}
         # peer call number -> the first call in ``calls`` with that peer_call,
         # so a mini frame finds its call without a scan
         self._by_peer: dict[int, IaxCallState] = {}
-        self._rng = rng if rng is not None else random.Random(0)
         self._next_hint = 1
 
     # -- call number allocation ------------------------------------------
@@ -212,20 +187,14 @@ class IaxEndpoint:
                 cs.remote_call = f.source_call  # record who tore the call down
             cs.state = CallState.HUNGUP
             return [], cs
-        if cs.challenge is not None:
-            return self._on_authrep(cs, sig, f, now)
         nxt = _CALLER_NEXT.get((cs.state, sig))
         if nxt is None:
             raise ProtocolViolation(cs.state, sig)
-        replies: list[FullFrame] = []
-        if sig is Signal.AUTHREQ:
-            self._set_peer(cs, f.source_call)
-            replies.append(self._control(cs, Signal.AUTHREP, now, payload=f.payload + self.secret))
-        elif sig is Signal.ACCEPT:
+        if sig is Signal.ACCEPT:
             self._set_peer(cs, f.source_call)
             cs.remote_call = f.source_call  # leg established
         cs.state = nxt
-        return replies, cs
+        return [], cs
 
     def hangup(self, local_call: int, now: float) -> FullFrame:
         """Tear down a call locally and return the HANGUP frame to send."""
@@ -287,35 +256,9 @@ class IaxEndpoint:
         return _full_frame(cs, FrameKind.CONTROL, sig, int(now - cs.start_time) & 0xFFFFFFFF, payload)
 
     def _on_new(self, f: FullFrame, now: float) -> tuple[list[FullFrame], IaxCallState]:
-        cs = IaxCallState(CallState.UP, self._allocate_call(), start_time=now, peer_call=f.source_call)
+        cs = IaxCallState(
+            CallState.UP, self._allocate_call(), remote_call=f.source_call,  # ACCEPT establishes the leg
+            start_time=now, iseqno=(f.oseqno + 1) & 0xFF, peer_call=f.source_call,
+        )
         self._add_call(cs)
-        cs.iseqno = (f.oseqno + 1) & 0xFF
-        if self.policy is CalleePolicy.OPEN:
-            return self._accept(cs, now)
-        if self.policy is CalleePolicy.CHALLENGE:
-            cs.challenge = bytes(self._rng.randrange(256) for _ in range(8))
-            cs.state = CallState.AUTH_SENT
-            return [self._control(cs, Signal.AUTHREQ, now, payload=cs.challenge)], cs
-        return self._reject(cs, now, b"busy" if self.policy is CalleePolicy.BUSY else b"rejected")
-
-    def _on_authrep(
-        self, cs: IaxCallState, sig: Signal, f: FullFrame, now: float
-    ) -> tuple[list[FullFrame], IaxCallState]:
-        if sig is not Signal.AUTHREP or cs.state is not CallState.AUTH_SENT:
-            raise ProtocolViolation(cs.state, sig)
-        if f.payload == cs.challenge + self.secret:
-            return self._accept(cs, now)
-        return self._reject(cs, now, b"bad-auth")
-
-    def _accept(self, cs: IaxCallState, now: float) -> tuple[list[FullFrame], IaxCallState]:
-        cs.remote_call = cs.peer_call  # ACCEPT establishes the leg
-        cs.state = CallState.UP
         return [self._control(cs, Signal.ACCEPT, now), self._control(cs, Signal.ANSWER, now)], cs
-
-    def _reject(
-        self, cs: IaxCallState, now: float, cause: bytes
-    ) -> tuple[list[FullFrame], IaxCallState]:
-        reject = self._control(cs, Signal.REJECT, now, payload=cause)
-        cs.remote_call = cs.peer_call
-        cs.state = CallState.HUNGUP
-        return [reject], cs

@@ -1,11 +1,11 @@
 """Server-mediated conference control and RTP media sending.
 
 A chairman CREATEs a conference naming its invitees; the server fans the
-invitation out, relays each invitee's JOIN/REJECT/BUSY answer back to the
-chairman, and ACKs every signal it accepts.  Only the chairman may END.
-An invitee's status moves once, from Invited to Joined, Rejected or Busy.
+invitation out, relays each invitee's JOIN back to the chairman, and ACKs
+every signal it accepts.  Only the chairman may END.  An invitee's status
+moves once, from Invited to Joined; one that never answers stays Invited.
 The server ignores a stray ACK and refuses every other verb it does not
-route (LEAVE) with :class:`RswError`.
+route (REJECT, BUSY, LEAVE) with :class:`RswError`.
 
 On the wire a chairman's CREATE carries the comma-separated invitee list in
 the recipient field; every other message is point-to-point.  Media is plain
@@ -27,8 +27,6 @@ DEFAULT_SERVER_ID = "server"
 class MemberStatus(Enum):
     INVITED = "invited"
     JOINED = "joined"
-    REJECTED = "rejected"
-    BUSY = "busy"
 
 
 class ConferencePhase(Enum):
@@ -79,13 +77,6 @@ class ConferenceState:
     phase: ConferencePhase
 
 
-_RESPONSE_STATUS = {
-    Verb.JOIN: MemberStatus.JOINED,
-    Verb.REJECT: MemberStatus.REJECTED,
-    Verb.BUSY: MemberStatus.BUSY,
-}
-
-
 def _check_member_id(member_id: str) -> str:
     if not member_id or any(c.isspace() for c in member_id) or "," in member_id or ":" in member_id:
         raise ValueError(f"bad member id {member_id!r}")
@@ -125,10 +116,10 @@ def server_route(
 
     CREATE establishes the conference and fans out one invitation per
     invitee plus an ACK to the chairman.  Every other accepted signal is
-    ACKed to its sender; invitee responses are additionally relayed to the
-    chairman.  The conference becomes Active on the first JOIN and Ended
-    only on the chairman's END.  A stray ACK is ignored; any other verb
-    raises :class:`RswError`.
+    ACKed to its sender; a JOIN is additionally relayed to the chairman.
+    The conference becomes Active on the first JOIN and Ended only on the
+    chairman's END.  A stray ACK is ignored; any other verb raises
+    :class:`RswError`.
     """
     if msg.verb is Verb.CREATE:
         if conf is not None:
@@ -148,15 +139,14 @@ def server_route(
         raise RswError(f"conference {conf.conf_id} has ended")
 
     sender = msg.sender
-    if msg.verb in _RESPONSE_STATUS:
+    if msg.verb is Verb.JOIN:
         if conf.members.get(sender) is not MemberStatus.INVITED:
             raise NotInvited(f"{sender} holds no open invitation")
-        conf.members[sender] = _RESPONSE_STATUS[msg.verb]
-        if msg.verb is Verb.JOIN and conf.phase is ConferencePhase.CREATING:
-            conf.phase = ConferencePhase.ACTIVE
+        conf.members[sender] = MemberStatus.JOINED
+        conf.phase = ConferencePhase.ACTIVE
         return [
             RswMessage(Verb.ACK, conf.conf_id, DEFAULT_SERVER_ID, sender),
-            RswMessage(msg.verb, conf.conf_id, sender, conf.chairman),
+            RswMessage(Verb.JOIN, conf.conf_id, sender, conf.chairman),
         ], conf
 
     if msg.verb is Verb.END:

@@ -153,7 +153,7 @@ def _run(label: str, delay_ms: float, cfg: SweepConfig, trace: TraceLog | None, 
     for node in nodes:
         sim.register(node.name, node.handle)
     nodes[0].start(sim)
-    sim.run_until_idle(cfg.duration_s * 1000.0 + 20.0 * delay_ms + 60_000.0)
+    sim.run_until_idle(cfg.run_horizon_ms(delay_ms))
 
 
 class _Node:
@@ -229,7 +229,7 @@ class _IaxCallerNode(_MediaSource):
     def _control(self, sim: Simulator, data: bytes) -> None:
         frame = decode_full(data)
         before = self.call.state
-        self.endpoint.handle_signal(frame, sim.now)  # the open callee asks for no AUTHREP
+        self.endpoint.handle_signal(frame, sim.now)
         self._note(
             sim.now, "state", endpoint="caller", event=Signal(frame.subclass).name,
             state_before=before.value, state_after=self.call.state.value,
@@ -252,7 +252,7 @@ class _IaxCallerNode(_MediaSource):
 class _IaxCalleeNode(_Node):
     def __init__(self, link, stats, trace):
         super().__init__("callee", "caller", link, stats, trace)
-        self.endpoint = IaxEndpoint("callee")  # open policy, immediate answer
+        self.endpoint = IaxEndpoint("callee")
         self._deliver_tail = _packet_tail("deliver", "ts", dst="callee")
 
     def handle(self, sim: Simulator, ev: SimEvent) -> None:

@@ -35,6 +35,7 @@ from voipsim import (
 )
 from voipsim import cli, experiment
 from voipsim.cli import build_parser, load_config_file, main, resolve_settings
+from voipsim.experiment import MAX_RUN_MS
 from voipsim.frames import Signal
 from voipsim.iax import CallState, ProtocolViolation
 from voipsim.scenarios import _packet_tail
@@ -140,6 +141,17 @@ def test_config_names_a_non_integer_setting(name, value):
 def test_config_names_a_non_finite_setting(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         SweepConfig(**{name: value})
+
+
+def test_a_run_just_inside_the_32_bit_clock_is_accepted_and_exact():
+    edge = float((MAX_RUN_MS - 61_000) // 20)  # 1 s of media, 60 s of slack, 20 delays
+    cfg = SweepConfig(delay_start_ms=edge, delay_end_ms=edge, duration_s=1.0, protocols=("IAX",))
+    assert cfg.run_horizon_ms(edge) == MAX_RUN_MS - 15
+    report = run_scenario("IAX", edge, cfg)
+    assert report.pkts_sent == report.pkts_recv == 50
+    assert report.mean_e2e_delay_ms == edge + 12.0  # link plus serialization, as at small delays
+    with pytest.raises(ValueError, match=f"more than the {MAX_RUN_MS} ms"):
+        SweepConfig(delay_start_ms=edge, delay_end_ms=edge + 1.0, duration_s=1.0)
 
 
 # -- single-scenario runs ------------------------------------------------------------
@@ -693,6 +705,25 @@ def test_cli_rejects_an_oversized_delay_grid(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err.startswith("voipsim: error:")
     assert "40000000001 points" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the caller's clock passes 2**32 ms mid-call
+        ["--frame-ms", "1e8", "--duration", "6e9", "--delay-end", "0", "--protocol", "iax"],
+        # the whole call sits past 2**32 ms, where the receiver's ts32 has wrapped
+        ["--delay-start", "1e10", "--delay-end", "1e10", "--duration", "1", "--protocol", "iax"],
+    ],
+)
+def test_cli_refuses_a_run_past_the_32_bit_clock(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("voipsim: error:")
+    assert f"{MAX_RUN_MS} ms" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "sweep.csv").exists()
 

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
 from voipsim import (
-    CalleePolicy,
     CallState,
     FrameKind,
     FullFrame,
@@ -26,9 +23,6 @@ from voipsim import (
     encode_mini,
     receive_media,
 )
-
-SECRET = b"shared-secret"  # endpoint default
-
 
 def signal_frame(sig, source_call, dest_call, oseqno=0, payload=b""):
     """A Control frame as a remote peer would address it to us."""
@@ -62,7 +56,6 @@ def connect(caller, callee, now=0.0):
 
 _CALLER_PATHS = {
     CallState.WAITING_FOR_RESPONSE: [],
-    CallState.AUTH_SENT: [Signal.AUTHREQ],
     CallState.ACCEPTED: [Signal.ACCEPT],
     CallState.UP: [Signal.ACCEPT, Signal.ANSWER],
 }
@@ -107,81 +100,6 @@ def test_open_policy_immediate_answer():
     assert caller_cs.remote_call == callee_cs.local_call
 
 
-def test_challenge_policy_full_auth_round():
-    caller = IaxEndpoint("a")
-    callee = IaxEndpoint("b", policy=CalleePolicy.CHALLENGE)
-    new, caller_cs = caller.place_call("b", 0.0)
-    replies, callee_cs = callee.handle_signal(new, 0.0)
-    assert [Signal(f.subclass) for f in replies] == [Signal.AUTHREQ]
-    assert callee_cs.state is CallState.AUTH_SENT
-    assert len(replies[0].payload) == 8  # challenge nonce
-
-    authreps, _ = caller.handle_signal(replies[0], 0.0)
-    assert caller_cs.state is CallState.AUTH_SENT
-    assert [Signal(f.subclass) for f in authreps] == [Signal.AUTHREP]
-    assert authreps[0].payload == replies[0].payload + SECRET
-    assert authreps[0].dest_call == callee_cs.local_call
-
-    accepts, _ = callee.handle_signal(authreps[0], 0.0)
-    assert [Signal(f.subclass) for f in accepts] == [Signal.ACCEPT, Signal.ANSWER]
-    assert callee_cs.state is CallState.UP
-    for f in accepts:
-        caller.handle_signal(f, 0.0)
-    assert caller_cs.state is CallState.UP
-
-
-def test_challenge_wrong_secret_rejected():
-    caller = IaxEndpoint("a", secret=b"wrong")
-    callee = IaxEndpoint("b", policy=CalleePolicy.CHALLENGE)
-    new, caller_cs = caller.place_call("b", 0.0)
-    (authreq,), callee_cs = callee.handle_signal(new, 0.0)
-    (authrep,), _ = caller.handle_signal(authreq, 0.0)
-    rejects, _ = callee.handle_signal(authrep, 0.0)
-    assert [Signal(f.subclass) for f in rejects] == [Signal.REJECT]
-    assert rejects[0].payload == b"bad-auth"
-    assert callee_cs.state is CallState.HUNGUP
-    assert callee_cs.remote_call == caller_cs.local_call
-    caller.handle_signal(rejects[0], 0.0)
-    assert caller_cs.state is CallState.HUNGUP
-
-
-@pytest.mark.parametrize(
-    "policy,cause",
-    [(CalleePolicy.REJECT, b"rejected"), (CalleePolicy.BUSY, b"busy")],
-)
-def test_refusing_policies_send_reject(policy, cause):
-    caller = IaxEndpoint("a")
-    callee = IaxEndpoint("b", policy=policy)
-    new, caller_cs = caller.place_call("b", 0.0)
-    rejects, callee_cs = callee.handle_signal(new, 0.0)
-    assert [Signal(f.subclass) for f in rejects] == [Signal.REJECT]
-    assert rejects[0].payload == cause
-    assert callee_cs.state is CallState.HUNGUP
-    assert callee_cs.remote_call == caller_cs.local_call
-    caller.handle_signal(rejects[0], 0.0)
-    assert caller_cs.state is CallState.HUNGUP
-    assert caller_cs.remote_call == callee_cs.local_call
-
-
-def test_settled_challenge_refuses_a_second_authrep():
-    callee = IaxEndpoint("b", policy=CalleePolicy.CHALLENGE)
-    (authreq,), cs = callee.handle_signal(signal_frame(Signal.NEW, 5, 0), 0.0)
-    authrep = signal_frame(Signal.AUTHREP, 5, cs.local_call, oseqno=1, payload=authreq.payload + SECRET)
-    callee.handle_signal(authrep, 0.0)
-    assert cs.state is CallState.UP
-    with pytest.raises(ProtocolViolation):
-        callee.handle_signal(authrep, 0.0)
-    assert cs.state is CallState.UP
-
-
-def test_challenge_nonce_is_seed_deterministic():
-    one = IaxEndpoint("b", policy=CalleePolicy.CHALLENGE, rng=random.Random(7))
-    two = IaxEndpoint("b", policy=CalleePolicy.CHALLENGE, rng=random.Random(7))
-    (f1,), _ = one.handle_signal(signal_frame(Signal.NEW, 5, 0), 0.0)
-    (f2,), _ = two.handle_signal(signal_frame(Signal.NEW, 5, 0), 0.0)
-    assert f1.payload == f2.payload
-
-
 # -- sequence numbers --------------------------------------------------------
 
 
@@ -208,8 +126,8 @@ def test_sequence_numbers_through_open_handshake():
         (CallState.WAITING_FOR_RESPONSE, Signal.ANSWER),
         (CallState.WAITING_FOR_RESPONSE, Signal.RINGING),
         (CallState.WAITING_FOR_RESPONSE, Signal.PROCEEDING),
-        (CallState.AUTH_SENT, Signal.AUTHREQ),
-        (CallState.AUTH_SENT, Signal.ANSWER),
+        (CallState.WAITING_FOR_RESPONSE, Signal.AUTHREQ),  # no callee challenges
+        (CallState.ACCEPTED, Signal.AUTHREQ),
         (CallState.ACCEPTED, Signal.ACCEPT),
         (CallState.UP, Signal.NEW),
         (CallState.UP, Signal.ANSWER),
@@ -250,20 +168,9 @@ def test_handle_signal_refuses_voice_frames():
         ep.handle_signal(voice, 0.0)
 
 
-@pytest.mark.parametrize(
-    "sig",
-    [s for s in Signal if s not in (Signal.AUTHREP, Signal.REJECT, Signal.HANGUP)],
-)
-def test_callee_awaiting_auth_rejects_other_signals(sig):
-    callee = IaxEndpoint("b", policy=CalleePolicy.CHALLENGE)
-    _, cs = callee.handle_signal(signal_frame(Signal.NEW, 5, 0), 0.0)
-    with pytest.raises(ProtocolViolation):
-        callee.handle_signal(signal_frame(sig, 5, cs.local_call, oseqno=1), 0.0)
-    assert cs.state is CallState.AUTH_SENT
-
-
 @pytest.mark.parametrize("sig", [s for s in Signal if s not in (Signal.REJECT, Signal.HANGUP)])
 def test_answered_callee_refuses_all_but_teardown(sig):
+    # AUTHREQ and AUTHREP included: a callee answers NEW at once and takes no credentials
     callee = IaxEndpoint("b")
     _, cs = callee.handle_signal(signal_frame(Signal.NEW, 5, 0), 0.0)
     with pytest.raises(ProtocolViolation) as exc_info:
@@ -318,8 +225,7 @@ def test_hangup_unknown_call_raises():
 @pytest.mark.parametrize("state", list(_CALLER_PATHS))
 def test_remote_call_bound_exactly_when_leg_established(state):
     _, cs = caller_at(state)
-    unbound = {CallState.WAITING_FOR_RESPONSE, CallState.AUTH_SENT}
-    assert (cs.remote_call is None) == (state in unbound)
+    assert (cs.remote_call is None) == (state is CallState.WAITING_FOR_RESPONSE)
 
 
 def test_reject_before_accept_still_records_peer():
@@ -498,12 +404,11 @@ _OPS = st.sampled_from(["place", *Signal])  # place_call, or a signal received
 
 
 @given(
-    policy=st.sampled_from(CalleePolicy),
     # peer numbers from a tiny range, so calls collide on them
     ops=st.lists(st.tuples(_OPS, st.integers(0, 3), st.integers(0, 7)), max_size=30),
 )
-def test_mini_frames_route_to_the_first_call_with_their_peer(policy, ops):
-    ep = IaxEndpoint("ep", policy=policy)
+def test_mini_frames_route_to_the_first_call_with_their_peer(ops):
+    ep = IaxEndpoint("ep")
     probe = 0
     for op, peer, pick in ops:
         if op == "place":

@@ -131,19 +131,15 @@ def test_join_activates_and_relays_to_chairman():
     assert all(over_wire(m) == m for m in out)
 
 
-@pytest.mark.parametrize(
-    "verb,status",
-    [(Verb.REJECT, MemberStatus.REJECTED), (Verb.BUSY, MemberStatus.BUSY)],
-)
-def test_decline_responses_do_not_activate(verb, status):
+@pytest.mark.parametrize("verb", [Verb.REJECT, Verb.BUSY, Verb.LEAVE])
+def test_server_refuses_unrouted_verbs(verb):
+    """An invitee only ever JOINs; a decline or a LEAVE is refused and moves nothing."""
     _, conf = fresh_conference()
-    out, conf = server_route(RswMessage(verb, 7, "p1", "server"), conf)
-    assert conf.members["p1"] is status
-    assert conf.phase is ConferencePhase.CREATING  # only a JOIN activates
-    assert out == [
-        RswMessage(Verb.ACK, 7, "server", "p1"),
-        RswMessage(verb, 7, "p1", "chair"),
-    ]
+    before = dict(conf.members)
+    with pytest.raises(RswError, match="does not route"):
+        server_route(RswMessage(verb, 7, "p1", "server"), conf)
+    assert conf.members == before
+    assert conf.phase is ConferencePhase.CREATING
 
 
 def test_second_join_keeps_conference_active():
@@ -165,16 +161,15 @@ def test_invitation_is_single_use_at_server():
     _, conf = server_route(RswMessage(Verb.JOIN, 7, "p1", "server"), conf)
     with pytest.raises(NotInvited):
         server_route(RswMessage(Verb.JOIN, 7, "p1", "server"), conf)
-    with pytest.raises(NotInvited):
-        server_route(RswMessage(Verb.REJECT, 7, "p1", "server"), conf)
 
 
 def test_status_never_moves_backwards():
     _, conf = fresh_conference()
-    _, conf = server_route(RswMessage(Verb.REJECT, 7, "p1", "server"), conf)
-    with pytest.raises(NotInvited):  # a decline cannot become a join
-        server_route(RswMessage(Verb.JOIN, 7, "p1", "server"), conf)
-    assert conf.members["p1"] is MemberStatus.REJECTED
+    _, conf = server_route(RswMessage(Verb.JOIN, 7, "p1", "server"), conf)
+    for verb in (Verb.JOIN, Verb.REJECT):  # a join can neither repeat nor become a decline
+        with pytest.raises(RswError):
+            server_route(RswMessage(verb, 7, "p1", "server"), conf)
+    assert conf.members["p1"] is MemberStatus.JOINED
 
 
 # -- server: ending ------------------------------------------------------------------
@@ -183,12 +178,12 @@ def test_status_never_moves_backwards():
 def test_chairman_end_notifies_joined_members_only():
     _, conf = fresh_conference()
     _, conf = server_route(RswMessage(Verb.JOIN, 7, "p1", "server"), conf)
-    _, conf = server_route(RswMessage(Verb.REJECT, 7, "p2", "server"), conf)
     out, conf = server_route(RswMessage(Verb.END, 7, "chair", "server"), conf)
     assert conf.phase is ConferencePhase.ENDED
+    assert conf.members["p2"] is MemberStatus.INVITED
     assert out == [
         RswMessage(Verb.ACK, 7, "server", "chair"),
-        RswMessage(Verb.END, 7, "server", "p1"),  # p2 declined, gets nothing
+        RswMessage(Verb.END, 7, "server", "p1"),  # p2 never answered, gets nothing
     ]
     assert all(over_wire(m) == m for m in out)
 
@@ -340,16 +335,15 @@ def test_full_conference_lifecycle():
     for invitation in out[:-1]:
         invitee = RswInvitee(invitation.recipient)
         invitee.receive_invitation(over_wire(invitation))
-        reply = invitee.respond()
-        if reply.sender == "p2":  # p2 is busy elsewhere; a BUSY arrives from the wire
-            reply = RswMessage(Verb.BUSY, 3, "p2", "server")
-        replies, conf = server_route(over_wire(reply), conf)
+        if invitee.endpoint_id == "p2":
+            continue  # p2 is busy elsewhere and never answers
+        replies, conf = server_route(over_wire(invitee.respond()), conf)
         relayed.extend(m for m in replies if m.recipient == "chair")
 
     assert conf.phase is ConferencePhase.ACTIVE
-    assert {m.verb for m in relayed} == {Verb.JOIN, Verb.BUSY}
+    assert [(m.verb, m.sender) for m in relayed] == [(Verb.JOIN, "p1"), (Verb.JOIN, "p3")]
     assert conf.members["p1"] is MemberStatus.JOINED
-    assert conf.members["p2"] is MemberStatus.BUSY
+    assert conf.members["p2"] is MemberStatus.INVITED
     assert conf.members["p3"] is MemberStatus.JOINED
 
     tx = new_rtp_tx(random.Random(9))
