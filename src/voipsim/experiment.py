@@ -148,11 +148,10 @@ def run_scenario(
     except KeyError:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {KNOWN_PROTOCOLS}") from None
     stats: MediaStats = runner(delay_ms, cfg, trace)
-    delays = stats.delays
     return score_run(
-        delays,
+        stats.delay_sum,
         stats.frames_sent,
-        len(delays),
+        stats.frames_recv,
         protocol=protocol,
         configured_delay_ms=delay_ms,
         setup_time_ms=stats.setup_ms if stats.setup_ms is not None else 0.0,

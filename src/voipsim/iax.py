@@ -181,16 +181,15 @@ class IaxEndpoint:
             if sig is Signal.NEW:
                 return self._on_new(f, now)
             raise ProtocolViolation(None, sig)
+        teardown = sig in (Signal.REJECT, Signal.HANGUP)
+        nxt = CallState.HUNGUP if teardown else _CALLER_NEXT.get((cs.state, sig))
+        if nxt is None:
+            raise ProtocolViolation(cs.state, sig)  # before any field moves
         cs.iseqno = (f.oseqno + 1) & 0xFF
-        if sig in (Signal.REJECT, Signal.HANGUP):
+        if teardown:
             if cs.remote_call is None:
                 cs.remote_call = f.source_call  # record who tore the call down
-            cs.state = CallState.HUNGUP
-            return [], cs
-        nxt = _CALLER_NEXT.get((cs.state, sig))
-        if nxt is None:
-            raise ProtocolViolation(cs.state, sig)
-        if sig is Signal.ACCEPT:
+        elif sig is Signal.ACCEPT:
             self._set_peer(cs, f.source_call)
             cs.remote_call = f.source_call  # leg established
         cs.state = nxt

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 #: Base transmission rating (no equipment impairment, no advantage factor).
 R0 = 93.2
@@ -70,7 +69,7 @@ class QosReport:
 
 
 def score_run(
-    delays: Sequence[float],
+    delay_sum: float,
     sent: int,
     recv: int,
     *,
@@ -78,25 +77,27 @@ def score_run(
     configured_delay_ms: float = 0.0,
     setup_time_ms: float = 0.0,
 ) -> QosReport:
-    """Score one run from its per-packet one-way delays and packet counters.
+    """Score one run from the sum of its one-way delays and its packet counters.
 
-    ``delays`` holds one entry per received packet (duplicates already
-    removed), so ``len(delays) == recv <= sent``.  A run that received
-    nothing is reported as MOS 1.0 with ``no_packets`` set instead of
-    raising.  The mean delay feeds the impairment curve.
+    ``delay_sum`` adds one delay per received packet (duplicates already
+    removed), so ``recv <= sent`` and the mean delay, which feeds the
+    impairment curve, is ``delay_sum / recv``.  A run that received nothing
+    is reported as MOS 1.0 with ``no_packets`` set instead of raising.
     """
     if sent < 0 or recv < 0:
         raise EModelError("packet counters must be non-negative")
-    if recv != len(delays):
-        raise EModelError(f"recv={recv} but {len(delays)} delay samples")
     if recv > sent:
         raise EModelError(f"recv={recv} exceeds sent={sent}")
+    if delay_sum < 0:
+        raise NegativeDelay(f"delay sum {delay_sum} ms")
+    if recv == 0 and delay_sum != 0:
+        raise EModelError(f"delay sum {delay_sum} ms but no packet received")
 
     if recv == 0:
         mean_delay = r = 0.0
         loss_fraction = 1.0 if sent else 0.0
     else:
-        mean_delay = sum(delays) / len(delays)
+        mean_delay = delay_sum / recv
         loss_fraction = 1.0 - recv / sent
         r = R0 - idd(mean_delay) - 30.0 * loss_fraction
     return QosReport(

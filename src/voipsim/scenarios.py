@@ -1,8 +1,8 @@
 """Executable scenarios: one call (or conference) per simulator run.
 
 Both scenarios stream one-way media at a fixed cadence across a single
-emulated WAN link and measure each counted frame's one-way delay, keeping
-one float per frame in a ``MediaStats``:
+emulated WAN link and add each counted frame's one-way delay to a
+``MediaStats`` as the frame arrives:
 
 * two-party call: caller places the call, the callee auto-answers, media
   runs caller -> callee in mini frames (full frames only to anchor), then
@@ -105,44 +105,35 @@ def _packet_tail(kind: str, key: str, **fields) -> str:
 
 
 class MediaStats:
-    """Per-run media measurements: one float per counted frame.
+    """Per-run media measurements: two counts, a delay sum and the frames in flight.
 
-    Slot ``i`` of ``_frames`` holds the send time of the ``i``-th counted
-    frame until its first copy arrives, and from then on its one-way delay
-    (arrival minus send time).  ``_in_flight`` maps the stats key of each
-    frame not yet arrived (IAX ``ts32``, RTP ``seq``; unique within a run)
-    to its slot, so it holds only the frames in flight and the lost ones.
-    A duplicate copy, or a key that was never counted (the IAX anchor full
-    frame), finds no entry and is ignored.
+    ``_in_flight`` maps the stats key of each counted frame not yet arrived
+    (IAX ``ts32``, RTP ``seq``; unique within a run) to its send time, so it
+    holds only the frames in flight and the lost ones.  The first copy of a
+    frame to arrive adds its one-way delay (arrival minus send time) to
+    ``delay_sum`` and counts in ``frames_recv``.  A duplicate copy, or a key
+    that was never counted (the IAX anchor full frame), finds no entry and is
+    ignored.
     """
 
-    __slots__ = ("setup_ms", "_frames", "_in_flight")
+    __slots__ = ("setup_ms", "frames_sent", "frames_recv", "delay_sum", "_in_flight")
 
     def __init__(self):
         self.setup_ms: float | None = None
-        self._frames: list[float] = []
-        self._in_flight: dict[int, int] = {}
+        self.frames_sent = 0
+        self.frames_recv = 0
+        self.delay_sum = 0.0
+        self._in_flight: dict[int, float] = {}
 
     def _sent(self, key: int, now: float) -> None:
-        self._in_flight[key] = len(self._frames)
-        self._frames.append(now)
+        self._in_flight[key] = now
+        self.frames_sent += 1
 
     def _arrived(self, key: int, now: float) -> None:
-        i = self._in_flight.pop(key, None)
-        if i is not None:
-            self._frames[i] = now - self._frames[i]
-
-    @property
-    def frames_sent(self) -> int:
-        return len(self._frames)
-
-    @property
-    def delays(self) -> list[float]:
-        """One-way delay per delivered frame, in send order."""
-        if not self._in_flight:
-            return self._frames  # every slot is a delay; no copy is made
-        lost = set(self._in_flight.values())
-        return [d for i, d in enumerate(self._frames) if i not in lost]
+        sent_at = self._in_flight.pop(key, None)
+        if sent_at is not None:
+            self.delay_sum += now - sent_at
+            self.frames_recv += 1
 
 
 def _run(label: str, delay_ms: float, cfg: SweepConfig, trace: TraceLog | None, *nodes: _Node) -> None:

@@ -98,9 +98,9 @@ def test_criterion_3_scorer_anchor_values():
     assert idd(100.0) == 0.0
     assert r_to_mos(0.0) == 1.0
     assert r_to_mos(100.0) == 4.5
-    mos_near = score_run([0.0] * 500, 500, 500).mos
+    mos_near = score_run(0.0, 500, 500).mos
     assert mos_near == pytest.approx(4.409285824, abs=0.01)
-    mos_far = score_run([2000.0] * 500, 500, 500).mos
+    mos_far = score_run(2000.0 * 500, 500, 500).mos
     assert mos_far == pytest.approx(2.3214665457621866, abs=0.01)
     print(f"PASS: criterion 3 — anchors exact; mos(0)={mos_near:.3f}, mos(2000)={mos_far:.3f}")
 

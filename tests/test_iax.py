@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -430,3 +432,47 @@ def test_mini_frames_route_to_the_first_call_with_their_peer(ops):
             else:
                 assert ep.receive_media_frame(MiniFrame(source_call=p, ts16=probe)) == (probe, b"")
                 assert want.rx.last_reconstructed_ts == probe
+
+
+# -- a refused signal changes nothing -----------------------------------------------
+
+
+def test_refused_signal_leaves_the_sequence_numbers_alone():
+    callee = IaxEndpoint("b")
+    _, cs = callee.handle_signal(signal_frame(Signal.NEW, 5, 0), 0.0)
+    assert cs.iseqno == 1
+    with pytest.raises(ProtocolViolation):
+        callee.handle_signal(signal_frame(Signal.AUTHREP, 5, cs.local_call, oseqno=7), 0.0)
+    assert (cs.state, cs.iseqno, cs.oseqno) == (CallState.UP, 1, 2)
+
+
+_INJECTION = st.tuples(
+    st.sampled_from(["caller", "callee"]),  # the end that receives the signal
+    st.sampled_from(Signal),
+    st.sampled_from(["call", "zero", "stranger"]),  # how the frame is addressed
+    st.integers(0, 0xFF),  # its oseqno
+)
+
+
+@given(handshake=st.integers(0, 2), injections=st.lists(_INJECTION, max_size=12))
+def test_a_refused_signal_leaves_the_endpoint_as_it_was(handshake, injections):
+    # a real pair: NEW and the first `handshake` of the callee's ACCEPT, ANSWER
+    # cross the wire codec; then any signal reaches either end
+    caller, callee = IaxEndpoint("caller"), IaxEndpoint("callee")
+    new, caller_cs = caller.place_call("callee", 0.0)
+    replies, callee_cs = callee.handle_signal(decode_full(encode_full(new)), 0.0)
+    for reply in replies[:handshake]:
+        caller.handle_signal(decode_full(encode_full(reply)), 0.0)
+    ends = {"caller": (caller, caller_cs, callee_cs), "callee": (callee, callee_cs, caller_cs)}
+    for end, sig, addressing, oseqno in injections:
+        ep, own, peer = ends[end]
+        dest = {"call": own.local_call, "zero": 0, "stranger": 0x7FFF}[addressing]
+        frame = FullFrame(peer.local_call, dest, 0, oseqno, 0, FrameKind.CONTROL, sig, b"callee")
+        before = copy.deepcopy((ep.calls, ep._by_peer, ep._next_hint))
+        try:
+            _, cs = ep.handle_signal(decode_full(encode_full(frame)), 1.0)
+        except ProtocolViolation:
+            assert (ep.calls, ep._by_peer, ep._next_hint) == before
+        else:
+            assert cs.iseqno == (oseqno + 1) & 0xFF
+            assert ep.calls[cs.local_call] is cs

@@ -120,14 +120,14 @@ def test_r_to_mos_range(r):
 
 def test_score_run_at_reference_delays():
     for delay, expected in MOS_AT_DELAY_REFERENCE.items():
-        report = score_run([float(delay)] * 20, 20, 20)
+        report = score_run(float(delay) * 20, 20, 20)
         assert math.isclose(report.mos, expected, rel_tol=1e-9), delay
         assert report.mean_e2e_delay_ms == delay
         assert report.loss_fraction == 0.0
 
 
 def test_score_run_statistics():
-    report = score_run([10.0, 20.0, 30.0], 4, 3, protocol="IAX",
+    report = score_run(10.0 + 20.0 + 30.0, 4, 3, protocol="IAX",
                        configured_delay_ms=15.0, setup_time_ms=44.0)
     assert report.mean_e2e_delay_ms == 20.0
     assert report.loss_fraction == 0.25
@@ -141,29 +141,41 @@ def test_score_run_statistics():
 
 
 def test_score_run_loss_penalty_is_linear():
-    half = score_run([0.0] * 50, 100, 50)
+    half = score_run(0.0, 100, 50)
     assert math.isclose(half.r_factor, 93.2 - 15.0)
     assert math.isclose(half.loss_fraction, 0.5)
 
 
 def test_score_run_nothing_received():
-    report = score_run([], 500, 0)
+    report = score_run(0.0, 500, 0)
     assert report.no_packets
     assert report.mos == 1.0
     assert report.loss_fraction == 1.0
     assert report.mean_e2e_delay_ms == 0.0
     # a run that never sent either is not counted as total loss
-    idle = score_run([], 0, 0)
+    idle = score_run(0.0, 0, 0)
     assert idle.loss_fraction == 0.0 and idle.no_packets
 
 
 def test_score_run_counter_validation():
-    with pytest.raises(EModelError):
-        score_run([1.0], 1, 2)  # recv != len(delays)
-    with pytest.raises(EModelError):
-        score_run([1.0, 2.0], 1, 2)  # recv > sent
-    with pytest.raises(EModelError):
-        score_run([], -1, 0)
+    with pytest.raises(EModelError, match="exceeds"):
+        score_run(3.0, 1, 2)  # recv > sent
+    with pytest.raises(EModelError, match="non-negative"):
+        score_run(0.0, -1, 0)
+    with pytest.raises(EModelError, match="non-negative"):
+        score_run(0.0, 1, -1)
+
+
+@pytest.mark.parametrize("recv", [0, 1])
+def test_score_run_refuses_a_negative_delay_sum(recv):
+    with pytest.raises(NegativeDelay):
+        score_run(-1.0, 1, recv)
+
+
+@pytest.mark.parametrize("delay_sum", [1.0, 5e-324, math.inf])
+def test_score_run_refuses_delay_without_a_received_packet(delay_sum):
+    with pytest.raises(EModelError, match="no packet received"):
+        score_run(delay_sum, 3, 0)
 
 
 # ----------------------------------------------------------------- properties
@@ -172,7 +184,7 @@ def test_score_run_counter_validation():
 def test_mos_non_increasing_in_delay_over_random_sample():
     rng = random.Random(1234)
     delays = sorted(rng.uniform(0.0, 3000.0) for _ in range(1000))
-    scores = [score_run([d], 1, 1).mos for d in delays]
+    scores = [score_run(d, 1, 1).mos for d in delays]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
@@ -181,6 +193,7 @@ def test_mos_non_increasing_in_delay_over_random_sample():
     st.integers(0, 40),
 )
 def test_score_run_range_invariant(delays, extra_lost):
-    report = score_run(delays, len(delays) + extra_lost, len(delays))
+    report = score_run(sum(delays), len(delays) + extra_lost, len(delays))
+    assert report.mean_e2e_delay_ms == sum(delays) / len(delays)
     assert 1.0 <= report.mos <= 4.5
     assert 0.0 <= report.loss_fraction <= 1.0

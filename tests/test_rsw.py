@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from voipsim import (
     ConferenceNotActive,
@@ -227,6 +229,25 @@ def test_every_verb_is_routed_acked_or_refused(verb):
         assert out == []
     else:
         assert out, f"{verb.value} was dropped without a reply"
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from(Verb),
+    st.sampled_from(["chair", "p1", "p2", "stranger"]),  # the sender
+    st.sampled_from([7, 8]),  # the conference named; the server holds 7
+), max_size=12))
+def test_a_refused_message_leaves_the_conference_as_it_was(messages):
+    _, conf = fresh_conference()
+    for verb, sender, conf_id in messages:
+        create = verb is Verb.CREATE  # a second CREATE: the server refuses it
+        msg = over_wire(RswMessage(verb, conf_id, sender, "p1" if create else "server", MEDIA if create else ""))
+        before = copy.deepcopy(conf)
+        try:
+            _, after = server_route(msg, conf)
+        except RswError:
+            assert conf == before
+        else:
+            assert after is conf
 
 
 def test_stray_ack_is_ignored():
