@@ -13,8 +13,9 @@ Received-signal transitions:
     both    any --REJECT/HANGUP--> Hungup
 
 Anything else raises :class:`ProtocolViolation`, AUTHREQ and AUTHREP
-included: no endpoint challenges a caller.  ACCEPT establishes the call
-leg: ``remote_call`` stays None until ACCEPT is sent or received.
+included: no endpoint challenges a caller.  A refused signal changes
+nothing, not even ``iseqno``.  ACCEPT establishes the call leg:
+``remote_call`` stays None until ACCEPT is sent or received.
 """
 
 from __future__ import annotations

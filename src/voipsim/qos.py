@@ -82,7 +82,10 @@ def score_run(
     ``delay_sum`` adds one delay per received packet (duplicates already
     removed), so ``recv <= sent`` and the mean delay, which feeds the
     impairment curve, is ``delay_sum / recv``.  A run that received nothing
-    is reported as MOS 1.0 with ``no_packets`` set instead of raising.
+    is reported as MOS 1.0 with ``no_packets`` set instead of raising.  A
+    negative sum raises :class:`NegativeDelay`; a non-finite sum, a nonzero
+    sum with nothing received, or inconsistent counters raise
+    :class:`EModelError`.
     """
     if sent < 0 or recv < 0:
         raise EModelError("packet counters must be non-negative")
@@ -90,6 +93,8 @@ def score_run(
         raise EModelError(f"recv={recv} exceeds sent={sent}")
     if delay_sum < 0:
         raise NegativeDelay(f"delay sum {delay_sum} ms")
+    if not math.isfinite(delay_sum):
+        raise EModelError(f"delay sum {delay_sum} ms is not finite")
     if recv == 0 and delay_sum != 0:
         raise EModelError(f"delay sum {delay_sum} ms but no packet received")
 

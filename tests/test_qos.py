@@ -172,10 +172,18 @@ def test_score_run_refuses_a_negative_delay_sum(recv):
         score_run(-1.0, 1, recv)
 
 
-@pytest.mark.parametrize("delay_sum", [1.0, 5e-324, math.inf])
+@pytest.mark.parametrize("delay_sum", [1.0, 5e-324])
 def test_score_run_refuses_delay_without_a_received_packet(delay_sum):
     with pytest.raises(EModelError, match="no packet received"):
         score_run(delay_sum, 3, 0)
+
+
+@pytest.mark.parametrize("recv", [0, 1])
+@pytest.mark.parametrize("delay_sum", [math.nan, math.inf])
+def test_score_run_refuses_a_non_finite_delay_sum(delay_sum, recv):
+    # either would score the run as MOS nan
+    with pytest.raises(EModelError, match="not finite"):
+        score_run(delay_sum, 1, recv)
 
 
 # ----------------------------------------------------------------- properties
