@@ -64,10 +64,8 @@ from .rsw import (
 )
 from .netsim import (
     EmptyPacket,
-    EventKind,
     HorizonExceeded,
     LinkConfig,
-    SimEvent,
     Simulator,
     serialization_ms,
 )

@@ -75,7 +75,8 @@ def load_config_file(path: str) -> dict[str, str]:
 def resolve_settings(args: argparse.Namespace) -> tuple[SweepConfig, str, str | None]:
     """The sweep config, CSV path and trace path (or None) that parsed flags ask for.
 
-    Config-file values are layered under explicit flags.
+    Config-file values are layered under explicit flags.  A trace path that
+    names the CSV file (after resolving links and relative parts) is refused.
     """
     merged: dict = {}
     if args.config:
@@ -91,6 +92,8 @@ def resolve_settings(args: argparse.Namespace) -> tuple[SweepConfig, str, str | 
             merged[dest] = flag_value
     out_path = merged.pop("out", None) or "sweep.csv"
     trace_path = merged.pop("trace", None) or None
+    if trace_path is not None and os.path.realpath(trace_path) == os.path.realpath(out_path):
+        raise ValueError(f"the CSV ({out_path}) and the trace ({trace_path}) name the same file")
     protocol = merged.pop("protocols", "both")
     if protocol not in _PROTOCOL_CHOICES:
         raise ValueError(f"protocol must be one of {sorted(_PROTOCOL_CHOICES)}, got {protocol!r}")

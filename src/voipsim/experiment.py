@@ -105,19 +105,24 @@ class SweepConfig:
             raise ValueError("duration_s too short for a single media frame at this cadence")
         if self.media_frame_count() > 0xFFFF:
             raise ValueError("duration_s / frame_interval_ms exceeds the 16-bit sequence space")
-        horizon = self.run_horizon_ms(self.delay_end_ms)
-        if horizon > MAX_RUN_MS:
-            raise ValueError(
-                f"a run at delay_end_ms={self.delay_end_ms:g} may last {horizon:.0f} ms, more than the "
-                f"{MAX_RUN_MS} ms (2**32 - 1) an IAX 32-bit timestamp can count"
-            )
+        self.run_horizon_ms(self.delay_end_ms)  # the grid's longest run
 
     def media_frame_count(self) -> int:
         return int(round(self.duration_s * 1000.0 / self.frame_interval_ms))
 
     def run_horizon_ms(self, delay_ms: float) -> float:
-        """Simulated time the run at ``delay_ms`` may take; a run still busy then fails."""
-        return self.duration_s * 1000.0 + 20.0 * delay_ms + 60_000.0
+        """Simulated time the run at ``delay_ms`` may take; a run still busy then fails.
+
+        Raises ValueError when that passes ``MAX_RUN_MS``: every run, in a
+        sweep or alone, starts with this check.
+        """
+        horizon = self.duration_s * 1000.0 + 20.0 * delay_ms + 60_000.0
+        if horizon > MAX_RUN_MS:
+            raise ValueError(
+                f"a run at delay {delay_ms:g} ms may last {horizon:.0f} ms, more than the "
+                f"{MAX_RUN_MS} ms (2**32 - 1) an IAX 32-bit timestamp can count"
+            )
+        return horizon
 
     def delay_point_count(self) -> int:
         """Delays on the grid, endpoints included."""

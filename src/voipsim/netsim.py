@@ -15,10 +15,14 @@ consumes randomness.  ``deliver_local`` moves a packet between co-located
 nodes (e.g. a conference server and a member on the same host) at no cost:
 it arrives at the current time.
 
-Events are plain ``__slots__`` objects, one per scheduled occurrence, and
+An event is a heap entry ``(due, seq, dst, payload)``; ``seq`` is unique, so
+the heap never compares ``dst`` or ``payload``.  Dispatch calls the handler
+registered for ``dst`` as ``handler(sim, payload)``: a delivered packet's
+payload is its bytes, and a timer tick's is ``None``.
 :meth:`Simulator.schedule` is the one entry to the queue: every send and
 timer goes through it, so its ``due >= now`` guard and the ``(due, seq)``
-order hold for all of them.
+order hold for all of them.  The send methods return the arrival times they
+queued.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -77,40 +80,8 @@ def serialization_ms(link: LinkConfig, size_bytes: int) -> float:
     return 8.0 * (size_bytes + link.overhead_bytes) * 1000.0 / link.link_rate_bps
 
 
-class EventKind(Enum):
-    DELIVER = "deliver"
-    TIMER = "timer"
-
-
-# bound once: reading a member off an Enum class is slow on CPython 3.11
-_DELIVER = EventKind.DELIVER
-_TIMER = EventKind.TIMER
-
-
-class SimEvent:
-    """A scheduled occurrence; ordering key is (due, seq).
-
-    Built positionally, one per event, so it is a slotted class rather than
-    a dataclass; treat its attributes as read-only.
-    """
-
-    __slots__ = ("due", "seq", "kind", "dst", "payload")
-
-    def __init__(self, due: float, seq: int, kind: EventKind, dst: str, payload: bytes | str):
-        self.due = due
-        self.seq = seq
-        self.kind = kind
-        self.dst = dst
-        self.payload = payload
-
-    def __repr__(self) -> str:
-        return (
-            f"SimEvent(due={self.due!r}, seq={self.seq!r}, kind={self.kind!r}, "
-            f"dst={self.dst!r}, payload={self.payload!r})"
-        )
-
-
-Handler = Callable[["Simulator", SimEvent], None]
+# a handler gets the event's payload: the packet, or None for a timer tick
+Handler = Callable[["Simulator", "bytes | None"], None]
 
 
 class Simulator:
@@ -120,7 +91,7 @@ class Simulator:
         self.now: float = 0.0
         self.rng = random.Random(seed)
         self.dispatched = 0
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        self._heap: list[tuple[float, int, str, bytes | None]] = []
         self._next_seq = 0
         self._handlers: dict[str, Handler] = {}
         self._reliable_front: dict[tuple[str, str], float] = {}
@@ -128,21 +99,20 @@ class Simulator:
     def register(self, endpoint_id: str, handler: Handler) -> None:
         self._handlers[endpoint_id] = handler
 
-    def schedule(self, due: float, kind: EventKind, dst: str, payload: bytes | str) -> SimEvent:
-        """Queue an event; ``due`` must not precede the current clock."""
+    def schedule(self, due: float, dst: str, payload: bytes | None) -> None:
+        """Queue ``payload`` for ``dst``; ``due`` must not precede the current clock."""
         if due < self.now:
             raise ValueError(f"due {due} precedes now {self.now}")
         seq = self._next_seq
         self._next_seq = seq + 1
-        ev = SimEvent(due, seq, kind, dst, payload)
-        heappush(self._heap, (due, seq, ev))
-        return ev
+        heappush(self._heap, (due, seq, dst, payload))
 
-    def schedule_timer(self, delay_ms: float, dst: str, tag: str) -> SimEvent:
-        return self.schedule(self.now + delay_ms, _TIMER, dst, tag)
+    def schedule_timer(self, delay_ms: float, dst: str) -> None:
+        """Tick ``dst`` after ``delay_ms``: its handler gets ``None``."""
+        self.schedule(self.now + delay_ms, dst, None)
 
-    def transmit(self, link: LinkConfig, pkt: bytes, src: str, dst: str) -> list[SimEvent]:
-        """Send over the lossy media channel; returns the scheduled Delivers.
+    def transmit(self, link: LinkConfig, pkt: bytes, src: str, dst: str) -> list[float]:
+        """Send over the lossy media channel; returns the arrival times queued.
 
         Four RNG draws happen on every call (loss, duplicate, reorder,
         jitter) in that fixed order, whatever the configured probabilities,
@@ -165,13 +135,14 @@ class Simulator:
             return []
         base = 0.0 if reordered else link.delay_ms
         arrival = self.now + ser + max(0.0, base + jitter)
-        events = [self.schedule(arrival, _DELIVER, dst, pkt)]
+        self.schedule(arrival, dst, pkt)
         if duplicated:
-            events.append(self.schedule(arrival, _DELIVER, dst, pkt))
-        return events
+            self.schedule(arrival, dst, pkt)
+            return [arrival, arrival]
+        return [arrival]
 
-    def reliable_send(self, link: LinkConfig, pkt: bytes, src: str, dst: str) -> SimEvent:
-        """Send over the in-order signaling channel.
+    def reliable_send(self, link: LinkConfig, pkt: bytes, src: str, dst: str) -> float:
+        """Send over the in-order signaling channel; returns the arrival time.
 
         Arrival is ``now + serialization + delay_ms`` — no loss, duplication,
         reordering, or jitter, and no RNG draws.  Arrival is clamped to the
@@ -184,13 +155,15 @@ class Simulator:
         front = self._reliable_front.get((src, dst), 0.0)
         arrival = max(arrival, front)
         self._reliable_front[(src, dst)] = arrival
-        return self.schedule(arrival, _DELIVER, dst, pkt)
+        self.schedule(arrival, dst, pkt)
+        return arrival
 
-    def deliver_local(self, pkt: bytes, dst: str) -> SimEvent:
+    def deliver_local(self, pkt: bytes, dst: str) -> float:
         """Hand a packet to a co-located node now: no link, no serialization."""
         if len(pkt) == 0:
             raise EmptyPacket(f"local->{dst}")
-        return self.schedule(self.now, _DELIVER, dst, pkt)
+        self.schedule(self.now, dst, pkt)
+        return self.now
 
     def run_until_idle(self, horizon_ms: float | None = None) -> float:
         """Dispatch events in (due, seq) order until the queue drains.
@@ -204,14 +177,14 @@ class Simulator:
         dispatched = 0  # a local, added once: an attribute update per event costs more
         try:
             while heap:
-                due, _seq, ev = heappop(heap)
+                due, _seq, dst, payload = heappop(heap)
                 if due > limit:
-                    raise HorizonExceeded(f"event for {ev.dst} due {due} > horizon {horizon_ms}")
+                    raise HorizonExceeded(f"event for {dst} due {due} > horizon {horizon_ms}")
                 self.now = due
-                handler = handlers.get(ev.dst)
+                handler = handlers.get(dst)
                 if handler is None:
-                    raise LookupError(f"no handler registered for {ev.dst!r}")
-                handler(self, ev)
+                    raise LookupError(f"no handler registered for {dst!r}")
+                handler(self, payload)
                 dispatched += 1
         finally:
             self.dispatched += dispatched

@@ -13,6 +13,9 @@ emulated WAN link and add each counted frame's one-way delay to a
 
 Every node is a ``_Node`` (name, link, stats, trace); the caller and the
 chairman are ``_MediaSource`` nodes, which pace, count and send the frames.
+A node's ``handle(sim, data)`` gets a packet's bytes, or ``None`` for a
+timer tick.  Nodes write their records to the trace unconditionally: an
+untraced run writes them to ``_NO_TRACE``, which drops them.
 
 The configured one-way delay is paid once per end-to-end path; the
 server-to-member hop of a co-located relay is free.  With identical
@@ -43,7 +46,7 @@ from .frames import (
     rtp_ssrc,
 )
 from .iax import CallState, IaxEndpoint, NotInCall
-from .netsim import EventKind, LinkConfig, SimEvent, Simulator
+from .netsim import LinkConfig, Simulator
 from .rsw import (
     ConferencePhase,
     MemberStatus,
@@ -60,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps would rebuild it per call
 # an Enum member read costs far more than a global's
-_TIMER = EventKind.TIMER
 _VOICE = FrameKind.VOICE
 _ACTIVE = ConferencePhase.ACTIVE
 _JOINED = MemberStatus.JOINED
@@ -97,6 +99,20 @@ class TraceLog:
         # json writes a finite float as its repr and an int as its decimal digits
         self.stream.write(f'{self._head}"t":{t!r},{tail}{value:d}}}\n')
         self.count += 1
+
+
+class _NoTrace:
+    """The trace of an untraced run: takes every record and writes nothing."""
+
+    __slots__ = ()
+
+    def _drop(self, *_args, **_fields) -> None:
+        pass
+
+    begin = add = packet = _drop
+
+
+_NO_TRACE = _NoTrace()
 
 
 def _packet_tail(kind: str, key: str, **fields) -> str:
@@ -136,15 +152,15 @@ class MediaStats:
             self.frames_recv += 1
 
 
-def _run(label: str, delay_ms: float, cfg: SweepConfig, trace: TraceLog | None, *nodes: _Node) -> None:
+def _run(label: str, delay_ms: float, cfg: SweepConfig, trace: TraceLog | _NoTrace, *nodes: _Node) -> None:
     """Register the nodes, start the first one and drain the run."""
-    if trace is not None:
-        trace.begin(label)
+    horizon_ms = cfg.run_horizon_ms(delay_ms)  # refuses a run past the 32-bit clock before it starts
+    trace.begin(label)
     sim = Simulator(seed=cfg.seed)
     for node in nodes:
         sim.register(node.name, node.handle)
     nodes[0].start(sim)
-    sim.run_until_idle(cfg.run_horizon_ms(delay_ms))
+    sim.run_until_idle(horizon_ms)
 
 
 class _Node:
@@ -157,21 +173,17 @@ class _Node:
         self.stats = stats
         self.trace = trace
 
-    def _note(self, now: float, kind: str, **fields) -> None:
-        """Trace one control-plane record (``signal``, ``state``, ``conf``)."""
-        if self.trace is not None:
-            self.trace.add(now, kind, **fields)
-
     def _send_control(self, sim: Simulator, kind: str, data: bytes, **fields) -> None:
-        self._note(sim.now, kind, src=self.name, dst=self.peer, **fields, bytes=len(data))
+        self.trace.add(sim.now, kind, src=self.name, dst=self.peer, **fields, bytes=len(data))
         sim.reliable_send(self.link, data, self.name, self.peer)
 
 
 class _MediaSource(_Node):
     """Paces ``cfg.media_frame_count()`` counted frames to its peer, then tears down.
 
-    Subclasses supply ``_control`` (non-timer events), ``_next_frame(now) ->
-    (stats key, wire bytes)`` and ``_teardown``, and call ``_begin_media``.
+    Subclasses supply ``_control`` (each packet; timer ticks pace the media),
+    ``_next_frame(now) -> (stats key, wire bytes)`` and ``_teardown``, and
+    call ``_begin_media``.
     """
 
     def __init__(self, name: str, peer: str, link: LinkConfig, cfg: SweepConfig, stats: MediaStats, trace):
@@ -181,25 +193,24 @@ class _MediaSource(_Node):
         self.frames_left = cfg.media_frame_count()
         self._media_tail = _packet_tail("media", "bytes", src=name, dst=peer)
 
-    def handle(self, sim: Simulator, ev: SimEvent) -> None:
-        if ev.kind is not _TIMER:
-            self._control(sim, ev.payload)
+    def handle(self, sim: Simulator, data: bytes | None) -> None:
+        if data is not None:
+            self._control(sim, data)
         elif self.frames_left > 0:
             key, data = self._next_frame(sim.now)
             self.stats._sent(key, sim.now)
             self._send_media(sim, data)
             self.frames_left -= 1
-            sim.schedule_timer(self.interval, self.name, "media")
+            sim.schedule_timer(self.interval, self.name)
         else:
             self._teardown(sim)  # no tick is scheduled after this one
 
     def _begin_media(self, sim: Simulator, first_tick_ms: float) -> None:
         self.stats.setup_ms = sim.now
-        sim.schedule_timer(first_tick_ms, self.name, "media")
+        sim.schedule_timer(first_tick_ms, self.name)
 
     def _send_media(self, sim: Simulator, data: bytes) -> None:
-        if self.trace is not None:
-            self.trace.packet(sim.now, self._media_tail, len(data))
+        self.trace.packet(sim.now, self._media_tail, len(data))
         sim.transmit(self.link, data, self.name, self.peer)
 
 
@@ -221,7 +232,7 @@ class _IaxCallerNode(_MediaSource):
         frame = decode_full(data)
         before = self.call.state
         self.endpoint.handle_signal(frame, sim.now)
-        self._note(
+        self.trace.add(
             sim.now, "state", endpoint="caller", event=Signal(frame.subclass).name,
             state_before=before.value, state_after=self.call.state.value,
         )
@@ -246,8 +257,7 @@ class _IaxCalleeNode(_Node):
         self.endpoint = IaxEndpoint("callee")
         self._deliver_tail = _packet_tail("deliver", "ts", dst="callee")
 
-    def handle(self, sim: Simulator, ev: SimEvent) -> None:
-        data = ev.payload
+    def handle(self, sim: Simulator, data: bytes) -> None:
         if data[0] & 0x80:
             frame = decode_full(data)
             if frame.frame_type is not _VOICE:
@@ -261,14 +271,14 @@ class _IaxCalleeNode(_Node):
         except NotInCall:
             return  # media straggling past teardown is dropped, not fatal
         self.stats._arrived(ts32, sim.now)
-        if self.trace is not None:
-            self.trace.packet(sim.now, self._deliver_tail, ts32)
+        self.trace.packet(sim.now, self._deliver_tail, ts32)
 
 
 def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
     """Simulate one two-party call; returns the raw measurements."""
     link = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
     stats = MediaStats()
+    trace = _NO_TRACE if trace is None else trace
     _run(
         f"IAX:{delay_ms:g}", delay_ms, cfg, trace,
         _IaxCallerNode(link, cfg, stats, trace), _IaxCalleeNode(link, stats, trace),
@@ -316,20 +326,18 @@ class _RswServerNode(_Node):
         # media is relayed only to the conference's members: the chair and the invitee
         self._relay_tails = {m: _packet_tail("relay", "bytes", src="server", dst=m) for m in ("chair", _INVITEE)}
 
-    def handle(self, sim: Simulator, ev: SimEvent) -> None:
-        data = ev.payload
+    def handle(self, sim: Simulator, data: bytes) -> None:
         if data.startswith(b"RSW/1 "):
             out, self.conf = server_route(decode_rsw(data), self.conf)
             for reply in out:
                 raw, dst = encode_rsw(reply), reply.recipient
-                self._note(sim.now, "conf", src="server", dst=dst, bytes=len(raw), verb=reply.verb.value)
+                self.trace.add(sim.now, "conf", src="server", dst=dst, bytes=len(raw), verb=reply.verb.value)
                 self._route(sim.reliable_send, sim, raw, dst)
         elif self.conf is not None and self.conf.phase is _ACTIVE:
             sender = "chair" if rtp_ssrc(data) == self.chair_ssrc else None
             for member_id, status in self.conf.members.items():
                 if status is _JOINED and member_id != sender:
-                    if self.trace is not None:
-                        self.trace.packet(sim.now, self._relay_tails[member_id], len(data))
+                    self.trace.packet(sim.now, self._relay_tails[member_id], len(data))
                     self._route(sim.transmit, sim, data, member_id)
         # media outside an active conference is dropped
 
@@ -346,20 +354,18 @@ class _RswParticipantNode(_Node):
         self.invitee = RswInvitee(_INVITEE)
         self._deliver_tail = _packet_tail("deliver", "seq", dst=_INVITEE)
 
-    def handle(self, sim: Simulator, ev: SimEvent) -> None:
-        data = ev.payload
+    def handle(self, sim: Simulator, data: bytes) -> None:
         if not data.startswith(b"RSW/1 "):
             seq = decode_rtp(data).seq
             self.stats._arrived(seq, sim.now)
-            if self.trace is not None:
-                self.trace.packet(sim.now, self._deliver_tail, seq)
+            self.trace.packet(sim.now, self._deliver_tail, seq)
             return
         msg = decode_rsw(data)
         if msg.verb is Verb.CREATE:  # ACK and END need no reply
             self.invitee.receive_invitation(msg)
             reply = self.invitee.respond()
             raw = encode_rsw(reply)
-            self._note(sim.now, "conf", src=self.name, dst=self.peer, verb=reply.verb.value, bytes=len(raw))
+            self.trace.add(sim.now, "conf", src=self.name, dst=self.peer, verb=reply.verb.value, bytes=len(raw))
             sim.deliver_local(raw, self.peer)  # the server is on this host
 
 
@@ -367,6 +373,7 @@ def run_rsw_conference(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None
     """Simulate one two-member conference; returns the raw measurements."""
     wan = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
     stats = MediaStats()
+    trace = _NO_TRACE if trace is None else trace
     tx = new_rtp_tx(random.Random(cfg.seed), samples_per_frame=cfg.payload_bytes)
     _run(
         f"RSW:{delay_ms:g}", delay_ms, cfg, trace,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import io
@@ -34,11 +35,12 @@ from voipsim import (
     run_sweep,
     sweep_points,
 )
-from voipsim import cli, experiment
+from voipsim import cli, experiment, scenarios
 from voipsim.cli import build_parser, load_config_file, main, resolve_settings
 from voipsim.experiment import MAX_RUN_MS
 from voipsim.frames import Signal
 from voipsim.iax import CallState, ProtocolViolation
+from voipsim.netsim import LinkConfig
 from voipsim.scenarios import _packet_tail
 
 FAST = dict(delay_end_ms=50.0, duration_s=0.5)  # 3 grid points, 25 frames/run
@@ -153,6 +155,19 @@ def test_a_run_just_inside_the_32_bit_clock_is_accepted_and_exact():
     assert report.mean_e2e_delay_ms == edge + 12.0  # link plus serialization, as at small delays
     with pytest.raises(ValueError, match=f"more than the {MAX_RUN_MS} ms"):
         SweepConfig(delay_start_ms=edge, delay_end_ms=edge + 1.0, duration_s=1.0)
+
+
+@pytest.mark.parametrize("protocol", ["IAX", "RSW"])
+def test_a_single_run_past_the_32_bit_clock_is_refused_before_it_starts(protocol):
+    # the config's grid ends at 2000 ms, so only the run itself can refuse this delay
+    cfg = SweepConfig(duration_s=1.0)
+    trace = TraceLog(io.StringIO())
+    with pytest.raises(ValueError, match=f"more than the {MAX_RUN_MS} ms"):
+        run_scenario(protocol, 3e9, cfg, trace)
+    assert trace.count == 0
+    report = run_scenario(protocol, 1e8, cfg)  # well inside the clock, still exact
+    assert report.pkts_sent == report.pkts_recv == 50
+    assert report.mean_e2e_delay_ms == 1e8 + (12.0 if protocol == "IAX" else 12.5)
 
 
 # -- single-scenario runs ------------------------------------------------------------
@@ -455,6 +470,40 @@ def test_traced_sweep_memory_stays_flat_as_the_grid_grows():
     assert large < 1.5 * small, (small, large)
 
 
+_IMPAIRMENTS = {
+    # IAX still raises StaleFrame under reordering and jitter (ROADMAP item 4)
+    "IAX": [dict(loss_prob=0.05), dict(dup_prob=0.05)],
+    "RSW": [dict(loss_prob=0.05), dict(dup_prob=0.05), dict(reorder_prob=0.05), dict(jitter_ms=30.0)],
+}
+
+
+def _runs_traced_and_not(protocol):
+    """(untraced report, traced report, trace text) at 3 delays x 3 seeds."""
+    runs = []
+    for seed in (1, 2, 3):
+        cfg = SweepConfig(duration_s=1.0, seed=seed)
+        for delay_ms in (0.0, 150.0, 400.0):
+            trace = TraceLog(io.StringIO())
+            traced = run_scenario(protocol, delay_ms, cfg, trace)
+            runs.append((run_scenario(protocol, delay_ms, cfg), traced, trace.stream.getvalue()))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "protocol,impairment", [(p, i) for p, kinds in _IMPAIRMENTS.items() for i in kinds], ids=repr
+)
+def test_tracing_never_changes_an_impaired_run(protocol, impairment, monkeypatch):
+    # the golden digests cover unimpaired links only; no setting reaches the
+    # impairments yet, so the scenarios' link is patched to carry them
+    clean = _runs_traced_and_not(protocol)
+    monkeypatch.setattr(scenarios, "LinkConfig", functools.partial(LinkConfig, **impairment))
+    impaired = _runs_traced_and_not(protocol)
+    for untraced, traced, _text in impaired:
+        assert traced == untraced
+    # the patch reached the runs: some trace differs from the clean link's
+    assert [text for *_, text in impaired] != [text for *_, text in clean]
+
+
 # -- the sweep across processes ---------------------------------------------------------
 
 ODD_GRID = dict(delay_end_ms=100.0, duration_s=0.5)  # 5 delays x 2 protocols
@@ -696,6 +745,23 @@ def test_cli_refuses_an_unwritable_csv_before_the_sweep(out_name, tmp_path, caps
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]  # no CSV, no trace
     assert not any((tmp_path / "a-directory").iterdir())
+
+
+@pytest.mark.parametrize("trace_name", ["same.csv", "./same.csv", "../work/same.csv"])
+def test_cli_refuses_a_trace_path_that_names_the_csv(trace_name, tmp_path, capsys, monkeypatch):
+    def no_sweep(*_args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["--out", "same.csv", "--trace", trace_name]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("voipsim: error:")
+    assert "name the same file" in captured.err
+    assert captured.out == ""
+    assert not any(work.iterdir())
 
 
 def test_cli_rejects_bad_sweep_settings(capsys):

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from voipsim.netsim import (
     EmptyPacket,
-    EventKind,
     HorizonExceeded,
     LinkConfig,
     Simulator,
@@ -17,8 +16,9 @@ from voipsim.qos import NegativeDelay
 
 
 def _sink(log):
-    def handler(sim, ev):
-        log.append((sim.now, ev.dst, ev.payload))
+    """A handler that records ``(now, payload)`` for every event it is given."""
+    def handler(sim, data):
+        log.append((sim.now, data))
     return handler
 
 
@@ -68,10 +68,11 @@ def test_link_config_rejects_a_non_finite_time(name, value):
 def test_transmit_exact_arrival_with_defaults():
     sim = Simulator(seed=1)
     link = LinkConfig(delay_ms=40.0)
-    events = sim.transmit(link, bytes(164), "a", "b")
-    assert len(events) == 1
-    assert events[0].due == 40.0 + 12.0
-    assert events[0].kind is EventKind.DELIVER
+    log = []
+    sim.register("b", _sink(log))
+    assert sim.transmit(link, bytes(164), "a", "b") == [40.0 + 12.0]
+    sim.run_until_idle()
+    assert log == [(40.0 + 12.0, bytes(164))]  # delivered as the packet, not as a timer tick
 
 
 def test_transmit_loss_prob_one_schedules_nothing():
@@ -81,26 +82,28 @@ def test_transmit_loss_prob_one_schedules_nothing():
 
 def test_transmit_dup_prob_one_schedules_twice_at_same_time():
     sim = Simulator(seed=1)
-    events = sim.transmit(LinkConfig(dup_prob=1.0), bytes(164), "a", "b")
-    assert len(events) == 2
-    assert events[0].due == events[1].due
-    assert events[0].seq < events[1].seq
+    log = []
+    sim.register("b", _sink(log))
+    arrivals = sim.transmit(LinkConfig(dup_prob=1.0), bytes(164), "a", "b")
+    assert arrivals == [12.0, 12.0]
+    sim.schedule(12.0, "b", b"later")  # same due, queued after both copies
+    sim.run_until_idle()
+    assert log == [(12.0, bytes(164)), (12.0, bytes(164)), (12.0, b"later")]
 
 
 def test_transmit_reorder_skips_the_configured_delay():
     sim = Simulator(seed=1)
     link = LinkConfig(delay_ms=500.0, reorder_prob=1.0)
-    (ev,) = sim.transmit(link, bytes(164), "a", "b")
-    assert ev.due == 12.0  # serialization only: the packet overtakes
+    assert sim.transmit(link, bytes(164), "a", "b") == [12.0]  # serialization only: the packet overtakes
 
 
 def test_transmit_jitter_bounds_and_causality():
     sim = Simulator(seed=7)
     link = LinkConfig(delay_ms=5.0, jitter_ms=20.0)
     for _ in range(200):
-        (ev,) = sim.transmit(link, bytes(164), "a", "b")
+        (due,) = sim.transmit(link, bytes(164), "a", "b")
         # arrival never precedes now + serialization, never exceeds +delay+jitter
-        assert sim.now + 12.0 <= ev.due <= sim.now + 12.0 + 25.0
+        assert sim.now + 12.0 <= due <= sim.now + 12.0 + 25.0
 
 
 def test_transmit_empty_packet():
@@ -142,17 +145,17 @@ def test_transmit_draw_contract(seed, calls, size, delay, jitter, loss, dup, reo
     sim = Simulator(seed=seed)
     ref = random.Random(seed)
     for _ in range(calls):
-        events = sim.transmit(link, bytes(size), "a", "b")
+        arrivals = sim.transmit(link, bytes(size), "a", "b")
         lost = ref.random() < loss
         duplicated = ref.random() < dup
         reordered = ref.random() < reorder
         offset = ref.uniform(-jitter, jitter)
         if lost:
-            assert events == []
+            assert arrivals == []
             continue
         base = 0.0 if reordered else delay
         due = sim.now + serialization_ms(link, size) + max(0.0, base + offset)
-        assert [ev.due for ev in events] == [due] * (2 if duplicated else 1)
+        assert arrivals == [due] * (2 if duplicated else 1)
     fresh = random.Random(seed)
     for _ in range(4 * calls):
         fresh.random()
@@ -165,8 +168,7 @@ def test_transmit_draw_contract(seed, calls, size, delay, jitter, loss, dup, reo
 def test_reliable_send_exact_arrival_and_no_rng():
     sim = Simulator(seed=9)
     before = sim.rng.getstate()
-    ev = sim.reliable_send(LinkConfig(delay_ms=2000.0), bytes(164), "a", "b")
-    assert ev.due == 2000.0 + 12.0
+    assert sim.reliable_send(LinkConfig(delay_ms=2000.0), bytes(164), "a", "b") == 2000.0 + 12.0
     assert sim.rng.getstate() == before
 
 
@@ -178,9 +180,9 @@ def test_reliable_send_fifo_per_pair():
     big = sim.reliable_send(link, bytes(1000), "a", "b")
     small = sim.reliable_send(link, bytes(10), "a", "b")
     # the small packet would serialize sooner; FIFO clamps it behind the big one
-    assert small.due >= big.due
+    assert small >= big
     sim.run_until_idle()
-    assert [len(p) for _, _, p in log] == [1000, 10]
+    assert [len(p) for _, p in log] == [1000, 10]
 
 
 def test_reliable_send_two_signals_arrive_in_send_order():
@@ -189,10 +191,10 @@ def test_reliable_send_two_signals_arrive_in_send_order():
     log = []
     sim.register("b", _sink(log))
     sim.reliable_send(link, b"first", "a", "b")
-    sim.schedule_timer(1.0, "a", "tick")
-    sim.register("a", lambda s, ev: s.reliable_send(link, b"second", "a", "b"))
+    sim.schedule_timer(1.0, "a")
+    sim.register("a", lambda s, data: s.reliable_send(link, b"second", "a", "b"))
     sim.run_until_idle()
-    assert [p for _, _, p in log] == [b"first", b"second"]
+    assert [p for _, p in log] == [b"first", b"second"]
 
 
 # ----------------------------------------------------------------- event loop
@@ -206,28 +208,28 @@ def test_same_due_dispatches_in_scheduling_order():
     sim = Simulator(seed=1)
     log = []
     sim.register("x", _sink(log))
-    sim.schedule(5.0, EventKind.DELIVER, "x", b"one")
-    sim.schedule(5.0, EventKind.DELIVER, "x", b"two")
+    sim.schedule(5.0, "x", b"one")
+    sim.schedule(5.0, "x", b"two")
     sim.run_until_idle()
-    assert [p for _, _, p in log] == [b"one", b"two"]
+    assert [p for _, p in log] == [b"one", b"two"]
 
 
 def test_schedule_in_the_past_rejected():
     sim = Simulator(seed=1)
     sim.register("x", _sink([]))
-    sim.schedule(3.0, EventKind.DELIVER, "x", b"p")
+    sim.schedule(3.0, "x", b"p")
     sim.run_until_idle()
     assert sim.now == 3.0
     with pytest.raises(ValueError):
-        sim.schedule(2.0, EventKind.DELIVER, "x", b"p")
+        sim.schedule(2.0, "x", b"p")
 
 
 def test_clock_never_decreases_and_returns_final_time():
     sim = Simulator(seed=1)
     seen = []
-    sim.register("x", lambda s, ev: seen.append(s.now))
+    sim.register("x", lambda s, data: seen.append(s.now))
     for due in (4.0, 1.0, 2.5):
-        sim.schedule(due, EventKind.DELIVER, "x", b"p")
+        sim.schedule(due, "x", b"p")
     final = sim.run_until_idle()
     assert seen == sorted(seen) == [1.0, 2.5, 4.0]
     assert final == 4.0
@@ -236,14 +238,14 @@ def test_clock_never_decreases_and_returns_final_time():
 def test_horizon_exceeded():
     sim = Simulator(seed=1)
     sim.register("x", _sink([]))
-    sim.schedule(100.0, EventKind.DELIVER, "x", b"p")
+    sim.schedule(100.0, "x", b"p")
     with pytest.raises(HorizonExceeded):
         sim.run_until_idle(horizon_ms=50.0)
 
 
 def test_missing_handler_is_an_error():
     sim = Simulator(seed=1)
-    sim.schedule(1.0, EventKind.DELIVER, "nobody", b"p")
+    sim.schedule(1.0, "nobody", b"p")
     with pytest.raises(LookupError):
         sim.run_until_idle()
 
@@ -251,29 +253,30 @@ def test_missing_handler_is_an_error():
 def test_dispatched_counts_handled_events_across_runs_and_a_raising_handler():
     sim = Simulator(seed=1)
 
-    def handler(s, ev):
-        if ev.payload == b"boom":
+    def handler(s, data):
+        if data == b"boom":
             raise RuntimeError("boom")
 
     sim.register("x", handler)
     for payload in (b"a", b"b", b"boom", b"c"):
-        sim.schedule(1.0, EventKind.DELIVER, "x", payload)
+        sim.schedule(1.0, "x", payload)
     with pytest.raises(RuntimeError):
         sim.run_until_idle()
     assert sim.dispatched == 2  # the raising event is not counted
     sim.run_until_idle()
     assert sim.dispatched == 3
 
+
 def test_deliver_local_arrives_at_once():
     sim = Simulator(seed=1)
     log = []
     sim.register("x", _sink(log))
-    sim.deliver_local(b"a", "x")
-    sim.schedule_timer(2.5, "x", "later")
+    assert sim.deliver_local(b"a", "x") == 0.0
+    sim.schedule_timer(2.5, "x")
     sim.run_until_idle()
-    sim.deliver_local(b"b", "x")  # from the clock as it stands, not from zero
+    assert sim.deliver_local(b"b", "x") == 2.5  # from the clock as it stands, not from zero
     sim.run_until_idle()
-    assert [(t, p) for t, _, p in log] == [(0.0, b"a"), (2.5, "later"), (2.5, b"b")]
+    assert log == [(0.0, b"a"), (2.5, None), (2.5, b"b")]  # the timer tick reaches its handler as None
 
 
 def test_dispatch_trace_is_deterministic():
@@ -283,13 +286,13 @@ def test_dispatch_trace_is_deterministic():
         log = []
         sim.register("b", _sink(log))
 
-        def ticker(s, ev):
+        def ticker(s, data):
             if s.now < 200.0:
                 s.transmit(link, bytes(50), "a", "b")
-                s.schedule_timer(10.0, "a", "tick")
+                s.schedule_timer(10.0, "a")
 
         sim.register("a", ticker)
-        sim.schedule_timer(0.0, "a", "tick")
+        sim.schedule_timer(0.0, "a")
         sim.run_until_idle()
         return log
 
@@ -300,8 +303,7 @@ def test_dispatch_trace_is_deterministic():
 def test_per_packet_delay_is_delay_plus_serialization(size, delay):
     sim = Simulator(seed=1)
     link = LinkConfig(delay_ms=float(delay))
-    (ev,) = sim.transmit(link, bytes(size), "a", "b")
-    assert ev.due == serialization_ms(link, size) + delay
+    assert sim.transmit(link, bytes(size), "a", "b") == [serialization_ms(link, size) + delay]
 
 
 def test_conservation_without_impairments():
