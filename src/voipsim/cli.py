@@ -76,7 +76,8 @@ def resolve_settings(args: argparse.Namespace) -> tuple[SweepConfig, str, str | 
     """The sweep config, CSV path and trace path (or None) that parsed flags ask for.
 
     Config-file values are layered under explicit flags.  A trace path that
-    names the CSV file (after resolving links and relative parts) is refused.
+    names the CSV file is refused: the same file, hard links included, when
+    both exist, else the same path after resolving links and relative parts.
     """
     merged: dict = {}
     if args.config:
@@ -92,12 +93,18 @@ def resolve_settings(args: argparse.Namespace) -> tuple[SweepConfig, str, str | 
             merged[dest] = flag_value
     out_path = merged.pop("out", None) or "sweep.csv"
     trace_path = merged.pop("trace", None) or None
-    if trace_path is not None and os.path.realpath(trace_path) == os.path.realpath(out_path):
+    if trace_path is not None and _same_file(trace_path, out_path):
         raise ValueError(f"the CSV ({out_path}) and the trace ({trace_path}) name the same file")
     protocol = merged.pop("protocols", "both")
     if protocol not in _PROTOCOL_CHOICES:
         raise ValueError(f"protocol must be one of {sorted(_PROTOCOL_CHOICES)}, got {protocol!r}")
     return SweepConfig(protocols=_PROTOCOL_CHOICES[protocol], **merged), out_path, trace_path
+
+
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _check_writable(path: str) -> None:

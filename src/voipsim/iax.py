@@ -14,8 +14,12 @@ Received-signal transitions:
 
 Anything else raises :class:`ProtocolViolation`, AUTHREQ and AUTHREP
 included: no endpoint challenges a caller.  A refused signal changes
-nothing, not even ``iseqno``.  ACCEPT establishes the call leg:
-``remote_call`` stays None until ACCEPT is sent or received.
+nothing, not even ``iseqno``.  ``peer_call`` stays 0 until ACCEPT, sent or
+received, establishes the call leg, or a REJECT or HANGUP names who ended it.
+
+An endpoint holds at most one call, numbered 1.  A second ``place_call``
+raises :class:`NoFreeCallNumbers`; a NEW to an endpoint in a call raises
+:class:`ProtocolViolation`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from enum import Enum
 from .frames import FrameKind, FullFrame, MiniFrame, Signal
 
 TS_WRAP = 1 << 16
-MAX_CALL_NUMBER = 0x7FFF
+LOCAL_CALL = 1  # an endpoint's one call number
 
 
 class CallState(Enum):
@@ -47,7 +51,7 @@ class IaxError(Exception):
 
 
 class NoFreeCallNumbers(IaxError):
-    """All 32767 local call numbers are in use."""
+    """The endpoint's one local call number is in use."""
 
 
 class ProtocolViolation(IaxError):
@@ -77,15 +81,13 @@ class MediaRxState:
 
 @dataclass
 class IaxCallState:
-    """Per-call state, one record per call.
+    """The state of an endpoint's one call.
 
-    ``peer_call`` addresses the peer from the peer's first frame on;
-    ``remote_call`` binds at ACCEPT.
+    ``peer_call`` is the peer's call number, 0 until the leg is established.
     """
 
     state: CallState
     local_call: int
-    remote_call: int | None = None
     start_time: float = 0.0
     last_full_ts: int = 0
     oseqno: int = 0
@@ -125,9 +127,7 @@ def receive_media(rx: MediaRxState, frame: FullFrame | MiniFrame) -> tuple[int, 
 
 def _full_frame(cs: IaxCallState, kind: FrameKind, subclass: int, ts32: int, payload: bytes) -> FullFrame:
     """The next full frame of ``cs`` to its peer; advances ``oseqno``."""
-    frame = FullFrame(
-        cs.local_call, cs.peer_call, ts32, cs.oseqno, cs.iseqno, kind, subclass, payload
-    )
+    frame = FullFrame(cs.local_call, cs.peer_call, ts32, cs.oseqno, cs.iseqno, kind, subclass, payload)
     cs.oseqno = (cs.oseqno + 1) & 0xFF
     return frame
 
@@ -140,80 +140,66 @@ _CALLER_NEXT = {
 
 
 class IaxEndpoint:
-    """One signaling peer: allocates call numbers, runs the state machine.
+    """One signaling peer holding at most one call, ``call``.
 
-    As callee it answers every NEW at once with ACCEPT and ANSWER.
+    As callee it answers a NEW at once with ACCEPT and ANSWER.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self.calls: dict[int, IaxCallState] = {}
-        # peer call number -> the first call in ``calls`` with that peer_call,
-        # so a mini frame finds its call without a scan
-        self._by_peer: dict[int, IaxCallState] = {}
-        self._next_hint = 1
-
-    # -- call number allocation ------------------------------------------
-
-    def _allocate_call(self) -> int:
-        if len(self.calls) >= MAX_CALL_NUMBER:
-            raise NoFreeCallNumbers(f"{self.name}: all {MAX_CALL_NUMBER} numbers in use")
-        n = self._next_hint
-        while n in self.calls:
-            n = n % MAX_CALL_NUMBER + 1
-        self._next_hint = n % MAX_CALL_NUMBER + 1
-        return n
+        self.call: IaxCallState | None = None
 
     # -- signaling ---------------------------------------------------------
 
-    def place_call(self, dest: str, now: float) -> tuple[FullFrame, IaxCallState]:
-        """Start an outbound call; returns the NEW frame to send."""
-        cs = IaxCallState(CallState.WAITING_FOR_RESPONSE, self._allocate_call(), start_time=now)
-        self._add_call(cs)
-        return self._control(cs, Signal.NEW, now, payload=dest.encode("utf-8")), cs
+    def place_call(self, dest: str, now: float) -> FullFrame:
+        """Start the outbound call; returns the NEW frame to send."""
+        if self.call is not None:
+            raise NoFreeCallNumbers(f"{self.name}: call {LOCAL_CALL} is in use")
+        self.call = cs = IaxCallState(CallState.WAITING_FOR_RESPONSE, LOCAL_CALL, start_time=now)
+        return self._control(cs, Signal.NEW, now, payload=dest.encode("utf-8"))
 
-    def handle_signal(self, f: FullFrame, now: float) -> tuple[list[FullFrame], IaxCallState]:
-        """Apply one received Control frame; returns (replies, call state)."""
+    def handle_signal(self, f: FullFrame, now: float) -> list[FullFrame]:
+        """Apply one received Control frame; returns the replies to send."""
         if f.frame_type is not FrameKind.CONTROL:
             raise ValueError("handle_signal takes Control frames")
         sig = Signal(f.subclass)
-        cs = self.calls.get(f.dest_call) if f.dest_call else None
-        if cs is None:
-            if sig is Signal.NEW:
-                return self._on_new(f, now)
-            raise ProtocolViolation(None, sig)
+        cs = self.call
+        if cs is None or f.dest_call != cs.local_call:
+            if sig is not Signal.NEW:
+                raise ProtocolViolation(None, sig)
+            if cs is not None:
+                raise ProtocolViolation(cs.state, sig)  # the one call is taken
+            return self._on_new(f, now)
         teardown = sig in (Signal.REJECT, Signal.HANGUP)
         nxt = CallState.HUNGUP if teardown else _CALLER_NEXT.get((cs.state, sig))
         if nxt is None:
             raise ProtocolViolation(cs.state, sig)  # before any field moves
         cs.iseqno = (f.oseqno + 1) & 0xFF
-        if teardown:
-            if cs.remote_call is None:
-                cs.remote_call = f.source_call  # record who tore the call down
-        elif sig is Signal.ACCEPT:
-            self._set_peer(cs, f.source_call)
-            cs.remote_call = f.source_call  # leg established
+        if sig is Signal.ACCEPT or (teardown and not cs.peer_call):
+            cs.peer_call = f.source_call  # the leg, or who tore the call down
         cs.state = nxt
-        return [], cs
+        return []
 
-    def hangup(self, local_call: int, now: float) -> FullFrame:
-        """Tear down a call locally and return the HANGUP frame to send."""
-        cs = self._call(local_call)
+    def hangup(self, now: float) -> FullFrame:
+        """Tear down the call locally and return the HANGUP frame to send."""
+        cs = self.call
+        if cs is None:
+            raise NotInCall(f"{self.name} holds no call")
         frame = self._control(cs, Signal.HANGUP, now)
         cs.state = CallState.HUNGUP
         return frame
 
     # -- media -------------------------------------------------------------
 
-    def send_media(self, local_call: int, payload: bytes, now: float) -> FullFrame | MiniFrame:
-        """Emit the next media frame for an Up call.
+    def send_media(self, payload: bytes, now: float) -> FullFrame | MiniFrame:
+        """Emit the next media frame of the Up call.
 
         A Voice full frame goes out for the first media frame and whenever
         the high 16 timestamp bits change; otherwise a mini frame.
         """
-        cs = self.calls.get(local_call) or self._call(local_call)  # _call raises NotInCall
-        if cs.state is not _UP:
-            raise NotInCall(f"call {local_call} is {cs.state.value}, not Up")
+        cs = self.call
+        if cs is None or cs.state is not _UP:
+            raise NotInCall(f"{self.name} holds no Up call")
         ts32 = int(now - cs.start_time) & 0xFFFFFFFF
         if not cs.media_started or (ts32 >> 16) != (cs.last_full_ts >> 16):
             cs.media_started = True
@@ -222,43 +208,27 @@ class IaxEndpoint:
         return MiniFrame(cs.local_call, ts32 & 0xFFFF, payload)
 
     def receive_media_frame(self, frame: FullFrame | MiniFrame) -> tuple[int, bytes]:
-        """Locate the call a media frame belongs to and reconstruct its ts."""
-        if isinstance(frame, FullFrame):
-            cs = self.calls.get(frame.dest_call)
-        else:
-            cs = self._by_peer.get(frame.source_call)
-        if cs is None or cs.state is not _UP:
+        """Reconstruct the ts of a media frame of the Up call.
+
+        A full frame belongs to the call when it is addressed to the call's
+        number, a mini frame when it comes from the peer's.
+        """
+        cs = self.call
+        ours = cs is not None and (
+            frame.dest_call == cs.local_call if isinstance(frame, FullFrame) else frame.source_call == cs.peer_call
+        )
+        if not ours or cs.state is not _UP:
             raise NotInCall("no Up call for this media frame")
         return receive_media(cs.rx, frame)
 
     # -- internals -----------------------------------------------------------
 
-    def _call(self, local_call: int) -> IaxCallState:
-        cs = self.calls.get(local_call)
-        if cs is None:
-            raise NotInCall(f"no call numbered {local_call}")
-        return cs
-
-    def _add_call(self, cs: IaxCallState) -> None:
-        self.calls[cs.local_call] = cs  # calls are never removed, so cs is last
-        self._by_peer.setdefault(cs.peer_call, cs)
-
-    def _set_peer(self, cs: IaxCallState, peer_call: int) -> None:
-        old, cs.peer_call = cs.peer_call, peer_call
-        for p in (old, peer_call):  # a signal, not a media frame: the scan is cheap here
-            first = next((c for c in self.calls.values() if c.peer_call == p), None)
-            if first is None:
-                self._by_peer.pop(p, None)
-            else:
-                self._by_peer[p] = first
-
     def _control(self, cs: IaxCallState, sig: Signal, now: float, payload: bytes = b"") -> FullFrame:
         return _full_frame(cs, FrameKind.CONTROL, sig, int(now - cs.start_time) & 0xFFFFFFFF, payload)
 
-    def _on_new(self, f: FullFrame, now: float) -> tuple[list[FullFrame], IaxCallState]:
-        cs = IaxCallState(
-            CallState.UP, self._allocate_call(), remote_call=f.source_call,  # ACCEPT establishes the leg
-            start_time=now, iseqno=(f.oseqno + 1) & 0xFF, peer_call=f.source_call,
+    def _on_new(self, f: FullFrame, now: float) -> list[FullFrame]:
+        self.call = cs = IaxCallState(
+            CallState.UP, LOCAL_CALL, start_time=now,
+            iseqno=(f.oseqno + 1) & 0xFF, peer_call=f.source_call,  # ACCEPT establishes the leg
         )
-        self._add_call(cs)
-        return [self._control(cs, Signal.ACCEPT, now), self._control(cs, Signal.ANSWER, now)], cs
+        return [self._control(cs, Signal.ACCEPT, now), self._control(cs, Signal.ANSWER, now)]

@@ -89,11 +89,11 @@ def create_conference(
     media_desc: str,
     *,
     conf_id: int = 1,
-) -> tuple[RswMessage, ConferenceState]:
-    """Build the CREATE message and the chairman's view of the conference,
-    the same record the server builds from that CREATE.
+) -> RswMessage:
+    """Build the chairman's CREATE message, refusing a malformed conference.
 
-    The chairman is marked Joined immediately; all invitees start Invited.
+    The server builds the conference record from it: the chairman Joined,
+    every invitee Invited.
     """
     ids = [chairman, *invitees]
     if len(ids) == 1:
@@ -104,8 +104,7 @@ def create_conference(
         _check_member_id(member_id)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate member ids")
-    msg = RswMessage(Verb.CREATE, conf_id, chairman, ",".join(invitees), media_desc)
-    return msg, _conference_from_create(msg)
+    return RswMessage(Verb.CREATE, conf_id, chairman, ",".join(invitees), media_desc)
 
 
 def server_route(
@@ -177,32 +176,24 @@ def _conference_from_create(msg: RswMessage) -> ConferenceState:
     return ConferenceState(msg.conf_id, msg.sender, members, msg.body, ConferencePhase.CREATING)
 
 
-@dataclass
-class Invitation:
-    conf_id: int
-    media_desc: str
-    inviter: str
-
-
 class RswInvitee:
-    """Invitation tracking for one endpoint; a respond consumes it."""
+    """Invitation tracking for one endpoint: the pending conference id, which a respond consumes."""
 
     def __init__(self, endpoint_id: str):
         self.endpoint_id = _check_member_id(endpoint_id)
-        self._invitation: Invitation | None = None
+        self._conf_id: int | None = None
 
-    def receive_invitation(self, msg: RswMessage) -> Invitation:
+    def receive_invitation(self, msg: RswMessage) -> None:
         if msg.verb is not Verb.CREATE:
             raise ValueError(f"not an invitation: {msg.verb}")
-        self._invitation = Invitation(msg.conf_id, msg.body, msg.sender)
-        return self._invitation
+        self._conf_id = msg.conf_id
 
     def respond(self) -> RswMessage:
         """JOIN the pending invitation's conference once; a second respond raises."""
-        if self._invitation is None:
+        if self._conf_id is None:
             raise NotInvited(f"{self.endpoint_id} holds no open invitation")
-        invitation, self._invitation = self._invitation, None
-        return RswMessage(Verb.JOIN, invitation.conf_id, self.endpoint_id, DEFAULT_SERVER_ID)
+        conf_id, self._conf_id = self._conf_id, None
+        return RswMessage(Verb.JOIN, conf_id, self.endpoint_id, DEFAULT_SERVER_ID)
 
 
 @dataclass

@@ -222,33 +222,31 @@ class _IaxCallerNode(_MediaSource):
     def __init__(self, link, cfg, stats, trace):
         super().__init__("caller", "callee", link, cfg, stats, trace)
         self.endpoint = IaxEndpoint("caller")
-        self.call = None
 
     def start(self, sim: Simulator) -> None:
-        frame, self.call = self.endpoint.place_call("callee", sim.now)
-        _send_signal(self, sim, frame)
+        _send_signal(self, sim, self.endpoint.place_call("callee", sim.now))
 
     def _control(self, sim: Simulator, data: bytes) -> None:
-        frame = decode_full(data)
-        before = self.call.state
+        frame, call = decode_full(data), self.endpoint.call
+        before = call.state
         self.endpoint.handle_signal(frame, sim.now)
         self.trace.add(
             sim.now, "state", endpoint="caller", event=Signal(frame.subclass).name,
-            state_before=before.value, state_after=self.call.state.value,
+            state_before=before.value, state_after=call.state.value,
         )
-        if self.call.state is CallState.UP and self.stats.setup_ms is None:
+        if call.state is CallState.UP and self.stats.setup_ms is None:
             # The first voice frame is a full frame that anchors the receiver's
             # 16-bit timestamp window; its size differs, so it goes uncounted.
             self._send_media(sim, self._next_frame(sim.now)[1])
             self._begin_media(sim, self.interval)
 
     def _next_frame(self, now: float) -> tuple[int, bytes]:
-        frame = self.endpoint.send_media(self.call.local_call, self.payload, now)
+        frame = self.endpoint.send_media(self.payload, now)
         data = encode_full(frame) if isinstance(frame, FullFrame) else encode_mini(frame)
-        return int(now - self.call.start_time), data
+        return int(now - self.endpoint.call.start_time), data
 
     def _teardown(self, sim: Simulator) -> None:
-        _send_signal(self, sim, self.endpoint.hangup(self.call.local_call, sim.now))
+        _send_signal(self, sim, self.endpoint.hangup(sim.now))
 
 
 class _IaxCalleeNode(_Node):
@@ -261,7 +259,7 @@ class _IaxCalleeNode(_Node):
         if data[0] & 0x80:
             frame = decode_full(data)
             if frame.frame_type is not _VOICE:
-                for reply in self.endpoint.handle_signal(frame, sim.now)[0]:
+                for reply in self.endpoint.handle_signal(frame, sim.now):
                     _send_signal(self, sim, reply)
                 return
         else:
@@ -293,8 +291,7 @@ class _RswChairNode(_MediaSource):
 
     def start(self, sim: Simulator) -> None:
         media_desc = f"codec=pcm;frame_ms={self.interval:g}"
-        msg, _view = create_conference("chair", [_INVITEE], media_desc, conf_id=1)
-        self._send_conf(sim, msg)
+        self._send_conf(sim, create_conference("chair", [_INVITEE], media_desc, conf_id=1))
 
     def _control(self, sim: Simulator, data: bytes) -> None:
         # the relayed JOIN starts the media; ACKs need no action

@@ -200,7 +200,8 @@ def drive_caller(sequence):
     Returns the final state; stops at the first (verified) violation.
     """
     ep = IaxEndpoint("caller")
-    _, cs = ep.place_call("peer", 0.0)
+    ep.place_call("peer", 0.0)
+    cs = ep.call
     state = CallState.WAITING_FOR_RESPONSE
     assert cs.state is state
     for i, sig in enumerate(sequence):
@@ -219,10 +220,10 @@ def drive_caller(sequence):
                 ep.handle_signal(frame, 0.0)
             assert cs.state is state  # a refused signal must not move the machine
             return state
-        replies, _ = ep.handle_signal(frame, 0.0)
+        replies = ep.handle_signal(frame, 0.0)
         assert cs.state is expected
         assert replies == []  # a caller answers no signal
-        assert (cs.remote_call is None) == (expected is CallState.WAITING_FOR_RESPONSE)
+        assert (cs.peer_call == 0) == (expected is CallState.WAITING_FOR_RESPONSE)  # bound with the leg
         if expected is CallState.UP:
             assert Signal.ACCEPT in sequence[: i + 1]  # no call goes up unaccepted
         state = expected
@@ -250,8 +251,7 @@ def test_criterion_6_conference_fanout_and_chairman_authority():
     for round_no in range(1, 1001):
         n = rng.randint(1, 5)
         invitees = [f"p{i}" for i in range(1, n + 1)]
-        msg, _ = create_conference("chair", invitees, "codec=pcm", conf_id=round_no)
-        out, conf = server_route(msg, None)
+        out, conf = server_route(create_conference("chair", invitees, "codec=pcm", conf_id=round_no), None)
         invitations = [r for r in out if r.verb is Verb.CREATE]
         assert len(invitations) == n  # exactly one invitation per invitee
         assert {r.recipient for r in invitations} == set(invitees)
@@ -282,18 +282,16 @@ def test_criterion_7_timestamp_reconstruction_across_wraps():
     span_needed = 3.2 * 65536  # a good three wraps of the 16-bit media clock
     for _ in range(1000):
         caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
-        new, caller_cs = caller.place_call("b", 0.0)
-        replies, _ = callee.handle_signal(new, 0.0)
-        for f in replies:
+        for f in callee.handle_signal(caller.place_call("b", 0.0), 0.0):
             caller.handle_signal(f, 0.0)
-        assert caller_cs.state is CallState.UP
+        assert caller.call.state is CallState.UP
 
         t = 0.0
         wraps_seen = 0
         last_ts = 0
         while t < span_needed:
             t += rng.uniform(50.0, 2000.0)
-            frame = caller.send_media(caller_cs.local_call, b"", t)
+            frame = caller.send_media(b"", t)
             expected = int(t) & 0xFFFFFFFF
             ts, _ = callee.receive_media_frame(frame)
             assert ts == expected

@@ -764,6 +764,24 @@ def test_cli_refuses_a_trace_path_that_names_the_csv(trace_name, tmp_path, capsy
     assert not any(work.iterdir())
 
 
+def test_cli_refuses_a_trace_path_hard_linked_to_the_csv(tmp_path, capsys, monkeypatch):
+    def no_sweep(*_args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "same.csv").write_bytes(b"kept\n")
+    os.link(tmp_path / "same.csv", tmp_path / "hard.jsonl")  # two names, one file
+    fast = ["--delay-end", "0", "--duration", "0.1", "--protocol", "iax"]
+    assert main([*fast, "--out", "same.csv", "--trace", "hard.jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("voipsim: error:")
+    assert "name the same file" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hard.jsonl", "same.csv"]
+    assert (tmp_path / "same.csv").read_bytes() == b"kept\n"
+
+
 def test_cli_rejects_bad_sweep_settings(capsys):
     code = main(["--delay-step", "-5"])
     assert code == 2

@@ -47,13 +47,12 @@ def decode_media(wire: bytes):
 
 def connect(caller, callee, now=0.0):
     """Run NEW and the callee's ACCEPT + ANSWER through the wire codec; both end Up."""
-    frame, caller_cs = caller.place_call(callee.name, now)
-    replies, callee_cs = callee.handle_signal(decode_full(encode_full(frame)), now)
-    for f in replies:
-        assert caller.handle_signal(decode_full(encode_full(f)), now)[0] == []
-    assert caller_cs.state is CallState.UP
-    assert callee_cs.state is CallState.UP
-    return caller_cs, callee_cs
+    frame = caller.place_call(callee.name, now)
+    for f in callee.handle_signal(decode_full(encode_full(frame)), now):
+        assert caller.handle_signal(decode_full(encode_full(f)), now) == []
+    assert caller.call.state is CallState.UP
+    assert callee.call.state is CallState.UP
+    return caller.call, callee.call
 
 
 _CALLER_PATHS = {
@@ -66,7 +65,8 @@ _CALLER_PATHS = {
 def caller_at(state, peer_call=77):
     """A caller endpoint driven to ``state`` by scripted peer signals."""
     ep = IaxEndpoint("caller")
-    _, cs = ep.place_call("peer", 0.0)
+    ep.place_call("peer", 0.0)
+    cs = ep.call
     for i, sig in enumerate(_CALLER_PATHS[state]):
         ep.handle_signal(signal_frame(sig, peer_call, cs.local_call, oseqno=i), 0.0)
     assert cs.state is state
@@ -78,9 +78,10 @@ def caller_at(state, peer_call=77):
 
 def test_place_call_emits_new():
     caller = IaxEndpoint("a")
-    frame, cs = caller.place_call("b", 0.0)
+    frame = caller.place_call("b", 0.0)
+    cs = caller.call
     assert cs.state is CallState.WAITING_FOR_RESPONSE
-    assert cs.remote_call is None
+    assert cs.peer_call == 0
     assert frame.frame_type is FrameKind.CONTROL
     assert frame.subclass == Signal.NEW
     assert frame.dest_call == 0
@@ -91,15 +92,16 @@ def test_place_call_emits_new():
 
 def test_open_policy_immediate_answer():
     caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
-    new, caller_cs = caller.place_call("b", 0.0)
-    replies, callee_cs = callee.handle_signal(new, 0.0)
+    new = caller.place_call("b", 0.0)
+    replies = callee.handle_signal(new, 0.0)
+    caller_cs, callee_cs = caller.call, callee.call
     assert [Signal(f.subclass) for f in replies] == [Signal.ACCEPT, Signal.ANSWER]
     assert callee_cs.state is CallState.UP
-    assert callee_cs.remote_call == caller_cs.local_call
+    assert callee_cs.peer_call == caller_cs.local_call
     for f in replies:
         caller.handle_signal(f, 0.0)
     assert caller_cs.state is CallState.UP
-    assert caller_cs.remote_call == callee_cs.local_call
+    assert caller_cs.peer_call == callee_cs.local_call
 
 
 # -- sequence numbers --------------------------------------------------------
@@ -107,8 +109,9 @@ def test_open_policy_immediate_answer():
 
 def test_sequence_numbers_through_open_handshake():
     caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
-    new, caller_cs = caller.place_call("b", 0.0)
-    (accept, answer), callee_cs = callee.handle_signal(new, 0.0)
+    new = caller.place_call("b", 0.0)
+    accept, answer = callee.handle_signal(new, 0.0)
+    caller_cs, callee_cs = caller.call, callee.call
     assert (accept.oseqno, accept.iseqno) == (0, 1)  # iseqno = NEW.oseqno + 1
     assert (answer.oseqno, answer.iseqno) == (1, 1)
     caller.handle_signal(accept, 0.0)
@@ -174,7 +177,8 @@ def test_handle_signal_refuses_voice_frames():
 def test_answered_callee_refuses_all_but_teardown(sig):
     # AUTHREQ and AUTHREP included: a callee answers NEW at once and takes no credentials
     callee = IaxEndpoint("b")
-    _, cs = callee.handle_signal(signal_frame(Signal.NEW, 5, 0), 0.0)
+    callee.handle_signal(signal_frame(Signal.NEW, 5, 0), 0.0)
+    cs = callee.call
     with pytest.raises(ProtocolViolation) as exc_info:
         callee.handle_signal(signal_frame(sig, 5, cs.local_call, oseqno=7), 0.0)
     assert exc_info.value.state is CallState.UP
@@ -189,10 +193,10 @@ def test_answered_callee_refuses_all_but_teardown(sig):
 @pytest.mark.parametrize("sig", [Signal.REJECT, Signal.HANGUP])
 def test_teardown_signals_work_from_every_state(state, sig):
     ep, cs = caller_at(state)
-    replies, _ = ep.handle_signal(signal_frame(sig, 77, cs.local_call, oseqno=9), 0.0)
+    replies = ep.handle_signal(signal_frame(sig, 77, cs.local_call, oseqno=9), 0.0)
     assert replies == []
     assert cs.state is CallState.HUNGUP
-    assert cs.remote_call is not None  # the peer that tore it down is recorded
+    assert cs.peer_call == 77  # the peer that tore it down is recorded
 
 
 def test_hangup_is_idempotent_to_receive():
@@ -205,13 +209,13 @@ def test_hangup_is_idempotent_to_receive():
 def test_local_hangup_emits_frame_and_blocks_media():
     caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
     caller_cs, callee_cs = connect(caller, callee)
-    frame = caller.hangup(caller_cs.local_call, 1000.0)
+    frame = caller.hangup(1000.0)
     assert Signal(frame.subclass) is Signal.HANGUP
     assert frame.dest_call == callee_cs.local_call
     assert caller_cs.state is CallState.HUNGUP
     with pytest.raises(NotInCall):
-        caller.send_media(caller_cs.local_call, b"x", 1020.0)
-    replies, _ = callee.handle_signal(frame, 1000.0)
+        caller.send_media(b"x", 1020.0)
+    replies = callee.handle_signal(frame, 1000.0)
     assert replies == []
     assert callee_cs.state is CallState.HUNGUP
 
@@ -219,40 +223,22 @@ def test_local_hangup_emits_frame_and_blocks_media():
 def test_hangup_unknown_call_raises():
     ep = IaxEndpoint("a")
     with pytest.raises(NotInCall):
-        ep.hangup(42, 0.0)
+        ep.hangup(0.0)  # an endpoint that holds no call
 
 
-# -- the remote-call binding invariant ----------------------------------------
+# -- the remote call number: peer_call binds when the leg is established ---------
 
 
 @pytest.mark.parametrize("state", list(_CALLER_PATHS))
 def test_remote_call_bound_exactly_when_leg_established(state):
     _, cs = caller_at(state)
-    assert (cs.remote_call is None) == (state is CallState.WAITING_FOR_RESPONSE)
+    assert (cs.peer_call == 0) == (state is CallState.WAITING_FOR_RESPONSE)
 
 
 def test_reject_before_accept_still_records_peer():
     ep, cs = caller_at(CallState.WAITING_FOR_RESPONSE)
     ep.handle_signal(signal_frame(Signal.REJECT, 77, cs.local_call), 0.0)
-    assert cs.remote_call == 77
-
-
-# -- call number allocation -----------------------------------------------------
-
-
-def test_call_numbers_are_distinct():
-    ep = IaxEndpoint("a")
-    numbers = {ep.place_call("b", 0.0)[1].local_call for _ in range(100)}
-    assert len(numbers) == 100
-    assert all(1 <= n <= 0x7FFF for n in numbers)
-
-
-def test_call_number_exhaustion():
-    ep = IaxEndpoint("a")
-    for _ in range(0x7FFF):
-        ep.place_call("b", 0.0)
-    with pytest.raises(NoFreeCallNumbers):
-        ep.place_call("b", 0.0)
+    assert cs.peer_call == 77
 
 
 # -- media: sender side ----------------------------------------------------------
@@ -261,38 +247,39 @@ def test_call_number_exhaustion():
 def test_media_refused_before_answer():
     ep, cs = caller_at(CallState.ACCEPTED)
     with pytest.raises(NotInCall):
-        ep.send_media(cs.local_call, b"x" * 160, 20.0)
+        ep.send_media(b"x" * 160, 20.0)
 
 
 def test_first_media_frame_is_full_then_minis():
     caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
     caller_cs, _ = connect(caller, callee)
-    first = caller.send_media(caller_cs.local_call, b"x" * 160, 0.0)
+    first = caller.send_media(b"x" * 160, 0.0)
     assert isinstance(first, FullFrame)
     assert first.frame_type is FrameKind.VOICE
     assert first.timestamp == 0
-    assert first.dest_call == caller_cs.remote_call
+    assert first.dest_call == caller_cs.peer_call
     assert first.oseqno == 1  # one signaling frame (NEW) went out before it
     for k in range(1, 10):
-        nxt = caller.send_media(caller_cs.local_call, b"x" * 160, k * 20.0)
+        nxt = caller.send_media(b"x" * 160, k * 20.0)
         assert isinstance(nxt, MiniFrame)
         assert nxt.ts16 == k * 20
         assert nxt.source_call == caller_cs.local_call
 
 
 def test_callee_first_media_frame_is_full_to_the_caller():
-    caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
-    callee.place_call("elsewhere", 0.0)  # so the two ends hold different call numbers
-    caller_cs, callee_cs = connect(caller, callee)
-    assert callee_cs.local_call != caller_cs.local_call
-    first = callee.send_media(callee_cs.local_call, b"y" * 160, 0.0)
+    # a scripted caller numbered 77, so the two ends hold different call numbers
+    callee = IaxEndpoint("b")
+    callee.handle_signal(signal_frame(Signal.NEW, 77, 0, payload=b"b"), 0.0)
+    assert callee.call.local_call != 77
+    first = callee.send_media(b"y" * 160, 0.0)
     assert isinstance(first, FullFrame)
     assert first.frame_type is FrameKind.VOICE
-    assert first.source_call == callee_cs.local_call
-    assert first.dest_call == caller_cs.local_call
+    assert first.source_call == callee.call.local_call
+    assert first.dest_call == 77
     assert first.oseqno == 2  # ACCEPT and ANSWER went out before it
     assert first.iseqno == 1  # the caller's NEW was received
-    assert caller.receive_media_frame(decode_media(encode_full(first))) == (0, b"y" * 160)
+    assert first.timestamp == 0
+    assert decode_media(encode_full(first)) == first
 
 
 def test_full_frame_resent_when_high_bits_change():
@@ -302,7 +289,7 @@ def test_full_frame_resent_when_high_bits_change():
     payload = b"\x00" * 160
     full_ts = []
     for k in range(3500):
-        frame = caller.send_media(caller_cs.local_call, payload, k * 20.0)
+        frame = caller.send_media(payload, k * 20.0)
         if isinstance(frame, FullFrame):
             full_ts.append(frame.timestamp)
     assert full_ts == [0, 65540]  # 3277 * 20 is the first tick past 2**16
@@ -310,10 +297,8 @@ def test_full_frame_resent_when_high_bits_change():
 
 def test_short_call_needs_single_anchor():
     caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
-    caller_cs, _ = connect(caller, callee)
-    frames = [
-        caller.send_media(caller_cs.local_call, b"x", k * 20.0) for k in range(3276)
-    ]
+    connect(caller, callee)
+    frames = [caller.send_media(b"x", k * 20.0) for k in range(3276)]
     assert sum(isinstance(f, FullFrame) for f in frames) == 1  # max ts 65500
 
 
@@ -377,10 +362,10 @@ def test_receive_media_refuses_control_frames():
 
 def test_end_to_end_reconstruction_over_wire():
     caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
-    caller_cs, _ = connect(caller, callee)
+    connect(caller, callee)
     payload = b"\x7f" * 160
     for k in range(3500):  # spans one wrap of the low 16 bits
-        frame = caller.send_media(caller_cs.local_call, payload, k * 20.0)
+        frame = caller.send_media(payload, k * 20.0)
         wire = encode_full(frame) if isinstance(frame, FullFrame) else encode_mini(frame)
         ts, got = callee.receive_media_frame(decode_media(wire))
         assert ts == k * 20
@@ -388,51 +373,24 @@ def test_end_to_end_reconstruction_over_wire():
 
 
 def test_receive_media_frame_routing():
-    caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
-    caller_cs, callee_cs = connect(caller, callee)
-    # full frames route by dest_call, minis by the sender's call number
-    ts, _ = callee.receive_media_frame(voice_frame(0, b"a", dest_call=callee_cs.local_call))
+    # a scripted caller numbered 77: full frames route by our number in
+    # dest_call, minis by the peer's number in source_call
+    callee = IaxEndpoint("b")
+    callee.handle_signal(signal_frame(Signal.NEW, 77, 0, payload=b"b"), 0.0)
+    own = callee.call.local_call
+    ts, _ = callee.receive_media_frame(voice_frame(0, b"a", dest_call=own))
     assert ts == 0
-    ts, _ = callee.receive_media_frame(
-        MiniFrame(source_call=caller_cs.local_call, ts16=20, payload=b"b")
-    )
+    ts, _ = callee.receive_media_frame(MiniFrame(source_call=77, ts16=20, payload=b"b"))
     assert ts == 20
-    with pytest.raises(NotInCall):
-        callee.receive_media_frame(MiniFrame(source_call=999, ts16=40))
-    with pytest.raises(NotInCall):
-        callee.receive_media_frame(voice_frame(40, dest_call=999))
-
-
-_OPS = st.sampled_from(["place", *Signal])  # place_call, or a signal received
-
-
-@given(
-    # peer numbers from a tiny range, so calls collide on them
-    ops=st.lists(st.tuples(_OPS, st.integers(0, 3), st.integers(0, 7)), max_size=30),
-)
-def test_mini_frames_route_to_the_first_call_with_their_peer(ops):
-    ep = IaxEndpoint("ep")
-    probe = 0
-    for op, peer, pick in ops:
-        if op == "place":
-            ep.place_call("peer", 0.0)
-        else:
-            numbers = list(ep.calls)
-            dest = 0 if op is Signal.NEW or not numbers else numbers[pick % len(numbers)]
-            try:
-                ep.handle_signal(signal_frame(op, peer, dest, payload=b"x"), 0.0)
-            except ProtocolViolation:
-                pass
-        for p in range(4):
-            # the reference: scan the calls in order for the first with this peer
-            want = next((c for c in ep.calls.values() if c.peer_call == p), None)
-            probe += 1
-            if want is None or want.state is not CallState.UP:
-                with pytest.raises(NotInCall):
-                    ep.receive_media_frame(MiniFrame(source_call=p, ts16=probe))
-            else:
-                assert ep.receive_media_frame(MiniFrame(source_call=p, ts16=probe)) == (probe, b"")
-                assert want.rx.last_reconstructed_ts == probe
+    for stray in (
+        MiniFrame(source_call=own, ts16=40),  # our own number is not the peer's
+        MiniFrame(source_call=999, ts16=40),
+        voice_frame(40, dest_call=77),  # the peer's number is not ours
+        voice_frame(40, dest_call=999),
+    ):
+        with pytest.raises(NotInCall):
+            callee.receive_media_frame(stray)
+    assert callee.call.rx.last_reconstructed_ts == 20
 
 
 # -- a refused signal changes nothing -----------------------------------------------
@@ -440,7 +398,7 @@ def test_mini_frames_route_to_the_first_call_with_their_peer(ops):
 
 _INJECTION = st.tuples(
     st.sampled_from(["caller", "callee"]),  # the end that receives the signal
-    st.sampled_from(Signal),
+    st.sampled_from(["place", *Signal]),  # a second place_call, or a signal received
     st.sampled_from(["call", "zero", "stranger"]),  # how the frame is addressed
     st.integers(0, 0xFF),  # its oseqno
 )
@@ -449,22 +407,29 @@ _INJECTION = st.tuples(
 @given(handshake=st.integers(0, 2), injections=st.lists(_INJECTION, max_size=12))
 def test_a_refused_signal_leaves_the_endpoint_as_it_was(handshake, injections):
     # a real pair: NEW and the first `handshake` of the callee's ACCEPT, ANSWER
-    # cross the wire codec; then any signal reaches either end
+    # cross the wire codec; then any signal, or a second place_call, reaches either end
     caller, callee = IaxEndpoint("caller"), IaxEndpoint("callee")
-    new, caller_cs = caller.place_call("callee", 0.0)
-    replies, callee_cs = callee.handle_signal(decode_full(encode_full(new)), 0.0)
+    replies = callee.handle_signal(decode_full(encode_full(caller.place_call("callee", 0.0))), 0.0)
     for reply in replies[:handshake]:
         caller.handle_signal(decode_full(encode_full(reply)), 0.0)
-    ends = {"caller": (caller, caller_cs, callee_cs), "callee": (callee, callee_cs, caller_cs)}
-    for end, sig, addressing, oseqno in injections:
-        ep, own, peer = ends[end]
-        dest = {"call": own.local_call, "zero": 0, "stranger": 0x7FFF}[addressing]
-        frame = FullFrame(peer.local_call, dest, 0, oseqno, 0, FrameKind.CONTROL, sig, b"callee")
-        before = copy.deepcopy((ep.calls, ep._by_peer, ep._next_hint))
+    ends = {"caller": (caller, callee), "callee": (callee, caller)}
+    for end, op, addressing, oseqno in injections:
+        ep, peer = ends[end]
+        cs = ep.call
+        before = copy.deepcopy(cs)
+        if op == "place":
+            with pytest.raises(NoFreeCallNumbers):
+                ep.place_call("elsewhere", 1.0)
+            assert ep.call is cs and cs == before
+            continue
+        dest = {"call": cs.local_call, "zero": 0, "stranger": 0x7FFF}[addressing]
+        frame = FullFrame(peer.call.local_call, dest, 0, oseqno, 0, FrameKind.CONTROL, op, b"callee")
         try:
-            _, cs = ep.handle_signal(decode_full(encode_full(frame)), 1.0)
+            replies = ep.handle_signal(decode_full(encode_full(frame)), 1.0)
         except ProtocolViolation:
-            assert (ep.calls, ep._by_peer, ep._next_hint) == before
+            assert ep.call is cs and cs == before
         else:
+            assert op is not Signal.NEW  # both ends hold their one call: a NEW opens none
+            assert replies == []
+            assert ep.call is cs
             assert cs.iseqno == (oseqno + 1) & 0xFF
-            assert ep.calls[cs.local_call] is cs
