@@ -52,7 +52,6 @@ from .rsw import (
     MemberStatus,
     NotChairman,
     NotInvited,
-    ConferenceNotActive,
     RswError,
     RswInvitee,
     RtpTxState,
@@ -83,7 +82,6 @@ from .experiment import (
     CSV_HEADER,
     MissingProtocol,
     SweepConfig,
-    SweepResult,
     compare_report,
     emit_csv,
     run_scenario,

@@ -125,13 +125,13 @@ def main(argv: list[str] | None = None) -> int:
         sink = open(trace_path, "w", encoding="ascii", newline="") if trace_path else contextlib.nullcontext()
         with sink as fh:
             trace = TraceLog(fh) if fh is not None else None
-            result = run_sweep(cfg, trace)
-        emit_csv(result, out_path)
-        print(f"wrote {len(result.rows)} rows to {out_path}")
+            rows = run_sweep(cfg, trace)
+        emit_csv(rows, out_path)
+        print(f"wrote {len(rows)} rows to {out_path}")
         if trace is not None:
             print(f"wrote {trace.count} trace records to {trace_path}")
         if len(set(cfg.protocols)) == 2:
-            print(compare_report(result))
+            print(compare_report(rows))
     except (OSError, ValueError, HorizonExceeded) as exc:
         print(f"voipsim: error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 from .qos import NegativeDelay, QosReport, score_run
@@ -40,6 +40,9 @@ MAX_DELAY_POINTS = 10_000
 
 # an IAX endpoint stamps its frames with a run's milliseconds in 32 bits
 MAX_RUN_MS = 2**32 - 1
+
+# compare_report's bands: the delays where IAX's MOS beats RSW's by more than this
+GAP_BAND_MOS = 0.01
 
 
 class MissingProtocol(ValueError):
@@ -116,7 +119,11 @@ class SweepConfig:
         Raises ValueError when that passes ``MAX_RUN_MS``: every run, in a
         sweep or alone, starts with this check.
         """
-        horizon = self.duration_s * 1000.0 + 20.0 * delay_ms + 60_000.0
+        # every frame (the rounded count may pass duration_s) plus one interval:
+        # an IAX caller's first frame follows its anchor by one, and an RSW
+        # chairman's teardown tick follows its last frame by one
+        media_ms = (self.media_frame_count() + 1) * self.frame_interval_ms
+        horizon = media_ms + 20.0 * delay_ms + 60_000.0
         if horizon > MAX_RUN_MS:
             raise ValueError(
                 f"a run at delay {delay_ms:g} ms may last {horizon:.0f} ms, more than the "
@@ -133,11 +140,6 @@ class SweepConfig:
 def sweep_points(cfg: SweepConfig) -> list[float]:
     """The delay grid for *cfg*, endpoints included."""
     return [cfg.delay_start_ms + i * cfg.delay_step_ms for i in range(cfg.delay_point_count())]
-
-
-@dataclass
-class SweepResult:
-    rows: list[QosReport] = field(default_factory=list)
 
 
 def run_scenario(
@@ -163,7 +165,7 @@ def run_scenario(
     )
 
 
-def run_sweep(cfg: SweepConfig | None = None, trace: TraceLog | None = None) -> SweepResult:
+def run_sweep(cfg: SweepConfig | None = None, trace: TraceLog | None = None) -> list[QosReport]:
     """Run the full grid; rows come back sorted by (protocol, delay)."""
     cfg = cfg if cfg is not None else SweepConfig()
     protocols = sorted(set(cfg.protocols))
@@ -173,8 +175,8 @@ def run_sweep(cfg: SweepConfig | None = None, trace: TraceLog | None = None) -> 
         # imported only here: compiling it with the package would raise every process's peak memory
         from .forked import run_forked
 
-        return SweepResult(rows=run_forked(run_scenario, runs, trace, workers))
-    return SweepResult(rows=[run_scenario(*run, trace) for run in runs])
+        return run_forked(run_scenario, runs, trace, workers)
+    return [run_scenario(*run, trace) for run in runs]
 
 
 def _worker_count(runs: int) -> int:
@@ -204,21 +206,21 @@ def _csv_row(r: QosReport) -> str:
     )
 
 
-def emit_csv(result: SweepResult, path) -> None:
+def emit_csv(rows: list[QosReport], path) -> None:
     """Write one row per run; floats carry three decimals, counts are ints."""
     lines = [CSV_HEADER]
-    lines.extend(_csv_row(row) for row in result.rows)
+    lines.extend(_csv_row(row) for row in rows)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def compare_report(result: SweepResult, threshold: float = 0.01) -> str:
+def compare_report(rows: list[QosReport]) -> str:
     """Human-readable MOS comparison between the two protocols.
 
-    Raises MissingProtocol unless the result contains rows for both.
+    Raises MissingProtocol unless *rows* holds rows for both.
     """
     by_proto: dict[str, dict[float, QosReport]] = {}
-    for row in result.rows:
+    for row in rows:
         by_proto.setdefault(row.protocol, {})[row.configured_delay_ms] = row
     for name in KNOWN_PROTOCOLS:
         if name not in by_proto:
@@ -242,13 +244,13 @@ def compare_report(result: SweepResult, threshold: float = 0.01) -> str:
     peak_delay, peak_gap = max(gaps, key=lambda item: item[1])
     lines.append(f"max gap {peak_gap:+.4f} MOS at delay {peak_delay:g} ms")
 
-    bands = [list(band) for above, band in groupby(gaps, key=lambda item: item[1] > threshold) if above]
+    bands = [list(band) for above, band in groupby(gaps, key=lambda item: item[1] > GAP_BAND_MOS) if above]
     if not bands:
-        lines.append(f"gap never exceeds {threshold:g} MOS")
+        lines.append(f"gap never exceeds {GAP_BAND_MOS:g} MOS")
     else:
         band = max(bands, key=len)  # the first of equally long bands wins
         lines.append(
-            f"longest band with gap > {threshold:g} MOS: "
+            f"longest band with gap > {GAP_BAND_MOS:g} MOS: "
             f"{len(band)} points, delay {band[0][0]:g}..{band[-1][0]:g} ms"
         )
     return "\n".join(lines)

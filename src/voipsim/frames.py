@@ -34,7 +34,6 @@ RTP_HEADER_LEN = 12
 _FULL_HDR = struct.Struct(">HHIBBBB")
 _MINI_HDR = struct.Struct(">HH")
 _RTP_HDR = struct.Struct(">BBHII")
-_RTP_SSRC = struct.Struct(">I")
 
 
 class FrameError(ValueError):
@@ -257,20 +256,15 @@ def encode_rtp(p: RtpPacket) -> bytes:
     return _RTP_HDR.pack(b0, b1, p.seq, p.timestamp, p.ssrc) + bytes(p.payload)
 
 
-def _check_rtp_header(b: bytes) -> None:
+def decode_rtp(b: bytes) -> RtpPacket:
     if len(b) < RTP_HEADER_LEN:
         raise TooShort(f"RTP packet needs {RTP_HEADER_LEN} bytes, got {len(b)}")
-    b0 = b[0]
+    b0, b1, seq, ts, ssrc = _RTP_HDR.unpack_from(b)
     if b0 >> 6 != 2:
         raise Malformed(f"RTP version {b0 >> 6}, expected 2")
     if b0 & 0x3F:
         # padding/extension/CSRC would shift the payload boundary
         raise Malformed("padding, extension, or CSRC bits set")
-
-
-def decode_rtp(b: bytes) -> RtpPacket:
-    _check_rtp_header(b)
-    _b0, b1, seq, ts, ssrc = _RTP_HDR.unpack_from(b)
     return RtpPacket(
         seq=seq,
         timestamp=ts,
@@ -279,15 +273,6 @@ def decode_rtp(b: bytes) -> RtpPacket:
         payload_type=b1 & 0x7F,
         marker=bool(b1 & 0x80),
     )
-
-
-def rtp_ssrc(b: bytes) -> int:
-    """The SSRC of an RTP packet, with :func:`decode_rtp`'s checks and errors.
-
-    For relays that route on the source alone: no payload copy, no packet.
-    """
-    _check_rtp_header(b)
-    return _RTP_SSRC.unpack_from(b, 8)[0]
 
 
 def _check_token(name: str, value: str) -> None:

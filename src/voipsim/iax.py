@@ -18,7 +18,8 @@ nothing, not even ``iseqno``.  ``peer_call`` stays 0 until ACCEPT, sent or
 received, establishes the call leg, or a REJECT or HANGUP names who ended it.
 
 An endpoint holds at most one call, numbered 1.  A second ``place_call``
-raises :class:`NoFreeCallNumbers`; a NEW to an endpoint in a call raises
+raises :class:`NoFreeCallNumbers`; a NEW to an endpoint in a call, or one
+not sent to call number 0 as RFC 5456 sends it, raises
 :class:`ProtocolViolation`.
 """
 
@@ -81,19 +82,19 @@ class MediaRxState:
 
 @dataclass
 class IaxCallState:
-    """The state of an endpoint's one call.
+    """The state of an endpoint's one call, numbered ``LOCAL_CALL``.
 
     ``peer_call`` is the peer's call number, 0 until the leg is established.
+    ``last_full_ts`` is the timestamp of the last Voice full frame sent, None
+    before the first.
     """
 
     state: CallState
-    local_call: int
     start_time: float = 0.0
-    last_full_ts: int = 0
+    last_full_ts: int | None = None
     oseqno: int = 0
     iseqno: int = 0
     peer_call: int = 0
-    media_started: bool = False
     rx: MediaRxState = field(default_factory=MediaRxState)
 
 
@@ -127,7 +128,7 @@ def receive_media(rx: MediaRxState, frame: FullFrame | MiniFrame) -> tuple[int, 
 
 def _full_frame(cs: IaxCallState, kind: FrameKind, subclass: int, ts32: int, payload: bytes) -> FullFrame:
     """The next full frame of ``cs`` to its peer; advances ``oseqno``."""
-    frame = FullFrame(cs.local_call, cs.peer_call, ts32, cs.oseqno, cs.iseqno, kind, subclass, payload)
+    frame = FullFrame(LOCAL_CALL, cs.peer_call, ts32, cs.oseqno, cs.iseqno, kind, subclass, payload)
     cs.oseqno = (cs.oseqno + 1) & 0xFF
     return frame
 
@@ -155,7 +156,7 @@ class IaxEndpoint:
         """Start the outbound call; returns the NEW frame to send."""
         if self.call is not None:
             raise NoFreeCallNumbers(f"{self.name}: call {LOCAL_CALL} is in use")
-        self.call = cs = IaxCallState(CallState.WAITING_FOR_RESPONSE, LOCAL_CALL, start_time=now)
+        self.call = cs = IaxCallState(CallState.WAITING_FOR_RESPONSE, start_time=now)
         return self._control(cs, Signal.NEW, now, payload=dest.encode("utf-8"))
 
     def handle_signal(self, f: FullFrame, now: float) -> list[FullFrame]:
@@ -164,12 +165,14 @@ class IaxEndpoint:
             raise ValueError("handle_signal takes Control frames")
         sig = Signal(f.subclass)
         cs = self.call
-        if cs is None or f.dest_call != cs.local_call:
-            if sig is not Signal.NEW:
-                raise ProtocolViolation(None, sig)
+        if sig is Signal.NEW:
             if cs is not None:
                 raise ProtocolViolation(cs.state, sig)  # the one call is taken
+            if f.dest_call != 0:
+                raise ProtocolViolation(None, sig)  # a NEW opens a call only from call number 0
             return self._on_new(f, now)
+        if cs is None or f.dest_call != LOCAL_CALL:
+            raise ProtocolViolation(None, sig)
         teardown = sig in (Signal.REJECT, Signal.HANGUP)
         nxt = CallState.HUNGUP if teardown else _CALLER_NEXT.get((cs.state, sig))
         if nxt is None:
@@ -201,11 +204,11 @@ class IaxEndpoint:
         if cs is None or cs.state is not _UP:
             raise NotInCall(f"{self.name} holds no Up call")
         ts32 = int(now - cs.start_time) & 0xFFFFFFFF
-        if not cs.media_started or (ts32 >> 16) != (cs.last_full_ts >> 16):
-            cs.media_started = True
+        last = cs.last_full_ts
+        if last is None or (ts32 >> 16) != (last >> 16):
             cs.last_full_ts = ts32
             return _full_frame(cs, _VOICE, 0, ts32, payload)
-        return MiniFrame(cs.local_call, ts32 & 0xFFFF, payload)
+        return MiniFrame(LOCAL_CALL, ts32 & 0xFFFF, payload)
 
     def receive_media_frame(self, frame: FullFrame | MiniFrame) -> tuple[int, bytes]:
         """Reconstruct the ts of a media frame of the Up call.
@@ -215,7 +218,7 @@ class IaxEndpoint:
         """
         cs = self.call
         ours = cs is not None and (
-            frame.dest_call == cs.local_call if isinstance(frame, FullFrame) else frame.source_call == cs.peer_call
+            frame.dest_call == LOCAL_CALL if isinstance(frame, FullFrame) else frame.source_call == cs.peer_call
         )
         if not ours or cs.state is not _UP:
             raise NotInCall("no Up call for this media frame")
@@ -228,7 +231,7 @@ class IaxEndpoint:
 
     def _on_new(self, f: FullFrame, now: float) -> list[FullFrame]:
         self.call = cs = IaxCallState(
-            CallState.UP, LOCAL_CALL, start_time=now,
+            CallState.UP, start_time=now,
             iseqno=(f.oseqno + 1) & 0xFF, peer_call=f.source_call,  # ACCEPT establishes the leg
         )
         return [self._control(cs, Signal.ACCEPT, now), self._control(cs, Signal.ANSWER, now)]

@@ -7,7 +7,9 @@ scenario replay identically.
 
 Packet timing on a link::
 
-    serialization_ms = 8 * (len(pkt) + overhead_bytes) / link_rate_bps * 1000
+    serialization_ms = 8 * (len(pkt) + 28) / link_rate_bps * 1000
+
+where 28 bytes (``OVERHEAD_BYTES``) are the IPv4 and UDP headers of every packet.
 
 ``transmit`` models the lossy media channel (loss, duplication, reordering,
 jitter); ``reliable_send`` models the in-order signaling channel and never
@@ -36,6 +38,9 @@ from typing import Callable
 from .qos import NegativeDelay
 
 
+OVERHEAD_BYTES = 28  # IPv4 (20) plus UDP (8)
+
+
 class EmptyPacket(ValueError):
     """Transmission of a zero-length packet was requested."""
 
@@ -54,7 +59,6 @@ class LinkConfig:
     dup_prob: float = 0.0
     reorder_prob: float = 0.0
     link_rate_bps: int = 128_000
-    overhead_bytes: int = 28
 
     def __post_init__(self):
         for name in ("delay_ms", "jitter_ms"):
@@ -71,13 +75,11 @@ class LinkConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if self.link_rate_bps <= 0:
             raise ValueError(f"link_rate_bps must be > 0, got {self.link_rate_bps}")
-        if self.overhead_bytes < 0:
-            raise ValueError(f"overhead_bytes must be >= 0, got {self.overhead_bytes}")
 
 
 def serialization_ms(link: LinkConfig, size_bytes: int) -> float:
-    """Time to clock ``size_bytes`` plus per-packet overhead onto the link."""
-    return 8.0 * (size_bytes + link.overhead_bytes) * 1000.0 / link.link_rate_bps
+    """Time to clock ``size_bytes`` plus the IP/UDP overhead onto the link."""
+    return 8.0 * (size_bytes + OVERHEAD_BYTES) * 1000.0 / link.link_rate_bps
 
 
 # a handler gets the event's payload: the packet, or None for a timer tick
@@ -123,7 +125,7 @@ class Simulator:
         size = len(pkt)
         if size == 0:
             raise EmptyPacket(f"{src}->{dst}")
-        ser = 8.0 * (size + link.overhead_bytes) * 1000.0 / link.link_rate_bps  # serialization_ms
+        ser = 8.0 * (size + OVERHEAD_BYTES) * 1000.0 / link.link_rate_bps  # serialization_ms
         rand = self.rng.random
         lost = rand() < link.loss_prob
         duplicated = rand() < link.dup_prob

@@ -65,7 +65,6 @@ class QosReport:
     loss_fraction: float
     r_factor: float
     mos: float
-    no_packets: bool = False
 
 
 def score_run(
@@ -82,7 +81,7 @@ def score_run(
     ``delay_sum`` adds one delay per received packet (duplicates already
     removed), so ``recv <= sent`` and the mean delay, which feeds the
     impairment curve, is ``delay_sum / recv``.  A run that received nothing
-    is reported as MOS 1.0 with ``no_packets`` set instead of raising.  A
+    is reported as MOS 1.0 with a mean delay of 0 instead of raising.  A
     negative sum raises :class:`NegativeDelay`; a non-finite sum, a nonzero
     sum with nothing received, or inconsistent counters raise
     :class:`EModelError`.
@@ -115,5 +114,4 @@ def score_run(
         loss_fraction=loss_fraction,
         r_factor=r,
         mos=r_to_mos(r),
-        no_packets=recv == 0,
     )

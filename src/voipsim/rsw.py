@@ -35,9 +35,6 @@ class ConferencePhase(Enum):
     ENDED = "ended"
 
 
-_ACTIVE = ConferencePhase.ACTIVE  # bound once: reading an Enum member off its class is slow
-
-
 class RswError(Exception):
     """Base class for conference control errors."""
 
@@ -60,10 +57,6 @@ class UnknownConference(RswError):
 
 class NotInvited(RswError):
     """Sender holds no usable invitation (or already responded)."""
-
-
-class ConferenceNotActive(RswError):
-    """Media was sent while the conference was not active."""
 
 
 @dataclass
@@ -216,14 +209,13 @@ def new_rtp_tx(rng: random.Random, samples_per_frame: int = 160) -> RtpTxState:
     )
 
 
-def send_media_rtp(tx: RtpTxState, payload: bytes, *, phase: ConferencePhase) -> RtpPacket:
+def send_media_rtp(tx: RtpTxState, payload: bytes) -> RtpPacket:
     """Emit the next RTP packet and advance the stream counters.
 
     seq advances by 1 mod 2**16 and timestamp by samples_per_frame mod 2**32
-    per packet.  Refused for inactive conferences.
+    per packet.  The bridge, not the sender, drops media outside an Active
+    conference.
     """
-    if phase is not _ACTIVE:
-        raise ConferenceNotActive(f"conference is {phase.value}")
     pkt = RtpPacket(seq=tx.seq, timestamp=tx.timestamp, ssrc=tx.ssrc, payload=payload)
     tx.seq = (tx.seq + 1) & 0xFFFF
     tx.timestamp = (tx.timestamp + tx.samples_per_frame) & 0xFFFFFFFF

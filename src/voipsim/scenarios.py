@@ -43,13 +43,11 @@ from .frames import (
     encode_mini,
     encode_rsw,
     encode_rtp,
-    rtp_ssrc,
 )
 from .iax import CallState, IaxEndpoint, NotInCall
 from .netsim import LinkConfig, Simulator
 from .rsw import (
     ConferencePhase,
-    MemberStatus,
     RswInvitee,
     create_conference,
     new_rtp_tx,
@@ -65,7 +63,6 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps would reb
 # an Enum member read costs far more than a global's
 _VOICE = FrameKind.VOICE
 _ACTIVE = ConferencePhase.ACTIVE
-_JOINED = MemberStatus.JOINED
 _INVITEE = "p1"  # the conference's one invitee, on the server's host
 
 
@@ -299,7 +296,7 @@ class _RswChairNode(_MediaSource):
             self._begin_media(sim, 0.0)
 
     def _next_frame(self, now: float) -> tuple[int, bytes]:
-        pkt = send_media_rtp(self.tx, self.payload, phase=_ACTIVE)
+        pkt = send_media_rtp(self.tx, self.payload)
         return pkt.seq, encode_rtp(pkt)
 
     def _teardown(self, sim: Simulator) -> None:
@@ -310,18 +307,17 @@ class _RswChairNode(_MediaSource):
 
 
 class _RswServerNode(_Node):
-    """Routes control messages and bridges media to Joined members.
+    """Routes control messages and bridges the chairman's media to the invitee.
 
-    The invitee sits on the server's host and is reached for free; everyone
-    else is across the WAN link.
+    The invitee sits on the server's host and is reached for free; the
+    chairman is across the WAN link.  The chairman is the only media source,
+    and a conference is Active only once the invitee has joined.
     """
 
-    def __init__(self, wan, trace, chair_ssrc: int):
+    def __init__(self, wan, trace):
         super().__init__("server", None, wan, None, trace)
-        self.chair_ssrc = chair_ssrc
         self.conf = None
-        # media is relayed only to the conference's members: the chair and the invitee
-        self._relay_tails = {m: _packet_tail("relay", "bytes", src="server", dst=m) for m in ("chair", _INVITEE)}
+        self._relay_tail = _packet_tail("relay", "bytes", src="server", dst=_INVITEE)
 
     def handle(self, sim: Simulator, data: bytes) -> None:
         if data.startswith(b"RSW/1 "):
@@ -329,20 +325,14 @@ class _RswServerNode(_Node):
             for reply in out:
                 raw, dst = encode_rsw(reply), reply.recipient
                 self.trace.add(sim.now, "conf", src="server", dst=dst, bytes=len(raw), verb=reply.verb.value)
-                self._route(sim.reliable_send, sim, raw, dst)
+                if dst == _INVITEE:
+                    sim.deliver_local(raw, dst)
+                else:
+                    sim.reliable_send(self.link, raw, "server", dst)
         elif self.conf is not None and self.conf.phase is _ACTIVE:
-            sender = "chair" if rtp_ssrc(data) == self.chair_ssrc else None
-            for member_id, status in self.conf.members.items():
-                if status is _JOINED and member_id != sender:
-                    self.trace.packet(sim.now, self._relay_tails[member_id], len(data))
-                    self._route(sim.transmit, sim, data, member_id)
+            self.trace.packet(sim.now, self._relay_tail, len(data))
+            sim.deliver_local(data, _INVITEE)
         # media outside an active conference is dropped
-
-    def _route(self, send, sim: Simulator, data: bytes, dst: str) -> None:
-        if dst == _INVITEE:
-            sim.deliver_local(data, dst)
-        else:
-            send(self.link, data, "server", dst)
 
 
 class _RswParticipantNode(_Node):
@@ -374,7 +364,7 @@ def run_rsw_conference(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None
     tx = new_rtp_tx(random.Random(cfg.seed), samples_per_frame=cfg.payload_bytes)
     _run(
         f"RSW:{delay_ms:g}", delay_ms, cfg, trace,
-        _RswChairNode(wan, cfg, stats, trace, tx), _RswServerNode(wan, trace, tx.ssrc),
+        _RswChairNode(wan, cfg, stats, trace, tx), _RswServerNode(wan, trace),
         _RswParticipantNode(stats, trace),
     )
     return stats

@@ -45,6 +45,7 @@ from voipsim import (
     score_run,
     server_route,
 )
+from voipsim.iax import LOCAL_CALL
 
 GRID_POINTS = 81  # 0..2000 ms in 25 ms steps, endpoints included
 
@@ -57,10 +58,10 @@ def default_sweep():
     return result, time.perf_counter() - t0
 
 
-def mos_curves(result):
-    """{protocol: {configured_delay: mos}} for a sweep result."""
+def mos_curves(rows):
+    """{protocol: {configured_delay: mos}} for a sweep's rows."""
     curves: dict[str, dict[float, float]] = {}
-    for row in result.rows:
+    for row in rows:
         curves.setdefault(row.protocol, {})[row.configured_delay_ms] = row.mos
     return curves
 
@@ -207,7 +208,7 @@ def drive_caller(sequence):
     for i, sig in enumerate(sequence):
         frame = FullFrame(
             source_call=77,
-            dest_call=cs.local_call,
+            dest_call=LOCAL_CALL,
             timestamp=0,
             oseqno=i,
             iseqno=0,

@@ -24,7 +24,6 @@ from voipsim import (
     MissingProtocol,
     NegativeDelay,
     SweepConfig,
-    SweepResult,
     TraceLog,
     compare_report,
     emit_csv,
@@ -37,10 +36,11 @@ from voipsim import (
 )
 from voipsim import cli, experiment, scenarios
 from voipsim.cli import build_parser, load_config_file, main, resolve_settings
-from voipsim.experiment import MAX_RUN_MS
-from voipsim.frames import Signal
+from voipsim.experiment import GAP_BAND_MOS, MAX_RUN_MS
+from voipsim.frames import RswMessage, RtpPacket, Signal, Verb, encode_rsw, encode_rtp
 from voipsim.iax import CallState, ProtocolViolation
-from voipsim.netsim import LinkConfig
+from voipsim.netsim import LinkConfig, Simulator
+from voipsim.rsw import create_conference
 from voipsim.scenarios import _packet_tail
 
 FAST = dict(delay_end_ms=50.0, duration_s=0.5)  # 3 grid points, 25 frames/run
@@ -147,7 +147,8 @@ def test_config_names_a_non_finite_setting(name, value):
 
 
 def test_a_run_just_inside_the_32_bit_clock_is_accepted_and_exact():
-    edge = float((MAX_RUN_MS - 61_000) // 20)  # 1 s of media, 60 s of slack, 20 delays
+    # 50 frames of 20 ms plus one interval, 60 s of slack, 20 delays
+    edge = float((MAX_RUN_MS - 61_020) // 20)
     cfg = SweepConfig(delay_start_ms=edge, delay_end_ms=edge, duration_s=1.0, protocols=("IAX",))
     assert cfg.run_horizon_ms(edge) == MAX_RUN_MS - 15
     report = run_scenario("IAX", edge, cfg)
@@ -194,6 +195,29 @@ def test_rsw_run_carries_rtp_header_overhead():
     assert report.pkts_sent == 500
     assert report.pkts_recv == 500
     assert report.loss_fraction == 0.0
+
+
+def test_rsw_bridge_relays_media_only_in_an_active_conference():
+    # the bridge, not the sender, holds media back until the invitee has joined and after END
+    sim = Simulator()
+    delivered = []
+    sim.register("chair", lambda _sim, data: None)  # the server's ACKs
+    sim.register("p1", lambda _sim, data: delivered.append(data))
+    server = scenarios._RswServerNode(LinkConfig(), scenarios._NO_TRACE)
+    rtp = encode_rtp(RtpPacket(seq=1, timestamp=2, ssrc=3, payload=b"voice"))
+    relayed = []
+    for signal in (
+        None,  # no conference yet
+        create_conference("chair", ["p1"], "codec=pcm"),  # Creating
+        RswMessage(Verb.JOIN, 1, "p1", "server"),  # Active
+        RswMessage(Verb.END, 1, "chair", "server"),  # Ended
+    ):
+        if signal is not None:
+            server.handle(sim, encode_rsw(signal))
+        server.handle(sim, rtp)
+        sim.run_until_idle()
+        relayed.append(delivered.count(rtp))
+    assert relayed == [0, 0, 1, 1]
 
 
 def test_setup_time_crosses_the_link_twice():
@@ -318,8 +342,8 @@ def fast_sweep():
 
 
 def test_sweep_rows_are_sorted_by_protocol_then_delay(fast_sweep):
-    result, _ = fast_sweep
-    keys = [(r.protocol, r.configured_delay_ms) for r in result.rows]
+    rows, _ = fast_sweep
+    keys = [(r.protocol, r.configured_delay_ms) for r in rows]
     assert keys == [
         ("IAX", 0.0),
         ("IAX", 25.0),
@@ -331,13 +355,13 @@ def test_sweep_rows_are_sorted_by_protocol_then_delay(fast_sweep):
 
 
 def test_sweep_deduplicates_protocols():
-    result = run_sweep(SweepConfig(protocols=("IAX", "IAX"), **FAST))
-    assert [r.protocol for r in result.rows] == ["IAX"] * 3
+    rows = run_sweep(SweepConfig(protocols=("IAX", "IAX"), **FAST))
+    assert [r.protocol for r in rows] == ["IAX"] * 3
 
 
 def test_protocol_order_in_config_does_not_matter():
     swapped = run_sweep(SweepConfig(protocols=("RSW", "IAX"), **FAST))
-    assert [r.protocol for r in swapped.rows] == ["IAX"] * 3 + ["RSW"] * 3
+    assert [r.protocol for r in swapped] == ["IAX"] * 3 + ["RSW"] * 3
 
 
 # -- CSV ------------------------------------------------------------------------------
@@ -602,9 +626,11 @@ def test_compare_report_shape(fast_sweep):
 
 
 def test_compare_report_band_line():
-    cfg = SweepConfig(delay_start_ms=500.0, delay_end_ms=550.0, duration_s=0.5)
-    report = compare_report(run_sweep(cfg), threshold=1e-4)
-    assert "longest band with gap > 0.0001 MOS: 3 points, delay 500..550 ms" in report
+    # three points above the band threshold, between two below it
+    assert GAP_BAND_MOS == 0.01
+    below, above = GAP_BAND_MOS / 2, 2 * GAP_BAND_MOS
+    line = _report_for_gaps([below, above, above, above, below])
+    assert line == "longest band with gap > 0.01 MOS: 3 points, delay 100..300 ms"
 
 
 def _report_for_gaps(gaps: list[float]) -> str:
@@ -613,7 +639,7 @@ def _report_for_gaps(gaps: list[float]) -> str:
     for i, gap in enumerate(gaps):
         rows.append(dataclasses.replace(iax, configured_delay_ms=100.0 * i, mos=3.0 + gap))
         rows.append(dataclasses.replace(iax, protocol="RSW", configured_delay_ms=100.0 * i, mos=3.0))
-    return compare_report(SweepResult(rows=rows), threshold=0.01).splitlines()[-1]
+    return compare_report(rows).splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -640,7 +666,7 @@ def test_compare_report_no_band_when_gap_tiny(fast_sweep):
 def test_compare_report_equal_curves():
     iax = run_scenario("IAX", 0.0, SweepConfig(**FAST))
     fake_rsw = dataclasses.replace(iax, protocol="RSW")
-    report = compare_report(SweepResult(rows=[iax, fake_rsw]))
+    report = compare_report([iax, fake_rsw])
     assert "max gap +0.0000 MOS at delay 0 ms" in report
 
 
@@ -655,7 +681,7 @@ def test_compare_report_needs_common_points():
     iax = run_scenario("IAX", 0.0, cfg_a)
     rsw = run_scenario("RSW", 25.0, cfg_a)
     with pytest.raises(MissingProtocol):
-        compare_report(SweepResult(rows=[iax, rsw]))
+        compare_report([iax, rsw])
 
 
 # -- command line -----------------------------------------------------------------------------
@@ -830,6 +856,24 @@ def test_cli_refuses_a_run_past_the_32_bit_clock(argv, tmp_path, capsys, monkeyp
     assert f"{MAX_RUN_MS} ms" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, row",
+    [
+        # the caller's first counted frame goes out one interval after the anchor
+        (["--protocol", "iax", "--duration", "100", "--frame-ms", "100000"],
+         "IAX,0.000,12.500,5.375,1,1,0.000,93.200,4.409"),
+        # 1.5 frames round up to 2, and the teardown tick follows the second
+        (["--protocol", "rsw", "--duration", "1500", "--frame-ms", "1000000"],
+         "RSW,0.000,12.500,8.125,2,2,0.000,93.200,4.409"),
+    ],
+)
+def test_cli_horizon_covers_every_frame_interval(argv, row, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--delay-end", "0"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "sweep.csv").read_text(encoding="ascii").splitlines()[1:] == [row]
 
 
 def test_cli_reports_a_run_past_its_horizon(tmp_path, capsys, monkeypatch):

@@ -34,7 +34,6 @@ from voipsim.frames import (
     encode_mini,
     encode_rsw,
     encode_rtp,
-    rtp_ssrc,
 )
 
 # ---------------------------------------------------------------- strategies
@@ -270,24 +269,6 @@ def test_rtp_decode_rejects_wrong_version_and_flags():
 @given(rtp_packets)
 def test_rtp_round_trip(pkt):
     assert decode_rtp(encode_rtp(pkt)) == pkt
-
-
-@given(rtp_packets)
-def test_rtp_ssrc_reads_the_encoded_ssrc(pkt):
-    assert rtp_ssrc(encode_rtp(pkt)) == pkt.ssrc
-
-
-@given(st.binary(max_size=40))
-def test_rtp_ssrc_matches_decode_rtp_or_its_error(blob):
-    try:
-        expected = decode_rtp(blob).ssrc
-    except DecodeError as exc:
-        with pytest.raises(DecodeError) as caught:
-            rtp_ssrc(blob)
-        assert type(caught.value) is type(exc)
-        assert str(caught.value) == str(exc)
-    else:
-        assert rtp_ssrc(blob) == expected
 
 
 # ------------------------------------------------------- conference messages

@@ -25,6 +25,7 @@ from voipsim import (
     encode_mini,
     receive_media,
 )
+from voipsim.iax import LOCAL_CALL
 
 def signal_frame(sig, source_call, dest_call, oseqno=0, payload=b""):
     """A Control frame as a remote peer would address it to us."""
@@ -68,7 +69,7 @@ def caller_at(state, peer_call=77):
     ep.place_call("peer", 0.0)
     cs = ep.call
     for i, sig in enumerate(_CALLER_PATHS[state]):
-        ep.handle_signal(signal_frame(sig, peer_call, cs.local_call, oseqno=i), 0.0)
+        ep.handle_signal(signal_frame(sig, peer_call, LOCAL_CALL, oseqno=i), 0.0)
     assert cs.state is state
     return ep, cs
 
@@ -85,7 +86,7 @@ def test_place_call_emits_new():
     assert frame.frame_type is FrameKind.CONTROL
     assert frame.subclass == Signal.NEW
     assert frame.dest_call == 0
-    assert frame.source_call == cs.local_call
+    assert frame.source_call == LOCAL_CALL
     assert frame.payload == b"b"
     assert frame.oseqno == 0 and frame.iseqno == 0
 
@@ -97,11 +98,11 @@ def test_open_policy_immediate_answer():
     caller_cs, callee_cs = caller.call, callee.call
     assert [Signal(f.subclass) for f in replies] == [Signal.ACCEPT, Signal.ANSWER]
     assert callee_cs.state is CallState.UP
-    assert callee_cs.peer_call == caller_cs.local_call
+    assert callee_cs.peer_call == LOCAL_CALL
     for f in replies:
         caller.handle_signal(f, 0.0)
     assert caller_cs.state is CallState.UP
-    assert caller_cs.peer_call == callee_cs.local_call
+    assert caller_cs.peer_call == LOCAL_CALL
 
 
 # -- sequence numbers --------------------------------------------------------
@@ -144,7 +145,7 @@ def test_sequence_numbers_through_open_handshake():
 def test_undefined_caller_transitions_raise(state, sig):
     ep, cs = caller_at(state)
     with pytest.raises(ProtocolViolation) as exc_info:
-        ep.handle_signal(signal_frame(sig, 77, cs.local_call, oseqno=9), 0.0)
+        ep.handle_signal(signal_frame(sig, 77, LOCAL_CALL, oseqno=9), 0.0)
     assert exc_info.value.state is state
     assert exc_info.value.signal is sig
     assert cs.state is state  # a rejected signal must not move the machine
@@ -180,7 +181,7 @@ def test_answered_callee_refuses_all_but_teardown(sig):
     callee.handle_signal(signal_frame(Signal.NEW, 5, 0), 0.0)
     cs = callee.call
     with pytest.raises(ProtocolViolation) as exc_info:
-        callee.handle_signal(signal_frame(sig, 5, cs.local_call, oseqno=7), 0.0)
+        callee.handle_signal(signal_frame(sig, 5, LOCAL_CALL, oseqno=7), 0.0)
     assert exc_info.value.state is CallState.UP
     # the refused frame is not acknowledged: iseqno stays past the NEW
     assert (cs.state, cs.iseqno, cs.oseqno) == (CallState.UP, 1, 2)
@@ -193,7 +194,7 @@ def test_answered_callee_refuses_all_but_teardown(sig):
 @pytest.mark.parametrize("sig", [Signal.REJECT, Signal.HANGUP])
 def test_teardown_signals_work_from_every_state(state, sig):
     ep, cs = caller_at(state)
-    replies = ep.handle_signal(signal_frame(sig, 77, cs.local_call, oseqno=9), 0.0)
+    replies = ep.handle_signal(signal_frame(sig, 77, LOCAL_CALL, oseqno=9), 0.0)
     assert replies == []
     assert cs.state is CallState.HUNGUP
     assert cs.peer_call == 77  # the peer that tore it down is recorded
@@ -201,8 +202,8 @@ def test_teardown_signals_work_from_every_state(state, sig):
 
 def test_hangup_is_idempotent_to_receive():
     ep, cs = caller_at(CallState.UP)
-    ep.handle_signal(signal_frame(Signal.HANGUP, 77, cs.local_call, oseqno=9), 0.0)
-    ep.handle_signal(signal_frame(Signal.HANGUP, 77, cs.local_call, oseqno=10), 0.0)
+    ep.handle_signal(signal_frame(Signal.HANGUP, 77, LOCAL_CALL, oseqno=9), 0.0)
+    ep.handle_signal(signal_frame(Signal.HANGUP, 77, LOCAL_CALL, oseqno=10), 0.0)
     assert cs.state is CallState.HUNGUP
 
 
@@ -211,7 +212,7 @@ def test_local_hangup_emits_frame_and_blocks_media():
     caller_cs, callee_cs = connect(caller, callee)
     frame = caller.hangup(1000.0)
     assert Signal(frame.subclass) is Signal.HANGUP
-    assert frame.dest_call == callee_cs.local_call
+    assert frame.dest_call == LOCAL_CALL
     assert caller_cs.state is CallState.HUNGUP
     with pytest.raises(NotInCall):
         caller.send_media(b"x", 1020.0)
@@ -237,7 +238,7 @@ def test_remote_call_bound_exactly_when_leg_established(state):
 
 def test_reject_before_accept_still_records_peer():
     ep, cs = caller_at(CallState.WAITING_FOR_RESPONSE)
-    ep.handle_signal(signal_frame(Signal.REJECT, 77, cs.local_call), 0.0)
+    ep.handle_signal(signal_frame(Signal.REJECT, 77, LOCAL_CALL), 0.0)
     assert cs.peer_call == 77
 
 
@@ -263,18 +264,27 @@ def test_first_media_frame_is_full_then_minis():
         nxt = caller.send_media(b"x" * 160, k * 20.0)
         assert isinstance(nxt, MiniFrame)
         assert nxt.ts16 == k * 20
-        assert nxt.source_call == caller_cs.local_call
+        assert nxt.source_call == LOCAL_CALL
+
+
+@pytest.mark.parametrize("dest_call", [LOCAL_CALL, 0x7FFF])
+def test_a_new_not_sent_to_call_number_0_is_refused(dest_call):
+    # RFC 5456 sends NEW to call number 0; one addressed to a call opens none
+    callee = IaxEndpoint("b")
+    with pytest.raises(ProtocolViolation):
+        callee.handle_signal(FullFrame(5, dest_call, 0, 0, 0, FrameKind.CONTROL, Signal.NEW, b"b"), 0.0)
+    assert callee.call is None
 
 
 def test_callee_first_media_frame_is_full_to_the_caller():
     # a scripted caller numbered 77, so the two ends hold different call numbers
     callee = IaxEndpoint("b")
     callee.handle_signal(signal_frame(Signal.NEW, 77, 0, payload=b"b"), 0.0)
-    assert callee.call.local_call != 77
+    assert LOCAL_CALL != 77
     first = callee.send_media(b"y" * 160, 0.0)
     assert isinstance(first, FullFrame)
     assert first.frame_type is FrameKind.VOICE
-    assert first.source_call == callee.call.local_call
+    assert first.source_call == LOCAL_CALL
     assert first.dest_call == 77
     assert first.oseqno == 2  # ACCEPT and ANSWER went out before it
     assert first.iseqno == 1  # the caller's NEW was received
@@ -377,7 +387,7 @@ def test_receive_media_frame_routing():
     # dest_call, minis by the peer's number in source_call
     callee = IaxEndpoint("b")
     callee.handle_signal(signal_frame(Signal.NEW, 77, 0, payload=b"b"), 0.0)
-    own = callee.call.local_call
+    own = LOCAL_CALL
     ts, _ = callee.receive_media_frame(voice_frame(0, b"a", dest_call=own))
     assert ts == 0
     ts, _ = callee.receive_media_frame(MiniFrame(source_call=77, ts16=20, payload=b"b"))
@@ -422,8 +432,8 @@ def test_a_refused_signal_leaves_the_endpoint_as_it_was(handshake, injections):
                 ep.place_call("elsewhere", 1.0)
             assert ep.call is cs and cs == before
             continue
-        dest = {"call": cs.local_call, "zero": 0, "stranger": 0x7FFF}[addressing]
-        frame = FullFrame(peer.call.local_call, dest, 0, oseqno, 0, FrameKind.CONTROL, op, b"callee")
+        dest = {"call": LOCAL_CALL, "zero": 0, "stranger": 0x7FFF}[addressing]
+        frame = FullFrame(LOCAL_CALL, dest, 0, oseqno, 0, FrameKind.CONTROL, op, b"callee")
         try:
             replies = ep.handle_signal(decode_full(encode_full(frame)), 1.0)
         except ProtocolViolation:

@@ -51,8 +51,6 @@ def test_link_config_validation():
         LinkConfig(reorder_prob=-0.1)
     with pytest.raises(ValueError):
         LinkConfig(link_rate_bps=0)
-    with pytest.raises(ValueError):
-        LinkConfig(overhead_bytes=-1)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])

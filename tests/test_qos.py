@@ -137,7 +137,6 @@ def test_score_run_statistics():
     assert report.setup_time_ms == 44.0
     assert report.r_factor == 93.2 - 30.0 * 0.25  # idd(20) == 0
     assert report.mos == r_to_mos(report.r_factor)
-    assert not report.no_packets
 
 
 def test_score_run_loss_penalty_is_linear():
@@ -148,13 +147,13 @@ def test_score_run_loss_penalty_is_linear():
 
 def test_score_run_nothing_received():
     report = score_run(0.0, 500, 0)
-    assert report.no_packets
+    assert report.pkts_recv == 0
     assert report.mos == 1.0
     assert report.loss_fraction == 1.0
     assert report.mean_e2e_delay_ms == 0.0
     # a run that never sent either is not counted as total loss
     idle = score_run(0.0, 0, 0)
-    assert idle.loss_fraction == 0.0 and idle.no_packets
+    assert idle.loss_fraction == 0.0 and idle.pkts_recv == 0
 
 
 def test_score_run_counter_validation():

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from voipsim import (
-    ConferenceNotActive,
     ConferencePhase,
     EmptyInviteeList,
     EmptyMediaDescription,
@@ -294,10 +293,7 @@ def test_invitee_id_is_validated():
 
 def test_rtp_stream_counters_stride():
     tx = RtpTxState(seq=10, timestamp=1000, ssrc=0xABCD, samples_per_frame=160)
-    pkts = [
-        send_media_rtp(tx, b"x", phase=ConferencePhase.ACTIVE)
-        for _ in range(3)
-    ]
+    pkts = [send_media_rtp(tx, b"x") for _ in range(3)]
     assert [p.seq for p in pkts] == [10, 11, 12]
     assert [p.timestamp for p in pkts] == [1000, 1160, 1320]
     assert all(p.ssrc == 0xABCD for p in pkts)
@@ -307,7 +303,7 @@ def test_rtp_counters_wrap():
     tx = RtpTxState(seq=0xFFFE, timestamp=0xFFFFFF60, ssrc=1, samples_per_frame=160)
     seqs, stamps = [], []
     for _ in range(4):
-        p = send_media_rtp(tx, b"", phase=ConferencePhase.ACTIVE)
+        p = send_media_rtp(tx, b"")
         seqs.append(p.seq)
         stamps.append(p.timestamp)
     assert seqs == [0xFFFE, 0xFFFF, 0x0000, 0x0001]
@@ -323,16 +319,9 @@ def test_new_rtp_tx_is_seed_deterministic():
     assert 0 <= a.ssrc < 1 << 32
 
 
-@pytest.mark.parametrize("phase", [ConferencePhase.CREATING, ConferencePhase.ENDED])
-def test_media_requires_active_conference(phase):
-    tx = new_rtp_tx(random.Random(1))
-    with pytest.raises(ConferenceNotActive):
-        send_media_rtp(tx, b"x", phase=phase)
-
-
 def test_rtp_media_round_trips_the_wire():
     tx = RtpTxState(seq=1, timestamp=2, ssrc=3, samples_per_frame=160)
-    pkt = send_media_rtp(tx, b"voice!", phase=ConferencePhase.ACTIVE)
+    pkt = send_media_rtp(tx, b"voice!")
     wire = encode_rtp(pkt)
     assert wire[0] == 0x80  # version 2, nothing else in byte 0
     assert decode_rtp(wire) == pkt
@@ -361,7 +350,7 @@ def test_full_conference_lifecycle():
     assert conf.members["p3"] is MemberStatus.JOINED
 
     tx = new_rtp_tx(random.Random(9))
-    pkt = send_media_rtp(tx, b"\x00" * 160, phase=conf.phase)
+    pkt = send_media_rtp(tx, b"\x00" * 160)
     assert decode_rtp(encode_rtp(pkt)) == pkt
 
     out, conf = server_route(over_wire(RswMessage(Verb.END, 3, "chair", "server")), conf)
