@@ -12,6 +12,7 @@ from voipsim import (
     ConferencePhase,
     EmptyInviteeList,
     EmptyMediaDescription,
+    LinkConfig,
     MemberStatus,
     NotChairman,
     NotInvited,
@@ -19,6 +20,7 @@ from voipsim import (
     RswInvitee,
     RswMessage,
     RtpTxState,
+    Simulator,
     UnknownConference,
     Verb,
     create_conference,
@@ -30,6 +32,7 @@ from voipsim import (
     send_media_rtp,
     server_route,
 )
+from voipsim import scenarios
 
 MEDIA = "codec=pcm;frame_ms=20"
 
@@ -317,6 +320,27 @@ def test_new_rtp_tx_is_seed_deterministic():
     assert 0 <= a.seq < 1 << 16
     assert 0 <= a.timestamp < 1 << 32
     assert 0 <= a.ssrc < 1 << 32
+
+
+@pytest.mark.parametrize("phase", [ConferencePhase.CREATING, ConferencePhase.ENDED])
+def test_media_requires_active_conference(phase):
+    # the RSW bridge drops the chairman's media unless the conference is Active
+    sim = Simulator()
+    delivered = []
+    sim.register("chair", lambda _sim, data: None)  # the server's ACKs
+    sim.register("p1", lambda _sim, data: delivered.append(data))
+    server = scenarios._RswServerNode(LinkConfig(), scenarios._NO_TRACE)
+    signals = [create_conference("chair", ["p1"], MEDIA, conf_id=1)]
+    if phase is ConferencePhase.ENDED:
+        signals += [RswMessage(Verb.JOIN, 1, "p1", "server"), RswMessage(Verb.END, 1, "chair", "server")]
+    for signal in signals:
+        server.handle(sim, encode_rsw(signal))
+    sim.run_until_idle()
+    assert server.conf.phase is phase
+    rtp = encode_rtp(send_media_rtp(new_rtp_tx(random.Random(1)), b"x"))
+    server.handle(sim, rtp)
+    sim.run_until_idle()
+    assert rtp not in delivered
 
 
 def test_rtp_media_round_trips_the_wire():
