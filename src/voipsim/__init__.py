@@ -12,7 +12,6 @@ from .frames import (
     FrameKind,
     FullFrame,
     Malformed,
-    MiniFrame,
     NotFullFrame,
     NotMiniFrame,
     RswMessage,
@@ -42,7 +41,6 @@ from .iax import (
     NotInCall,
     ProtocolViolation,
     StaleFrame,
-    receive_media,
 )
 from .rsw import (
     ConferencePhase,

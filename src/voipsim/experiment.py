@@ -100,6 +100,9 @@ class SweepConfig:
             value = getattr(self, name)
             if type(value) is not int:  # a bool, or a float such as nan, would reach the run
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.seed < 0:
+            # random.Random would seed with abs(seed): -7 would replay seed 7
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.payload_bytes <= 1400:
             raise ValueError(f"payload_bytes must be in 1..1400, got {self.payload_bytes}")
         if self.link_rate_bps <= 0:

@@ -16,6 +16,9 @@ Binary layouts are big-endian and bit-exact:
     conference control message (text line)
         "RSW/1 <VERB> <conf_id> <from> <to>[ <body>]\\n"
 
+A mini frame has no object: ``encode_mini`` takes its fields and
+``decode_mini`` returns them as ``(source_call, ts16, payload)``.
+
 Encoders validate field ranges and raise :class:`EncodeError` naming the
 offending field.  Decoders are total: any byte string yields either a value
 or a typed :class:`DecodeError` subclass, never an unhandled exception.
@@ -147,15 +150,6 @@ class FullFrame:
 
 
 @dataclass(slots=True)
-class MiniFrame:
-    """Media frame carrying only the low 16 timestamp bits."""
-
-    source_call: int
-    ts16: int
-    payload: bytes = b""
-
-
-@dataclass(slots=True)
 class RtpPacket:
     """Media packet with the fixed 12-byte RTP header."""
 
@@ -231,19 +225,21 @@ def decode_full(b: bytes) -> FullFrame:
     )
 
 
-def encode_mini(m: MiniFrame) -> bytes:
-    _check_int("source_call", m.source_call, 0, 0x7FFF)
-    _check_int("ts16", m.ts16, 0, 0xFFFF)
-    return _MINI_HDR.pack(m.source_call, m.ts16) + bytes(m.payload)
+def encode_mini(source_call: int, ts16: int, payload: bytes = b"") -> bytes:
+    """The wire bytes of a mini frame; media carrying only the low 16 timestamp bits."""
+    _check_int("source_call", source_call, 0, 0x7FFF)
+    _check_int("ts16", ts16, 0, 0xFFFF)
+    return _MINI_HDR.pack(source_call, ts16) + bytes(payload)
 
 
-def decode_mini(b: bytes) -> MiniFrame:
+def decode_mini(b: bytes) -> tuple[int, int, bytes]:
+    """``(source_call, ts16, payload)`` of a mini frame's wire bytes."""
     if len(b) < MINI_HEADER_LEN:
         raise TooShort(f"mini frame needs {MINI_HEADER_LEN} bytes, got {len(b)}")
     w0, ts16 = _MINI_HDR.unpack_from(b)
     if w0 & 0x8000:
         raise NotMiniFrame("F bit is set")
-    return MiniFrame(w0, ts16, bytes(b[MINI_HEADER_LEN:]))
+    return w0, ts16, bytes(b[MINI_HEADER_LEN:])
 
 
 def encode_rtp(p: RtpPacket) -> bytes:

@@ -5,6 +5,10 @@ mini frames carrying only the low 16 timestamp bits.  The sender emits a
 Voice full frame to (re)anchor the receiver's upper 16 bits — once at media
 start and again whenever ``ts32 >> 16`` changes — so the receiver can
 reconstruct full 32-bit timestamps with at most a single wrap correction.
+Media crosses the endpoint as wire bytes: ``send_media`` returns the encoded
+frame, and ``receive_media_frame`` takes a mini frame's bytes.  A Voice full
+frame, decoded by the receiver to tell it from signaling, goes to
+``receive_anchor``.
 
 Received-signal transitions:
 
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .frames import FrameKind, FullFrame, MiniFrame, Signal
+from .frames import FrameKind, FullFrame, Signal, decode_mini, encode_full, encode_mini
 
 TS_WRAP = 1 << 16
 LOCAL_CALL = 1  # an endpoint's one call number
@@ -74,7 +78,11 @@ class StaleFrame(IaxError):
 
 @dataclass
 class MediaRxState:
-    """Receiver-side timestamp reconstruction state."""
+    """Receiver-side timestamp reconstruction state.
+
+    ``IaxEndpoint.receive_anchor`` sets ``high16`` from a Voice full frame;
+    ``IaxEndpoint.receive_media_frame`` extends it with a mini frame's ts16.
+    """
 
     high16: int = 0
     last_reconstructed_ts: int | None = None
@@ -96,34 +104,6 @@ class IaxCallState:
     iseqno: int = 0
     peer_call: int = 0
     rx: MediaRxState = field(default_factory=MediaRxState)
-
-
-def receive_media(rx: MediaRxState, frame: FullFrame | MiniFrame) -> tuple[int, bytes]:
-    """Reconstruct the 32-bit timestamp of a received media frame.
-
-    Voice full frames re-anchor ``high16``; mini frames extend the anchor,
-    corrected by one wrap window when the result would run backwards.
-    Returns ``(ts32, payload)``.
-    """
-    last = rx.last_reconstructed_ts
-    if isinstance(frame, FullFrame):
-        if frame.frame_type is not _VOICE:
-            raise ValueError("receive_media takes voice frames only")
-        ts32 = frame.timestamp
-        if last is not None and last - ts32 > TS_WRAP:
-            raise StaleFrame(f"full frame ts {ts32} is {last - ts32} ms behind")
-        rx.high16 = ts32 >> 16
-        if last is None or ts32 > last:
-            rx.last_reconstructed_ts = ts32
-        return ts32, frame.payload
-
-    ts32 = (rx.high16 << 16) | frame.ts16
-    if last is not None and ts32 < last:
-        ts32 += TS_WRAP
-        if ts32 < last:
-            raise StaleFrame(f"mini frame reconstructs to {ts32}, behind {last}")
-    rx.last_reconstructed_ts = ts32
-    return ts32, frame.payload
 
 
 def _full_frame(cs: IaxCallState, kind: FrameKind, subclass: int, ts32: int, payload: bytes) -> FullFrame:
@@ -194,8 +174,8 @@ class IaxEndpoint:
 
     # -- media -------------------------------------------------------------
 
-    def send_media(self, payload: bytes, now: float) -> FullFrame | MiniFrame:
-        """Emit the next media frame of the Up call.
+    def send_media(self, payload: bytes, now: float) -> tuple[int, bytes]:
+        """Emit the next media frame of the Up call: ``(ts32, wire bytes)``.
 
         A Voice full frame goes out for the first media frame and whenever
         the high 16 timestamp bits change; otherwise a mini frame.
@@ -207,22 +187,50 @@ class IaxEndpoint:
         last = cs.last_full_ts
         if last is None or (ts32 >> 16) != (last >> 16):
             cs.last_full_ts = ts32
-            return _full_frame(cs, _VOICE, 0, ts32, payload)
-        return MiniFrame(LOCAL_CALL, ts32 & 0xFFFF, payload)
+            return ts32, encode_full(_full_frame(cs, _VOICE, 0, ts32, payload))
+        return ts32, encode_mini(LOCAL_CALL, ts32 & 0xFFFF, payload)
 
-    def receive_media_frame(self, frame: FullFrame | MiniFrame) -> tuple[int, bytes]:
-        """Reconstruct the ts of a media frame of the Up call.
+    def receive_anchor(self, frame: FullFrame) -> tuple[int, bytes]:
+        """Re-anchor the Up call's media clock on a Voice full frame; ``(ts32, payload)``.
 
-        A full frame belongs to the call when it is addressed to the call's
-        number, a mini frame when it comes from the peer's.
+        The frame belongs to the call when it is addressed to the call's
+        number.  It sets ``high16``; a timestamp more than one wrap window
+        behind the last reconstructed one raises :class:`StaleFrame`.
         """
         cs = self.call
-        ours = cs is not None and (
-            frame.dest_call == LOCAL_CALL if isinstance(frame, FullFrame) else frame.source_call == cs.peer_call
-        )
-        if not ours or cs.state is not _UP:
+        if cs is None or frame.dest_call != LOCAL_CALL or cs.state is not _UP:
             raise NotInCall("no Up call for this media frame")
-        return receive_media(cs.rx, frame)
+        if frame.frame_type is not _VOICE:
+            raise ValueError("receive_anchor takes voice frames only")
+        rx, ts32 = cs.rx, frame.timestamp
+        last = rx.last_reconstructed_ts
+        if last is not None and last - ts32 > TS_WRAP:
+            raise StaleFrame(f"full frame ts {ts32} is {last - ts32} ms behind")
+        rx.high16 = ts32 >> 16
+        if last is None or ts32 > last:
+            rx.last_reconstructed_ts = ts32
+        return ts32, frame.payload
+
+    def receive_media_frame(self, data: bytes) -> tuple[int, bytes]:
+        """Reconstruct the 32-bit ts of a mini frame of the Up call from its wire bytes.
+
+        The frame belongs to the call when it comes from the peer's number.
+        Its ts16 extends the anchor's high bits, one wrap window later when
+        the result would run backwards; ``(ts32, payload)``.
+        """
+        source_call, ts16, payload = decode_mini(data)
+        cs = self.call
+        if cs is None or source_call != cs.peer_call or cs.state is not _UP:
+            raise NotInCall("no Up call for this media frame")
+        rx = cs.rx
+        last = rx.last_reconstructed_ts
+        ts32 = (rx.high16 << 16) | ts16
+        if last is not None and ts32 < last:
+            ts32 += TS_WRAP
+            if ts32 < last:
+                raise StaleFrame(f"mini frame reconstructs to {ts32}, behind {last}")
+        rx.last_reconstructed_ts = ts32
+        return ts32, payload
 
     # -- internals -----------------------------------------------------------
 

@@ -14,8 +14,10 @@ where 28 bytes (``OVERHEAD_BYTES``) are the IPv4 and UDP headers of every packet
 ``transmit`` models the lossy media channel (loss, duplication, reordering,
 jitter); ``reliable_send`` models the in-order signaling channel and never
 consumes randomness.  ``deliver_local`` moves a packet between co-located
-nodes (e.g. a conference server and a member on the same host) at no cost:
-it arrives at the current time.
+nodes at no cost: it arrives at the current time, after the events already
+due then.  The conference scenario uses it only for the control messages
+between its server and the member on the server's host; relayed media is
+handed over by a direct call instead.
 
 An event is a heap entry ``(due, seq, dst, payload)``; ``seq`` is unique, so
 the heap never compares ``dst`` or ``payload``.  Dispatch calls the handler

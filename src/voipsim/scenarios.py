@@ -9,7 +9,10 @@ emulated WAN link and add each counted frame's one-way delay to a
   the caller hangs up;
 * conference: the chairman CREATEs with one invitee, the server (co-located
   with the invitee) relays the invitation and the JOIN, media runs
-  chairman -> server -> invitee as RTP, then the chairman ENDs.
+  chairman -> server -> invitee as RTP, then the chairman ENDs.  The server
+  hands each relayed packet to the invitee by a direct call in the same
+  event; ``Simulator.deliver_local`` carries only the conference's control
+  messages between the two.
 
 Every node is a ``_Node`` (name, link, stats, trace); the caller and the
 chairman are ``_MediaSource`` nodes, which pace, count and send the frames.
@@ -36,11 +39,9 @@ from .frames import (
     Signal,
     Verb,
     decode_full,
-    decode_mini,
     decode_rsw,
     decode_rtp,
     encode_full,
-    encode_mini,
     encode_rsw,
     encode_rtp,
 )
@@ -179,8 +180,8 @@ class _MediaSource(_Node):
     """Paces ``cfg.media_frame_count()`` counted frames to its peer, then tears down.
 
     Subclasses supply ``_control`` (each packet; timer ticks pace the media),
-    ``_next_frame(now) -> (stats key, wire bytes)`` and ``_teardown``, and
-    call ``_begin_media``.
+    ``_next_frame(payload, now) -> (stats key, wire bytes)`` and
+    ``_teardown``, and call ``_begin_media``.
     """
 
     def __init__(self, name: str, peer: str, link: LinkConfig, cfg: SweepConfig, stats: MediaStats, trace):
@@ -194,7 +195,7 @@ class _MediaSource(_Node):
         if data is not None:
             self._control(sim, data)
         elif self.frames_left > 0:
-            key, data = self._next_frame(sim.now)
+            key, data = self._next_frame(self.payload, sim.now)
             self.stats._sent(key, sim.now)
             self._send_media(sim, data)
             self.frames_left -= 1
@@ -219,6 +220,7 @@ class _IaxCallerNode(_MediaSource):
     def __init__(self, link, cfg, stats, trace):
         super().__init__("caller", "callee", link, cfg, stats, trace)
         self.endpoint = IaxEndpoint("caller")
+        self._next_frame = self.endpoint.send_media  # its (ts32, wire bytes); ts32 is the stats key
 
     def start(self, sim: Simulator) -> None:
         _send_signal(self, sim, self.endpoint.place_call("callee", sim.now))
@@ -234,13 +236,8 @@ class _IaxCallerNode(_MediaSource):
         if call.state is CallState.UP and self.stats.setup_ms is None:
             # The first voice frame is a full frame that anchors the receiver's
             # 16-bit timestamp window; its size differs, so it goes uncounted.
-            self._send_media(sim, self._next_frame(sim.now)[1])
+            self._send_media(sim, self._next_frame(self.payload, sim.now)[1])
             self._begin_media(sim, self.interval)
-
-    def _next_frame(self, now: float) -> tuple[int, bytes]:
-        frame = self.endpoint.send_media(self.payload, now)
-        data = encode_full(frame) if isinstance(frame, FullFrame) else encode_mini(frame)
-        return int(now - self.endpoint.call.start_time), data
 
     def _teardown(self, sim: Simulator) -> None:
         _send_signal(self, sim, self.endpoint.hangup(sim.now))
@@ -253,16 +250,16 @@ class _IaxCalleeNode(_Node):
         self._deliver_tail = _packet_tail("deliver", "ts", dst="callee")
 
     def handle(self, sim: Simulator, data: bytes) -> None:
-        if data[0] & 0x80:
-            frame = decode_full(data)
-            if frame.frame_type is not _VOICE:
-                for reply in self.endpoint.handle_signal(frame, sim.now):
+        endpoint = self.endpoint
+        try:
+            if not data[0] & 0x80:
+                ts32, _payload = endpoint.receive_media_frame(data)
+            elif (frame := decode_full(data)).frame_type is _VOICE:
+                ts32, _payload = endpoint.receive_anchor(frame)
+            else:
+                for reply in endpoint.handle_signal(frame, sim.now):
                     _send_signal(self, sim, reply)
                 return
-        else:
-            frame = decode_mini(data)
-        try:
-            ts32, _payload = self.endpoint.receive_media_frame(frame)
         except NotInCall:
             return  # media straggling past teardown is dropped, not fatal
         self.stats._arrived(ts32, sim.now)
@@ -295,8 +292,8 @@ class _RswChairNode(_MediaSource):
         if decode_rsw(data).verb is Verb.JOIN and self.stats.setup_ms is None:
             self._begin_media(sim, 0.0)
 
-    def _next_frame(self, now: float) -> tuple[int, bytes]:
-        pkt = send_media_rtp(self.tx, self.payload)
+    def _next_frame(self, payload: bytes, now: float) -> tuple[int, bytes]:
+        pkt = send_media_rtp(self.tx, payload)
         return pkt.seq, encode_rtp(pkt)
 
     def _teardown(self, sim: Simulator) -> None:
@@ -311,12 +308,17 @@ class _RswServerNode(_Node):
 
     The invitee sits on the server's host and is reached for free; the
     chairman is across the WAN link.  The chairman is the only media source,
-    and a conference is Active only once the invitee has joined.
+    and a conference is Active only once the invitee has joined.  Relayed
+    media goes straight to ``relay_media(sim, data)``, the invitee's media
+    handler, in the event that brought it; control messages to the invitee
+    are queued with ``deliver_local``, so that the invitee's reply follows
+    the server's other messages of that instant.
     """
 
-    def __init__(self, wan, trace):
+    def __init__(self, wan, trace, relay_media):
         super().__init__("server", None, wan, None, trace)
         self.conf = None
+        self.relay_media = relay_media
         self._relay_tail = _packet_tail("relay", "bytes", src="server", dst=_INVITEE)
 
     def handle(self, sim: Simulator, data: bytes) -> None:
@@ -331,7 +333,7 @@ class _RswServerNode(_Node):
                     sim.reliable_send(self.link, raw, "server", dst)
         elif self.conf is not None and self.conf.phase is _ACTIVE:
             self.trace.packet(sim.now, self._relay_tail, len(data))
-            sim.deliver_local(data, _INVITEE)
+            self.relay_media(sim, data)
         # media outside an active conference is dropped
 
 
@@ -341,12 +343,13 @@ class _RswParticipantNode(_Node):
         self.invitee = RswInvitee(_INVITEE)
         self._deliver_tail = _packet_tail("deliver", "seq", dst=_INVITEE)
 
+    def receive_media(self, sim: Simulator, data: bytes) -> None:
+        """Take one RTP packet relayed by the server."""
+        seq = decode_rtp(data).seq
+        self.stats._arrived(seq, sim.now)
+        self.trace.packet(sim.now, self._deliver_tail, seq)
+
     def handle(self, sim: Simulator, data: bytes) -> None:
-        if not data.startswith(b"RSW/1 "):
-            seq = decode_rtp(data).seq
-            self.stats._arrived(seq, sim.now)
-            self.trace.packet(sim.now, self._deliver_tail, seq)
-            return
         msg = decode_rsw(data)
         if msg.verb is Verb.CREATE:  # ACK and END need no reply
             self.invitee.receive_invitation(msg)
@@ -362,9 +365,9 @@ def run_rsw_conference(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None
     stats = MediaStats()
     trace = _NO_TRACE if trace is None else trace
     tx = new_rtp_tx(random.Random(cfg.seed), samples_per_frame=cfg.payload_bytes)
+    invitee = _RswParticipantNode(stats, trace)
     _run(
         f"RSW:{delay_ms:g}", delay_ms, cfg, trace,
-        _RswChairNode(wan, cfg, stats, trace, tx), _RswServerNode(wan, trace),
-        _RswParticipantNode(stats, trace),
+        _RswChairNode(wan, cfg, stats, trace, tx), _RswServerNode(wan, trace, invitee.receive_media), invitee,
     )
     return stats

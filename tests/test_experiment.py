@@ -16,7 +16,7 @@ import tracemalloc
 import types
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from voipsim import (
     CSV_HEADER,
@@ -37,9 +37,9 @@ from voipsim import (
 from voipsim import cli, experiment, scenarios
 from voipsim.cli import build_parser, load_config_file, main, resolve_settings
 from voipsim.experiment import GAP_BAND_MOS, MAX_RUN_MS
-from voipsim.frames import RswMessage, RtpPacket, Signal, Verb, encode_rsw, encode_rtp
+from voipsim.frames import RTP_HEADER_LEN, RswMessage, RtpPacket, Signal, Verb, encode_rsw, encode_rtp
 from voipsim.iax import CallState, ProtocolViolation
-from voipsim.netsim import LinkConfig, Simulator
+from voipsim.netsim import LinkConfig, Simulator, serialization_ms
 from voipsim.rsw import create_conference
 from voipsim.scenarios import _packet_tail
 
@@ -114,6 +114,7 @@ def test_negative_start_delay_is_typed():
         dict(link_rate_bps=128_000.0),
         dict(seed=1.5),
         dict(seed=True),
+        dict(seed=-1),  # random.Random would seed with abs(seed) and replay seed 1
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -202,8 +203,8 @@ def test_rsw_bridge_relays_media_only_in_an_active_conference():
     sim = Simulator()
     delivered = []
     sim.register("chair", lambda _sim, data: None)  # the server's ACKs
-    sim.register("p1", lambda _sim, data: delivered.append(data))
-    server = scenarios._RswServerNode(LinkConfig(), scenarios._NO_TRACE)
+    sim.register("p1", lambda _sim, data: delivered.append(data))  # its control messages
+    server = scenarios._RswServerNode(LinkConfig(), scenarios._NO_TRACE, lambda _sim, data: delivered.append(data))
     rtp = encode_rtp(RtpPacket(seq=1, timestamp=2, ssrc=3, payload=b"voice"))
     relayed = []
     for signal in (
@@ -214,10 +215,64 @@ def test_rsw_bridge_relays_media_only_in_an_active_conference():
     ):
         if signal is not None:
             server.handle(sim, encode_rsw(signal))
+            sim.run_until_idle()
+        dispatched = sim.dispatched
         server.handle(sim, rtp)
+        relayed.append(delivered.count(rtp))  # a relay is a direct call, done when handle returns
         sim.run_until_idle()
-        relayed.append(delivered.count(rtp))
+        assert sim.dispatched == dispatched  # and media queues no event
     assert relayed == [0, 0, 1, 1]
+
+
+def test_events_dispatched_per_run_at_200_ms(monkeypatch):
+    # 500 frames at the defaults.  Relayed media reaches the RSW invitee by a
+    # direct call, not as a queued co-located hop (1,510 events with the hop);
+    # its control messages still take that hop, as events.
+    sims = []
+
+    class CountedSimulator(Simulator):
+        def __init__(self, seed):
+            super().__init__(seed)
+            sims.append(self)
+
+    monkeypatch.setattr(scenarios, "Simulator", CountedSimulator)
+    scenarios.run_iax_call(200.0, SweepConfig())
+    scenarios.run_rsw_conference(200.0, SweepConfig())
+    assert [sim.dispatched for sim in sims] == [1_006, 1_010]
+
+
+def _relays_are_delivered_at_once(jsonl: str) -> int:
+    """Relay records in an RSW trace; each must be followed at once by its delivery."""
+    records = [json.loads(line) for line in jsonl.splitlines()]
+    relays = 0
+    for i, rec in enumerate(records):
+        if rec["kind"] == "relay":
+            nxt = records[i + 1] if i + 1 < len(records) else None
+            assert nxt is not None and nxt["kind"] == "deliver" and nxt["t"] == rec["t"], (rec, nxt)
+            assert (nxt["scenario"], nxt["dst"]) == (rec["scenario"], rec["dst"])
+            relays += 1
+    return relays
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    eighths=st.integers(0, 4000),
+    tie=st.booleans(),
+    ticks=st.integers(0, 100),
+    frame_ms=st.integers(1, 40),
+    payload=st.integers(1, 400),
+    frames=st.integers(1, 30),
+)
+def test_every_relay_is_delivered_in_the_same_instant(eighths, tie, ticks, frame_ms, payload, frames):
+    # a tie puts each packet's arrival at the server on a later chairman tick
+    rtp_ms = serialization_ms(LinkConfig(), payload + RTP_HEADER_LEN)
+    delay = ticks * frame_ms - rtp_ms if tie else eighths / 8
+    assume(delay >= 0)
+    cfg = SweepConfig(duration_s=frames * frame_ms / 1000, frame_interval_ms=frame_ms, payload_bytes=payload)
+    trace = TraceLog(io.StringIO())
+    stats = scenarios.run_rsw_conference(delay, cfg, trace)
+    # a frame the chairman's END overtakes on a slow link is dropped unrelayed
+    assert _relays_are_delivered_at_once(trace.stream.getvalue()) == stats.frames_recv
 
 
 def test_setup_time_crosses_the_link_twice():
@@ -461,6 +516,24 @@ def test_fast_sweep_matches_golden_digests(tmp_path, capsys):
         (395, "5d9effa5b33333641989aad32c3ee749c5ccb0ea757220a6b961d51b9556715f"),
         (36_600, "4ba23b677278cebdf979b41fea6621a461827f1ed12389278c2d63006f4d3603"),
     ]
+
+
+def test_relay_tie_grid_matches_golden_digests(tmp_path, capsys):
+    # at delay 7.5 + 20k ms a 172-byte RTP packet (12.5 ms of wire) reaches the
+    # server at the instant of a chairman tick.  Its delivery follows the relay
+    # straight away, ahead of that tick's records: the CSV is the bytes the
+    # queued co-located hop gave, the trace the same records reordered within
+    # those instants.
+    out, trace = tmp_path / "tie.csv", tmp_path / "tie.jsonl"
+    argv = ["--delay-start", "7.5", "--delay-end", "207.5", "--delay-step", "20", "--duration", "2",
+            "--out", str(out), "--trace", str(trace)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    csv, jsonl = out.read_bytes(), trace.read_bytes()
+    assert len(csv.splitlines()) == 23
+    assert hashlib.sha256(csv).hexdigest() == "0c6e388fa21afe7a044d6c7406d4b298b98e7302bf0af87514556bd59f4f5be8"
+    assert hashlib.sha256(jsonl).hexdigest() == "e5b415a06b386919058b2ffe04f9a5883d157eb9a306b210310a1a003185394e"
+    assert _relays_are_delivered_at_once(jsonl.decode("ascii")) == 11 * 100
 
 
 def test_repeated_sweep_is_byte_identical(tmp_path):

@@ -13,7 +13,6 @@ from voipsim import (
     FullFrame,
     IaxEndpoint,
     MediaRxState,
-    MiniFrame,
     NoFreeCallNumbers,
     NotInCall,
     ProtocolViolation,
@@ -23,7 +22,6 @@ from voipsim import (
     decode_mini,
     encode_full,
     encode_mini,
-    receive_media,
 )
 from voipsim.iax import LOCAL_CALL
 
@@ -41,9 +39,9 @@ def signal_frame(sig, source_call, dest_call, oseqno=0, payload=b""):
     )
 
 
-def decode_media(wire: bytes):
-    """Dispatch a media packet to the right decoder by its F bit."""
-    return decode_full(wire) if wire[0] & 0x80 else decode_mini(wire)
+def receive_wire(ep, wire: bytes):
+    """Hand a media packet's bytes to ``ep`` as a callee node does, by the F bit."""
+    return ep.receive_anchor(decode_full(wire)) if wire[0] & 0x80 else ep.receive_media_frame(wire)
 
 
 def connect(caller, callee, now=0.0):
@@ -254,17 +252,16 @@ def test_media_refused_before_answer():
 def test_first_media_frame_is_full_then_minis():
     caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
     caller_cs, _ = connect(caller, callee)
-    first = caller.send_media(b"x" * 160, 0.0)
-    assert isinstance(first, FullFrame)
+    ts, wire = caller.send_media(b"x" * 160, 0.0)
+    first = decode_full(wire)
     assert first.frame_type is FrameKind.VOICE
-    assert first.timestamp == 0
+    assert ts == first.timestamp == 0
     assert first.dest_call == caller_cs.peer_call
     assert first.oseqno == 1  # one signaling frame (NEW) went out before it
     for k in range(1, 10):
-        nxt = caller.send_media(b"x" * 160, k * 20.0)
-        assert isinstance(nxt, MiniFrame)
-        assert nxt.ts16 == k * 20
-        assert nxt.source_call == LOCAL_CALL
+        ts, wire = caller.send_media(b"x" * 160, k * 20.0)
+        assert ts == k * 20
+        assert decode_mini(wire) == (LOCAL_CALL, k * 20, b"x" * 160)  # NotMiniFrame if full
 
 
 @pytest.mark.parametrize("dest_call", [LOCAL_CALL, 0x7FFF])
@@ -281,15 +278,15 @@ def test_callee_first_media_frame_is_full_to_the_caller():
     callee = IaxEndpoint("b")
     callee.handle_signal(signal_frame(Signal.NEW, 77, 0, payload=b"b"), 0.0)
     assert LOCAL_CALL != 77
-    first = callee.send_media(b"y" * 160, 0.0)
-    assert isinstance(first, FullFrame)
+    ts, wire = callee.send_media(b"y" * 160, 0.0)
+    first = decode_full(wire)  # NotFullFrame if a mini
     assert first.frame_type is FrameKind.VOICE
     assert first.source_call == LOCAL_CALL
     assert first.dest_call == 77
     assert first.oseqno == 2  # ACCEPT and ANSWER went out before it
     assert first.iseqno == 1  # the caller's NEW was received
-    assert first.timestamp == 0
-    assert decode_media(encode_full(first)) == first
+    assert ts == first.timestamp == 0
+    assert first.payload == b"y" * 160
 
 
 def test_full_frame_resent_when_high_bits_change():
@@ -299,23 +296,24 @@ def test_full_frame_resent_when_high_bits_change():
     payload = b"\x00" * 160
     full_ts = []
     for k in range(3500):
-        frame = caller.send_media(payload, k * 20.0)
-        if isinstance(frame, FullFrame):
-            full_ts.append(frame.timestamp)
+        ts, wire = caller.send_media(payload, k * 20.0)
+        if wire[0] & 0x80:
+            full_ts.append(decode_full(wire).timestamp)
+            assert full_ts[-1] == ts
     assert full_ts == [0, 65540]  # 3277 * 20 is the first tick past 2**16
 
 
 def test_short_call_needs_single_anchor():
     caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
     connect(caller, callee)
-    frames = [caller.send_media(b"x", k * 20.0) for k in range(3276)]
-    assert sum(isinstance(f, FullFrame) for f in frames) == 1  # max ts 65500
+    wires = [caller.send_media(b"x", k * 20.0)[1] for k in range(3276)]
+    assert sum(bool(w[0] & 0x80) for w in wires) == 1  # max ts 65500
 
 
 # -- media: receiver-side timestamp reconstruction ---------------------------------
 
 
-def voice_frame(ts32, payload=b"", dest_call=0):
+def voice_frame(ts32, payload=b"", dest_call=LOCAL_CALL):
     return FullFrame(
         source_call=1,
         dest_call=dest_call,
@@ -328,46 +326,56 @@ def voice_frame(ts32, payload=b"", dest_call=0):
     )
 
 
+def receiver():
+    """A callee Up in a call from a scripted caller numbered 1."""
+    ep = IaxEndpoint("b")
+    ep.handle_signal(signal_frame(Signal.NEW, 1, 0, payload=b"b"), 0.0)
+    return ep
+
+
 def test_anchor_then_minis():
-    rx = MediaRxState()
-    assert receive_media(rx, voice_frame(0, b"a")) == (0, b"a")
-    assert receive_media(rx, MiniFrame(source_call=1, ts16=20, payload=b"b")) == (20, b"b")
-    assert receive_media(rx, MiniFrame(source_call=1, ts16=40, payload=b"c")) == (40, b"c")
+    ep = receiver()
+    assert ep.receive_anchor(voice_frame(0, b"a")) == (0, b"a")
+    assert ep.receive_media_frame(encode_mini(1, 20, b"b")) == (20, b"b")
+    assert ep.receive_media_frame(encode_mini(1, 40, b"c")) == (40, b"c")
 
 
 def test_mini_wrap_corrects_forward():
-    rx = MediaRxState()
-    receive_media(rx, voice_frame(65500))
+    ep = receiver()
+    ep.receive_anchor(voice_frame(65500))
     # high bits are still 0, so ts16=10 naively reconstructs to 10; one wrap
     # correction lands it just past the anchor.
-    ts, _ = receive_media(rx, MiniFrame(source_call=1, ts16=10))
+    ts, _ = ep.receive_media_frame(encode_mini(1, 10))
     assert ts == 65546
 
 
 def test_mini_more_than_one_wrap_behind_is_stale():
-    rx = MediaRxState(high16=0, last_reconstructed_ts=140000)
+    ep = receiver()
+    ep.call.rx = MediaRxState(high16=0, last_reconstructed_ts=140000)
     with pytest.raises(StaleFrame):
-        receive_media(rx, MiniFrame(source_call=1, ts16=1000))
+        ep.receive_media_frame(encode_mini(1, 1000))
 
 
 def test_full_frame_far_behind_is_stale():
-    rx = MediaRxState()
-    receive_media(rx, voice_frame(200000))
+    ep = receiver()
+    ep.receive_anchor(voice_frame(200000))
     with pytest.raises(StaleFrame):
-        receive_media(rx, voice_frame(100000))
+        ep.receive_anchor(voice_frame(100000))
 
 
 def test_full_frame_exactly_one_window_behind_is_allowed():
-    rx = MediaRxState()
-    receive_media(rx, voice_frame(131072))
-    ts, _ = receive_media(rx, voice_frame(65536))  # behind by exactly 2**16
+    ep = receiver()
+    ep.receive_anchor(voice_frame(131072))
+    ts, _ = ep.receive_anchor(voice_frame(65536))  # behind by exactly 2**16
     assert ts == 65536
-    assert rx.last_reconstructed_ts == 131072  # clock never runs backwards
+    assert ep.call.rx.last_reconstructed_ts == 131072  # clock never runs backwards
 
 
 def test_receive_media_refuses_control_frames():
+    ep = receiver()
     with pytest.raises(ValueError):
-        receive_media(MediaRxState(), signal_frame(Signal.ANSWER, 1, 2))
+        ep.receive_anchor(signal_frame(Signal.ANSWER, 1, LOCAL_CALL))
+    assert ep.call.rx == MediaRxState()
 
 
 def test_end_to_end_reconstruction_over_wire():
@@ -375,10 +383,9 @@ def test_end_to_end_reconstruction_over_wire():
     connect(caller, callee)
     payload = b"\x7f" * 160
     for k in range(3500):  # spans one wrap of the low 16 bits
-        frame = caller.send_media(payload, k * 20.0)
-        wire = encode_full(frame) if isinstance(frame, FullFrame) else encode_mini(frame)
-        ts, got = callee.receive_media_frame(decode_media(wire))
-        assert ts == k * 20
+        sent_ts, wire = caller.send_media(payload, k * 20.0)
+        ts, got = receive_wire(callee, wire)
+        assert ts == sent_ts == k * 20
         assert got == payload
 
 
@@ -388,18 +395,18 @@ def test_receive_media_frame_routing():
     callee = IaxEndpoint("b")
     callee.handle_signal(signal_frame(Signal.NEW, 77, 0, payload=b"b"), 0.0)
     own = LOCAL_CALL
-    ts, _ = callee.receive_media_frame(voice_frame(0, b"a", dest_call=own))
+    ts, _ = callee.receive_anchor(voice_frame(0, b"a", dest_call=own))
     assert ts == 0
-    ts, _ = callee.receive_media_frame(MiniFrame(source_call=77, ts16=20, payload=b"b"))
+    ts, _ = callee.receive_media_frame(encode_mini(77, 20, b"b"))
     assert ts == 20
-    for stray in (
-        MiniFrame(source_call=own, ts16=40),  # our own number is not the peer's
-        MiniFrame(source_call=999, ts16=40),
-        voice_frame(40, dest_call=77),  # the peer's number is not ours
-        voice_frame(40, dest_call=999),
+    for receive, stray in (
+        (callee.receive_media_frame, encode_mini(own, 40)),  # our own number is not the peer's
+        (callee.receive_media_frame, encode_mini(999, 40)),
+        (callee.receive_anchor, voice_frame(40, dest_call=77)),  # the peer's number is not ours
+        (callee.receive_anchor, voice_frame(40, dest_call=999)),
     ):
         with pytest.raises(NotInCall):
-            callee.receive_media_frame(stray)
+            receive(stray)
     assert callee.call.rx.last_reconstructed_ts == 20
 
 

@@ -328,8 +328,8 @@ def test_media_requires_active_conference(phase):
     sim = Simulator()
     delivered = []
     sim.register("chair", lambda _sim, data: None)  # the server's ACKs
-    sim.register("p1", lambda _sim, data: delivered.append(data))
-    server = scenarios._RswServerNode(LinkConfig(), scenarios._NO_TRACE)
+    sim.register("p1", lambda _sim, data: delivered.append(data))  # its control messages
+    server = scenarios._RswServerNode(LinkConfig(), scenarios._NO_TRACE, lambda _sim, data: delivered.append(data))
     signals = [create_conference("chair", ["p1"], MEDIA, conf_id=1)]
     if phase is ConferencePhase.ENDED:
         signals += [RswMessage(Verb.JOIN, 1, "p1", "server"), RswMessage(Verb.END, 1, "chair", "server")]
