@@ -87,12 +87,14 @@ def resolve_settings(args: argparse.Namespace) -> tuple[SweepConfig, str, str | 
                 merged[dest] = parse(raw)
             except ValueError:
                 raise ValueError(f"{args.config}: setting {key!r}: cannot parse {raw!r}") from None
-    for dest, *_spec in _SETTINGS.values():
+    for key, (dest, *_spec) in _SETTINGS.items():
         flag_value = getattr(args, dest)
+        if flag_value == "":  # refused as in a config file, not read as the default
+            raise ValueError(f"empty value for --{key}")
         if flag_value is not None:
             merged[dest] = flag_value
-    out_path = merged.pop("out", None) or "sweep.csv"
-    trace_path = merged.pop("trace", None) or None
+    out_path = merged.pop("out", "sweep.csv")
+    trace_path = merged.pop("trace", None)
     if trace_path is not None and _same_file(trace_path, out_path):
         raise ValueError(f"the CSV ({out_path}) and the trace ({trace_path}) name the same file")
     protocol = merged.pop("protocols", "both")

@@ -281,12 +281,12 @@ def _check_token(name: str, value: str) -> None:
 def encode_rsw(m: RswMessage) -> bytes:
     if not isinstance(m.verb, Verb):
         raise EncodeError("verb", f"{m.verb!r} is not a Verb")
-    if not isinstance(m.conf_id, int):
-        raise EncodeError("conf_id", "must be an integer")
+    if not isinstance(m.conf_id, int) or isinstance(m.conf_id, bool):
+        raise EncodeError("conf_id", "must be an integer, not a bool")  # True would go out as "True"
     _check_token("sender", m.sender)
     _check_token("recipient", m.recipient)
-    if not isinstance(m.body, str) or "\n" in m.body:
-        raise EncodeError("body", "must be a string without newlines")
+    if not isinstance(m.body, str) or "\n" in m.body or "\r" in m.body:
+        raise EncodeError("body", "must be a string without line breaks")
     if m.verb is Verb.CREATE and not m.body:
         raise EncodeError("body", "CREATE requires a media description body")
     if m.verb is Verb.END and m.body:
@@ -317,9 +317,13 @@ def decode_rsw(b: bytes) -> RswMessage:
         conf_id = int(parts[2])
     except ValueError:
         raise Malformed(f"conf_id {parts[2]!r} is not an integer") from None
+    if str(conf_id) != parts[2]:  # one line per message: no "007", "+7", "1_0", "-0" or leading whitespace
+        raise Malformed(f"conf_id {parts[2]!r} is not written as the encoder writes it")
     sender, recipient = parts[3], parts[4]
-    if not sender or not recipient:
-        raise Malformed("empty from/to field")
+    if not sender or not recipient or any(c.isspace() for c in sender + recipient):
+        raise Malformed("empty from/to field, or whitespace in one")
+    if parts[5:] == [""]:
+        raise Malformed("a trailing space with no body")
     body = parts[5] if len(parts) == 6 else ""
     if verb is Verb.CREATE and not body:
         raise Malformed("CREATE without a body")

@@ -15,9 +15,8 @@ where 28 bytes (``OVERHEAD_BYTES``) are the IPv4 and UDP headers of every packet
 jitter); ``reliable_send`` models the in-order signaling channel and never
 consumes randomness.  ``deliver_local`` moves a packet between co-located
 nodes at no cost: it arrives at the current time, after the events already
-due then.  The conference scenario uses it only for the control messages
-between its server and the member on the server's host; relayed media is
-handed over by a direct call instead.
+due then.  No scenario calls it: the conference's server hands everything to
+the member on its host by a direct call.
 
 An event is a heap entry ``(due, seq, dst, payload)``; ``seq`` is unique, so
 the heap never compares ``dst`` or ``payload``.  Dispatch calls the handler
@@ -163,7 +162,7 @@ class Simulator:
         return arrival
 
     def deliver_local(self, pkt: bytes, dst: str) -> float:
-        """Hand a packet to a co-located node now: no link, no serialization."""
+        """Hand a packet to a co-located node now, at no link cost; no scenario calls this."""
         if len(pkt) == 0:
             raise EmptyPacket(f"local->{dst}")
         self.schedule(self.now, dst, pkt)

@@ -7,12 +7,11 @@ emulated WAN link and add each counted frame's one-way delay to a
 * two-party call: caller places the call, the callee auto-answers, media
   runs caller -> callee in mini frames (full frames only to anchor), then
   the caller hangs up;
-* conference: the chairman CREATEs with one invitee, the server (co-located
-  with the invitee) relays the invitation and the JOIN, media runs
-  chairman -> server -> invitee as RTP, then the chairman ENDs.  The server
-  hands each relayed packet to the invitee by a direct call in the same
-  event; ``Simulator.deliver_local`` carries only the conference's control
-  messages between the two.
+* conference: the chairman CREATEs with one invitee, the invitee JOINs,
+  media runs chairman -> server -> invitee as RTP, then the chairman ENDs.
+  The invitee sits on the server's host, which is one node: the server
+  routes the invitee's messages and delivers relayed media to it by direct
+  calls, within the event that brought them.
 
 Every node is a ``_Node`` (name, link, stats, trace); the caller and the
 chairman are ``_MediaSource`` nodes, which pace, count and send the frames.
@@ -304,59 +303,50 @@ class _RswChairNode(_MediaSource):
 
 
 class _RswServerNode(_Node):
-    """Routes control messages and bridges the chairman's media to the invitee.
+    """The server's host: routes control messages and bridges the chairman's media.
 
-    The invitee sits on the server's host and is reached for free; the
-    chairman is across the WAN link.  The chairman is the only media source,
-    and a conference is Active only once the invitee has joined.  Relayed
-    media goes straight to ``relay_media(sim, data)``, the invitee's media
-    handler, in the event that brought it; control messages to the invitee
-    are queued with ``deliver_local``, so that the invitee's reply follows
-    the server's other messages of that instant.
+    The chairman is across the WAN link; the conference's one invitee sits on
+    this host and is reached by direct calls.  The chairman is the only media
+    source, and a conference is Active only once the invitee has joined.
+    Relayed media is delivered to the invitee in the event that brought it.
+    A control message to the invitee is handed over only after that event's
+    WAN replies are sent, so the invitee's JOIN, routed here at once, leaves
+    for the chairman behind the server's ACK for CREATE.
     """
 
-    def __init__(self, wan, trace, relay_media):
-        super().__init__("server", None, wan, None, trace)
+    def __init__(self, wan, stats, trace):
+        super().__init__("server", None, wan, stats, trace)
         self.conf = None
-        self.relay_media = relay_media
+        self.invitee = RswInvitee(_INVITEE)
         self._relay_tail = _packet_tail("relay", "bytes", src="server", dst=_INVITEE)
+        self._deliver_tail = _packet_tail("deliver", "seq", dst=_INVITEE)
 
     def handle(self, sim: Simulator, data: bytes) -> None:
         if data.startswith(b"RSW/1 "):
-            out, self.conf = server_route(decode_rsw(data), self.conf)
-            for reply in out:
-                raw, dst = encode_rsw(reply), reply.recipient
-                self.trace.add(sim.now, "conf", src="server", dst=dst, bytes=len(raw), verb=reply.verb.value)
-                if dst == _INVITEE:
-                    sim.deliver_local(raw, dst)
-                else:
-                    sim.reliable_send(self.link, raw, "server", dst)
+            self._route(sim, decode_rsw(data))
         elif self.conf is not None and self.conf.phase is _ACTIVE:
-            self.trace.packet(sim.now, self._relay_tail, len(data))
-            self.relay_media(sim, data)
+            now, seq = sim.now, decode_rtp(data).seq
+            self.trace.packet(now, self._relay_tail, len(data))
+            self.stats._arrived(seq, now)
+            self.trace.packet(now, self._deliver_tail, seq)
         # media outside an active conference is dropped
 
-
-class _RswParticipantNode(_Node):
-    def __init__(self, stats, trace):
-        super().__init__(_INVITEE, "server", None, stats, trace)
-        self.invitee = RswInvitee(_INVITEE)
-        self._deliver_tail = _packet_tail("deliver", "seq", dst=_INVITEE)
-
-    def receive_media(self, sim: Simulator, data: bytes) -> None:
-        """Take one RTP packet relayed by the server."""
-        seq = decode_rtp(data).seq
-        self.stats._arrived(seq, sim.now)
-        self.trace.packet(sim.now, self._deliver_tail, seq)
-
-    def handle(self, sim: Simulator, data: bytes) -> None:
-        msg = decode_rsw(data)
-        if msg.verb is Verb.CREATE:  # ACK and END need no reply
-            self.invitee.receive_invitation(msg)
-            reply = self.invitee.respond()
-            raw = encode_rsw(reply)
-            self.trace.add(sim.now, "conf", src=self.name, dst=self.peer, verb=reply.verb.value, bytes=len(raw))
-            sim.deliver_local(raw, self.peer)  # the server is on this host
+    def _route(self, sim: Simulator, msg: RswMessage) -> None:
+        out, self.conf = server_route(msg, self.conf)
+        invitation = None
+        for reply in out:
+            raw, dst = encode_rsw(reply), reply.recipient
+            self.trace.add(sim.now, "conf", src="server", dst=dst, bytes=len(raw), verb=reply.verb.value)
+            if dst != _INVITEE:
+                sim.reliable_send(self.link, raw, "server", dst)
+            elif reply.verb is Verb.CREATE:  # the invitee needs no ACK or END
+                invitation = reply
+        if invitation is not None:
+            self.invitee.receive_invitation(invitation)
+            join = self.invitee.respond()
+            raw = encode_rsw(join)  # for the trace's byte count; the JOIN itself goes to _route as it is
+            self.trace.add(sim.now, "conf", src=_INVITEE, dst="server", verb=join.verb.value, bytes=len(raw))
+            self._route(sim, join)
 
 
 def run_rsw_conference(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
@@ -365,9 +355,8 @@ def run_rsw_conference(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None
     stats = MediaStats()
     trace = _NO_TRACE if trace is None else trace
     tx = new_rtp_tx(random.Random(cfg.seed), samples_per_frame=cfg.payload_bytes)
-    invitee = _RswParticipantNode(stats, trace)
     _run(
         f"RSW:{delay_ms:g}", delay_ms, cfg, trace,
-        _RswChairNode(wan, cfg, stats, trace, tx), _RswServerNode(wan, trace, invitee.receive_media), invitee,
+        _RswChairNode(wan, cfg, stats, trace, tx), _RswServerNode(wan, stats, trace),
     )
     return stats

@@ -34,13 +34,13 @@ from voipsim import (
     run_sweep,
     sweep_points,
 )
-from voipsim import cli, experiment, scenarios
+from voipsim import cli, experiment, forked, scenarios
 from voipsim.cli import build_parser, load_config_file, main, resolve_settings
 from voipsim.experiment import GAP_BAND_MOS, MAX_RUN_MS
 from voipsim.frames import RTP_HEADER_LEN, RswMessage, RtpPacket, Signal, Verb, encode_rsw, encode_rtp
 from voipsim.iax import CallState, ProtocolViolation
 from voipsim.netsim import LinkConfig, Simulator, serialization_ms
-from voipsim.rsw import create_conference
+from voipsim.rsw import ConferencePhase, create_conference, server_route
 from voipsim.scenarios import _packet_tail
 
 FAST = dict(delay_end_ms=50.0, duration_s=0.5)  # 3 grid points, 25 frames/run
@@ -201,33 +201,33 @@ def test_rsw_run_carries_rtp_header_overhead():
 def test_rsw_bridge_relays_media_only_in_an_active_conference():
     # the bridge, not the sender, holds media back until the invitee has joined and after END
     sim = Simulator()
-    delivered = []
-    sim.register("chair", lambda _sim, data: None)  # the server's ACKs
-    sim.register("p1", lambda _sim, data: delivered.append(data))  # its control messages
-    server = scenarios._RswServerNode(LinkConfig(), scenarios._NO_TRACE, lambda _sim, data: delivered.append(data))
+    sim.register("chair", lambda _sim, data: None)  # the server's ACKs and the relayed JOIN
+    records = io.StringIO()
+    server = scenarios._RswServerNode(LinkConfig(), MediaStats(), TraceLog(records))
     rtp = encode_rtp(RtpPacket(seq=1, timestamp=2, ssrc=3, payload=b"voice"))
     relayed = []
-    for signal in (
-        None,  # no conference yet
-        create_conference("chair", ["p1"], "codec=pcm"),  # Creating
-        RswMessage(Verb.JOIN, 1, "p1", "server"),  # Active
-        RswMessage(Verb.END, 1, "chair", "server"),  # Ended
-    ):
-        if signal is not None:
-            server.handle(sim, encode_rsw(signal))
-            sim.run_until_idle()
+    for phase in (None, ConferencePhase.CREATING, ConferencePhase.ACTIVE, ConferencePhase.ENDED):
+        if phase is ConferencePhase.CREATING:
+            # the host's invitee joins inside a CREATE's own event, so the Creating record is built here
+            server.conf = server_route(create_conference("chair", ["p1"], "codec=pcm"), None)[1]
+        elif phase is ConferencePhase.ACTIVE:
+            server.handle(sim, encode_rsw(RswMessage(Verb.JOIN, 1, "p1", "server")))
+        elif phase is ConferencePhase.ENDED:
+            server.handle(sim, encode_rsw(RswMessage(Verb.END, 1, "chair", "server")))
+        sim.run_until_idle()
+        assert (None if server.conf is None else server.conf.phase) is phase
         dispatched = sim.dispatched
         server.handle(sim, rtp)
-        relayed.append(delivered.count(rtp))  # a relay is a direct call, done when handle returns
+        relayed.append(records.getvalue().count('"kind":"deliver"'))  # a relay is done when handle returns
         sim.run_until_idle()
         assert sim.dispatched == dispatched  # and media queues no event
     assert relayed == [0, 0, 1, 1]
 
 
 def test_events_dispatched_per_run_at_200_ms(monkeypatch):
-    # 500 frames at the defaults.  Relayed media reaches the RSW invitee by a
-    # direct call, not as a queued co-located hop (1,510 events with the hop);
-    # its control messages still take that hop, as events.
+    # 500 frames at the defaults.  The RSW invitee sits on the server's host and
+    # is reached by direct calls: relayed media used to cost a queued hop per
+    # frame (1,510 events), and the invitation, JOIN, ACK and END 4 more (1,010).
     sims = []
 
     class CountedSimulator(Simulator):
@@ -238,7 +238,7 @@ def test_events_dispatched_per_run_at_200_ms(monkeypatch):
     monkeypatch.setattr(scenarios, "Simulator", CountedSimulator)
     scenarios.run_iax_call(200.0, SweepConfig())
     scenarios.run_rsw_conference(200.0, SweepConfig())
-    assert [sim.dispatched for sim in sims] == [1_006, 1_010]
+    assert [sim.dispatched for sim in sims] == [1_006, 1_006]
 
 
 def _relays_are_delivered_at_once(jsonl: str) -> int:
@@ -624,9 +624,15 @@ def test_sweep_writes_the_same_bytes_over_any_worker_count(monkeypatch, tmp_path
     for workers in (1, 2, 3):
         csv, trace = _traced_sweep_with_workers(workers, monkeypatch, tmp_path)
         outputs.append((csv, trace.stream.getvalue(), trace.count))
+    # a run's records (about 6 KB) fit in one copy chunk; at 7 bytes a chunk the
+    # parent copies each run in many reads that split records and lines
+    monkeypatch.setattr(forked, "_COPY_CHUNK", 7)
+    for workers in (2, 3):
+        csv, trace = _traced_sweep_with_workers(workers, monkeypatch, tmp_path)
+        outputs.append((csv, trace.stream.getvalue(), trace.count))
     assert outputs[0][2] == len(outputs[0][1].splitlines()) > 0
-    assert outputs[1] == outputs[0]
-    assert outputs[2] == outputs[0]
+    for output in outputs[1:]:
+        assert output == outputs[0]
 
 
 def test_forked_sweep_raises_the_earliest_failing_run(monkeypatch, tmp_path, capsys):
@@ -828,19 +834,27 @@ def test_cli_refuses_an_unwritable_trace_before_the_sweep(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("out_name", ["missing/x.csv", "a-directory"])
-def test_cli_refuses_an_unwritable_csv_before_the_sweep(out_name, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "out_name, trace_name, named",
+    [
+        pytest.param("missing/x.csv", "t.jsonl", "missing/x.csv", id="missing/x.csv"),
+        pytest.param("a-directory", "t.jsonl", "a-directory", id="a-directory"),
+        # an empty path is refused, not read as the default sweep.csv or as no trace
+        pytest.param("", "t.jsonl", "--out", id="empty-csv"),
+        pytest.param("x.csv", "", "--trace", id="empty-trace"),
+    ],
+)
+def test_cli_refuses_an_unwritable_csv_before_the_sweep(out_name, trace_name, named, tmp_path, capsys, monkeypatch):
     def no_sweep(*_args):
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "a-directory").mkdir()
-    out = tmp_path / out_name
-    trace_path = tmp_path / "t.jsonl"
-    assert main(["--out", str(out), "--trace", str(trace_path)]) == 2
+    assert main(["--out", out_name, "--trace", trace_name]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("voipsim: error:")
-    assert str(out) in captured.err
+    assert named in captured.err
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]  # no CSV, no trace
     assert not any((tmp_path / "a-directory").iterdir())

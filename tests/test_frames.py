@@ -1,5 +1,6 @@
 """Wire codec tests: frozen byte layouts, round-trips, decoder totality."""
 
+import itertools
 import random
 from enum import IntEnum
 
@@ -297,6 +298,15 @@ def test_rsw_malformed_inputs():
         b"RSW/1 END 7 a b trailing\n",  # END carries no body
         b"RSW/1 JOIN 7 a b\nRSW/1",  # embedded line break
         "RSW/1 JOIN 7 a bÿ\n".encode("latin-1"),  # not ASCII
+        b"RSW/1 JOIN True a b\n",  # what a bool conf_id would write
+        # int() reads each of these as a conf_id, but the encoder writes none of them
+        b"RSW/1 JOIN 1_0 a b\n",
+        b"RSW/1 JOIN +7 a b\n",
+        b"RSW/1 JOIN 007 a b\n",
+        b"RSW/1 JOIN -0 a b\n",
+        b"RSW/1 JOIN \t7 a b\n",
+        b"RSW/1 JOIN 7 a\tb c\n",  # whitespace inside a from/to field
+        b"RSW/1 JOIN 7 a b \n",  # a trailing space with no body
     ]
     for raw in cases:
         with pytest.raises(Malformed):
@@ -319,11 +329,36 @@ def test_rsw_encode_validation():
         encode_rsw(RswMessage(Verb.JOIN, 1, "c", ""))
     with pytest.raises(EncodeError):
         encode_rsw(RswMessage(Verb.JOIN, 1, "c", "p1", "two\nlines"))
+    with pytest.raises(EncodeError):
+        encode_rsw(RswMessage(Verb.JOIN, 1, "c", "p1", "two\rlines"))  # the decoder refuses a CR
+    with pytest.raises(EncodeError) as exc:
+        encode_rsw(RswMessage(Verb.JOIN, True, "a", "b"))  # would write "True", which no decoder reads
+    assert exc.value.field_name == "conf_id"
 
 
 @given(rsw_messages())
 def test_rsw_round_trip(msg):
     assert decode_rsw(encode_rsw(msg)) == msg
+
+
+def test_rsw_decodes_only_the_encoders_line():
+    # one message, one line: every field near the encoder's, and the trailing newline the only leniency
+    fields = [
+        [b"JOIN", b"END", b"CREATE"],
+        [b"7", b"-7", b"0", b"007", b"+7", b"1_0", b"-0", b"\t7", b"7\t"],
+        [b"a", b"a\tb", b"a\x0bb"],
+        [b"b", b"b\t"],
+    ]
+    accepted = 0
+    for *head, tail, end in itertools.product(*fields, [b"", b" ", b" c", b" c ", b"  c", b" c\rd"], [b"", b"\n"]):
+        raw = b"RSW/1 " + b" ".join(head) + tail + end
+        try:
+            msg = decode_rsw(raw)
+        except DecodeError:
+            continue
+        assert encode_rsw(msg) == raw.rstrip(b"\n") + b"\n", raw
+        accepted += 1
+    assert accepted > 0
 
 
 # ------------------------------------------------------------------ totality

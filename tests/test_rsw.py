@@ -326,21 +326,37 @@ def test_new_rtp_tx_is_seed_deterministic():
 def test_media_requires_active_conference(phase):
     # the RSW bridge drops the chairman's media unless the conference is Active
     sim = Simulator()
-    delivered = []
-    sim.register("chair", lambda _sim, data: None)  # the server's ACKs
-    sim.register("p1", lambda _sim, data: delivered.append(data))  # its control messages
-    server = scenarios._RswServerNode(LinkConfig(), scenarios._NO_TRACE, lambda _sim, data: delivered.append(data))
-    signals = [create_conference("chair", ["p1"], MEDIA, conf_id=1)]
-    if phase is ConferencePhase.ENDED:
-        signals += [RswMessage(Verb.JOIN, 1, "p1", "server"), RswMessage(Verb.END, 1, "chair", "server")]
-    for signal in signals:
-        server.handle(sim, encode_rsw(signal))
+    sim.register("chair", lambda _sim, data: None)  # the server's ACKs and the relayed JOIN
+    stats = scenarios.MediaStats()
+    server = scenarios._RswServerNode(LinkConfig(), stats, scenarios._NO_TRACE)
+    create = create_conference("chair", ["p1"], MEDIA, conf_id=1)
+    if phase is ConferencePhase.CREATING:
+        # the host's invitee joins inside a CREATE's own event, so the Creating record is built here
+        server.conf = server_route(create, None)[1]
+    else:
+        server.handle(sim, encode_rsw(create))
+        server.handle(sim, encode_rsw(RswMessage(Verb.END, 1, "chair", "server")))
     sim.run_until_idle()
     assert server.conf.phase is phase
-    rtp = encode_rtp(send_media_rtp(new_rtp_tx(random.Random(1)), b"x"))
-    server.handle(sim, rtp)
+    pkt = send_media_rtp(new_rtp_tx(random.Random(1)), b"x")
+    stats._sent(pkt.seq, sim.now)
+    server.handle(sim, encode_rtp(pkt))
     sim.run_until_idle()
-    assert rtp not in delivered
+    assert stats.frames_recv == 0
+
+
+def test_host_invitee_joins_behind_the_ack_for_create():
+    # the co-located invitee answers after the server's WAN replies are sent, so
+    # the chairman gets the ACK for CREATE first and the relayed JOIN after it
+    sim = Simulator()
+    heard = []
+    sim.register("chair", lambda sim, data: heard.append((sim.now, decode_rsw(data).verb)))
+    server = scenarios._RswServerNode(LinkConfig(), scenarios.MediaStats(), scenarios._NO_TRACE)
+    server.handle(sim, encode_rsw(create_conference("chair", ["p1"], MEDIA, conf_id=1)))
+    assert server.conf.phase is ConferencePhase.ACTIVE  # joined within the CREATE's event
+    sim.run_until_idle()
+    ack_ms = 8 * (25 + 28) / 128  # the 25 B ACK and its 28 B of IP and UDP at 128 kbit/s
+    assert heard == [(ack_ms, Verb.ACK), (ack_ms, Verb.JOIN)]
 
 
 def test_rtp_media_round_trips_the_wire():
