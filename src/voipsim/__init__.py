@@ -15,7 +15,6 @@ from .frames import (
     NotFullFrame,
     NotMiniFrame,
     RswMessage,
-    RtpPacket,
     Signal,
     TooShort,
     UnknownFrameType,

@@ -17,7 +17,10 @@ Binary layouts are big-endian and bit-exact:
         "RSW/1 <VERB> <conf_id> <from> <to>[ <body>]\\n"
 
 A mini frame has no object: ``encode_mini`` takes its fields and
-``decode_mini`` returns them as ``(source_call, ts16, payload)``.
+``decode_mini`` returns them as ``(source_call, ts16, payload)``.  An RTP
+packet has no object either: ``encode_rtp`` takes its fields and
+``decode_rtp`` returns them as
+``(seq, timestamp, ssrc, payload, payload_type, marker)``.
 
 Encoders validate field ranges and raise :class:`EncodeError` naming the
 offending field.  Decoders are total: any byte string yields either a value
@@ -149,18 +152,6 @@ class FullFrame:
     retransmit: bool = False
 
 
-@dataclass(slots=True)
-class RtpPacket:
-    """Media packet with the fixed 12-byte RTP header."""
-
-    seq: int
-    timestamp: int
-    ssrc: int
-    payload: bytes = b""
-    payload_type: int = 0
-    marker: bool = False
-
-
 @dataclass
 class RswMessage:
     """One conference control line; ``body`` empty means no body.
@@ -227,8 +218,10 @@ def decode_full(b: bytes) -> FullFrame:
 
 def encode_mini(source_call: int, ts16: int, payload: bytes = b"") -> bytes:
     """The wire bytes of a mini frame; media carrying only the low 16 timestamp bits."""
-    _check_int("source_call", source_call, 0, 0x7FFF)
-    _check_int("ts16", ts16, 0, 0xFFFF)
+    if not (type(source_call) is int and 0 <= source_call <= 0x7FFF and type(ts16) is int and 0 <= ts16 <= 0xFFFF):
+        # the fields in order, so the first bad one names the error
+        _check_int("source_call", source_call, 0, 0x7FFF)
+        _check_int("ts16", ts16, 0, 0xFFFF)
     return _MINI_HDR.pack(source_call, ts16) + bytes(payload)
 
 
@@ -242,17 +235,34 @@ def decode_mini(b: bytes) -> tuple[int, int, bytes]:
     return w0, ts16, bytes(b[MINI_HEADER_LEN:])
 
 
-def encode_rtp(p: RtpPacket) -> bytes:
-    _check_int("seq", p.seq, 0, 0xFFFF)
-    _check_int("timestamp", p.timestamp, 0, 0xFFFFFFFF)
-    _check_int("ssrc", p.ssrc, 0, 0xFFFFFFFF)
-    _check_int("payload_type", p.payload_type, 0, 0x7F)
+def encode_rtp(
+    seq: int,
+    timestamp: int,
+    ssrc: int,
+    payload: bytes = b"",
+    payload_type: int = 0,
+    marker: bool = False,
+) -> bytes:
+    """The wire bytes of an RTP packet; ``marker`` is a bool, or 0 or 1."""
+    if not (
+        type(seq) is int and 0 <= seq <= 0xFFFF
+        and type(timestamp) is int and 0 <= timestamp <= 0xFFFFFFFF
+        and type(ssrc) is int and 0 <= ssrc <= 0xFFFFFFFF
+        and type(payload_type) is int and 0 <= payload_type <= 0x7F
+        and type(marker) is bool
+    ):
+        # the fields in order, so the first bad one names the error
+        _check_int("seq", seq, 0, 0xFFFF)
+        _check_int("timestamp", timestamp, 0, 0xFFFFFFFF)
+        _check_int("ssrc", ssrc, 0, 0xFFFFFFFF)
+        _check_int("payload_type", payload_type, 0, 0x7F)
+        _check_int("marker", marker, 0, 1)  # the M bit: a bool, 0 or 1, never any truthy value
     b0 = 2 << 6  # version 2, no padding, no extension, CC=0
-    b1 = (0x80 if p.marker else 0) | p.payload_type
-    return _RTP_HDR.pack(b0, b1, p.seq, p.timestamp, p.ssrc) + bytes(p.payload)
+    return _RTP_HDR.pack(b0, marker << 7 | payload_type, seq, timestamp, ssrc) + bytes(payload)
 
 
-def decode_rtp(b: bytes) -> RtpPacket:
+def decode_rtp(b: bytes) -> tuple[int, int, int, bytes, int, bool]:
+    """``(seq, timestamp, ssrc, payload, payload_type, marker)`` of an RTP packet's wire bytes."""
     if len(b) < RTP_HEADER_LEN:
         raise TooShort(f"RTP packet needs {RTP_HEADER_LEN} bytes, got {len(b)}")
     b0, b1, seq, ts, ssrc = _RTP_HDR.unpack_from(b)
@@ -261,14 +271,7 @@ def decode_rtp(b: bytes) -> RtpPacket:
     if b0 & 0x3F:
         # padding/extension/CSRC would shift the payload boundary
         raise Malformed("padding, extension, or CSRC bits set")
-    return RtpPacket(
-        seq=seq,
-        timestamp=ts,
-        ssrc=ssrc,
-        payload=bytes(b[RTP_HEADER_LEN:]),
-        payload_type=b1 & 0x7F,
-        marker=bool(b1 & 0x80),
-    )
+    return seq, ts, ssrc, bytes(b[RTP_HEADER_LEN:]), b1 & 0x7F, bool(b1 & 0x80)
 
 
 def _check_token(name: str, value: str) -> None:

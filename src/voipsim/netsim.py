@@ -103,8 +103,8 @@ class Simulator:
         self._handlers[endpoint_id] = handler
 
     def schedule(self, due: float, dst: str, payload: bytes | None) -> None:
-        """Queue ``payload`` for ``dst``; ``due`` must not precede the current clock."""
-        if due < self.now:
+        """Queue ``payload`` for ``dst``; ``due`` must not precede the current clock, nor be NaN."""
+        if not due >= self.now:  # NaN compares false both ways: `due < now` would let it in
             raise ValueError(f"due {due} precedes now {self.now}")
         seq = self._next_seq
         self._next_seq = seq + 1

@@ -26,16 +26,20 @@ class NegativeDelay(ValueError):
 
 
 class EModelError(ValueError):
-    """Inconsistent run counters."""
+    """Inconsistent run counters, or a delay or rating that is not finite."""
 
 
 def idd(ta_ms: float) -> float:
     """Delay impairment for a one-way mouth-to-ear delay of ``ta_ms``.
 
-    Zero up to 100 ms, then rises along the standard two-knee curve.
+    Zero up to 100 ms, then rises along the standard two-knee curve.  A
+    negative delay raises :class:`NegativeDelay`, an infinite or NaN one
+    :class:`EModelError`.
     """
     if ta_ms < 0:
         raise NegativeDelay(f"delay {ta_ms} ms")
+    if not math.isfinite(ta_ms):
+        raise EModelError(f"delay {ta_ms} ms is not finite")
     if ta_ms <= 100.0:
         return 0.0
     x = math.log(ta_ms / 100.0) / _LN2
@@ -43,7 +47,12 @@ def idd(ta_ms: float) -> float:
 
 
 def r_to_mos(r: float) -> float:
-    """Map a transmission rating to MOS; clamped to [1.0, 4.5]."""
+    """Map a transmission rating to MOS; clamped to [1.0, 4.5].
+
+    An infinite or NaN rating raises :class:`EModelError`.
+    """
+    if not math.isfinite(r):
+        raise EModelError(f"rating {r} is not finite")
     if r <= 0.0:
         return 1.0
     if r >= 100.0:

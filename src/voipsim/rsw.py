@@ -9,7 +9,8 @@ route (REJECT, BUSY, LEAVE) with :class:`RswError`.
 
 On the wire a chairman's CREATE carries the comma-separated invitee list in
 the recipient field; every other message is point-to-point.  Media is plain
-RTP.
+RTP, carried as wire bytes: ``send_media_rtp`` returns the next packet's
+sequence number and its encoded bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .frames import RswMessage, RtpPacket, Verb
+from .frames import RswMessage, Verb, encode_rtp
 
 DEFAULT_SERVER_ID = "server"
 
@@ -209,14 +210,15 @@ def new_rtp_tx(rng: random.Random, samples_per_frame: int = 160) -> RtpTxState:
     )
 
 
-def send_media_rtp(tx: RtpTxState, payload: bytes) -> RtpPacket:
-    """Emit the next RTP packet and advance the stream counters.
+def send_media_rtp(tx: RtpTxState, payload: bytes) -> tuple[int, bytes]:
+    """Emit the next RTP packet as ``(seq, wire bytes)`` and advance the stream counters.
 
     seq advances by 1 mod 2**16 and timestamp by samples_per_frame mod 2**32
     per packet.  The bridge, not the sender, drops media outside an Active
     conference.
     """
-    pkt = RtpPacket(seq=tx.seq, timestamp=tx.timestamp, ssrc=tx.ssrc, payload=payload)
-    tx.seq = (tx.seq + 1) & 0xFFFF
+    seq = tx.seq
+    data = encode_rtp(seq, tx.timestamp, tx.ssrc, payload)
+    tx.seq = (seq + 1) & 0xFFFF
     tx.timestamp = (tx.timestamp + tx.samples_per_frame) & 0xFFFFFFFF
-    return pkt
+    return seq, data

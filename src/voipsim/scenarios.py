@@ -42,7 +42,6 @@ from .frames import (
     decode_rtp,
     encode_full,
     encode_rsw,
-    encode_rtp,
 )
 from .iax import CallState, IaxEndpoint, NotInCall
 from .netsim import LinkConfig, Simulator
@@ -292,8 +291,7 @@ class _RswChairNode(_MediaSource):
             self._begin_media(sim, 0.0)
 
     def _next_frame(self, payload: bytes, now: float) -> tuple[int, bytes]:
-        pkt = send_media_rtp(self.tx, payload)
-        return pkt.seq, encode_rtp(pkt)
+        return send_media_rtp(self.tx, payload)  # its (seq, wire bytes); seq is the stats key
 
     def _teardown(self, sim: Simulator) -> None:
         self._send_conf(sim, RswMessage(Verb.END, 1, "chair", "server"))
@@ -325,7 +323,7 @@ class _RswServerNode(_Node):
         if data.startswith(b"RSW/1 "):
             self._route(sim, decode_rsw(data))
         elif self.conf is not None and self.conf.phase is _ACTIVE:
-            now, seq = sim.now, decode_rtp(data).seq
+            now, seq = sim.now, decode_rtp(data)[0]
             self.trace.packet(now, self._relay_tail, len(data))
             self.stats._arrived(seq, now)
             self.trace.packet(now, self._deliver_tail, seq)

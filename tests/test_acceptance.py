@@ -23,7 +23,6 @@ from voipsim import (
     NotChairman,
     ProtocolViolation,
     RswMessage,
-    RtpPacket,
     Signal,
     SweepConfig,
     TraceLog,
@@ -135,15 +134,15 @@ def test_criterion_4_codecs_round_trip_and_never_crash():
         assert decode_mini(encode_mini(*mini)) == mini
 
     for _ in range(10_000):
-        rtp = RtpPacket(
-            seq=rng.randrange(1 << 16),
-            timestamp=rng.randrange(1 << 32),
-            ssrc=rng.randrange(1 << 32),
-            payload=rng.randbytes(rng.randrange(24)),
-            payload_type=rng.randrange(0x80),
-            marker=rng.random() < 0.5,
+        rtp = (
+            rng.randrange(1 << 16),  # seq
+            rng.randrange(1 << 32),  # timestamp
+            rng.randrange(1 << 32),  # ssrc
+            rng.randbytes(rng.randrange(24)),  # payload
+            rng.randrange(0x80),  # payload_type
+            rng.random() < 0.5,  # marker
         )
-        assert decode_rtp(encode_rtp(rtp)) == rtp
+        assert decode_rtp(encode_rtp(*rtp)) == rtp
 
     for _ in range(10_000):
         verb = rng.choice(list(Verb))

@@ -37,7 +37,7 @@ from voipsim import (
 from voipsim import cli, experiment, forked, scenarios
 from voipsim.cli import build_parser, load_config_file, main, resolve_settings
 from voipsim.experiment import GAP_BAND_MOS, MAX_RUN_MS
-from voipsim.frames import RTP_HEADER_LEN, RswMessage, RtpPacket, Signal, Verb, encode_rsw, encode_rtp
+from voipsim.frames import RTP_HEADER_LEN, RswMessage, Signal, Verb, encode_rsw, encode_rtp
 from voipsim.iax import CallState, ProtocolViolation
 from voipsim.netsim import LinkConfig, Simulator, serialization_ms
 from voipsim.rsw import ConferencePhase, create_conference, server_route
@@ -204,7 +204,7 @@ def test_rsw_bridge_relays_media_only_in_an_active_conference():
     sim.register("chair", lambda _sim, data: None)  # the server's ACKs and the relayed JOIN
     records = io.StringIO()
     server = scenarios._RswServerNode(LinkConfig(), MediaStats(), TraceLog(records))
-    rtp = encode_rtp(RtpPacket(seq=1, timestamp=2, ssrc=3, payload=b"voice"))
+    rtp = encode_rtp(seq=1, timestamp=2, ssrc=3, payload=b"voice")
     relayed = []
     for phase in (None, ConferencePhase.CREATING, ConferencePhase.ACTIVE, ConferencePhase.ENDED):
         if phase is ConferencePhase.CREATING:
@@ -239,6 +239,32 @@ def test_events_dispatched_per_run_at_200_ms(monkeypatch):
     scenarios.run_iax_call(200.0, SweepConfig())
     scenarios.run_rsw_conference(200.0, SweepConfig())
     assert [sim.dispatched for sim in sims] == [1_006, 1_006]
+
+
+def _python_calls(run, duration_s: float) -> int:
+    """Python-level function calls made by one run at 200 ms."""
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        run(200.0, SweepConfig(duration_s=duration_s))
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("run, budget", [(run_iax_call, 15), (scenarios.run_rsw_conference, 16)])
+def test_python_calls_per_counted_frame(run, budget):
+    # a 2 s run sends 50 more 20 ms frames than a 1 s run; everything else is the same.
+    # Media crosses both stacks as wire bytes: an RTP packet object, its decoded
+    # copy and the encoder's per-field checks used to cost RSW 22 calls, IAX 17
+    per_frame = (_python_calls(run, 2) - _python_calls(run, 1)) / 50
+    assert per_frame <= budget
 
 
 def _relays_are_delivered_at_once(jsonl: str) -> int:

@@ -19,7 +19,6 @@ from voipsim.frames import (
     NotFullFrame,
     NotMiniFrame,
     RswMessage,
-    RtpPacket,
     Signal,
     TooShort,
     UnknownFrameType,
@@ -79,14 +78,14 @@ full_frames = st.one_of(
 # a mini frame's (source_call, ts16, payload)
 mini_frames = st.tuples(st.integers(0, 0x7FFF), st.integers(0, 0xFFFF), st.binary(max_size=64))
 
-rtp_packets = st.builds(
-    RtpPacket,
-    seq=st.integers(0, 0xFFFF),
-    timestamp=st.integers(0, 0xFFFFFFFF),
-    ssrc=st.integers(0, 0xFFFFFFFF),
-    payload=st.binary(max_size=64),
-    payload_type=st.integers(0, 0x7F),
-    marker=st.booleans(),
+# an RTP packet's (seq, timestamp, ssrc, payload, payload_type, marker)
+rtp_packets = st.tuples(
+    st.integers(0, 0xFFFF),
+    st.integers(0, 0xFFFFFFFF),
+    st.integers(0, 0xFFFFFFFF),
+    st.binary(max_size=64),
+    st.integers(0, 0x7F),
+    st.booleans(),
 )
 
 
@@ -205,7 +204,7 @@ def test_mini_frozen_bytes():
 def test_mini_and_rtp_sizes_for_a_codec_frame():
     payload = bytes(160)
     assert len(encode_mini(1, 0, payload)) == 164
-    assert len(encode_rtp(RtpPacket(0, 0, 0, payload))) == 172
+    assert len(encode_rtp(0, 0, 0, payload)) == 172
 
 
 def test_mini_decode_errors():
@@ -223,7 +222,7 @@ def test_mini_round_trip(frame):
 @given(st.binary(max_size=64))
 def test_mini_is_8_bytes_smaller_than_rtp(payload):
     mini = encode_mini(3, 17, payload)
-    rtp = encode_rtp(RtpPacket(1, 2, 3, payload))
+    rtp = encode_rtp(1, 2, 3, payload)
     assert len(rtp) - len(mini) == RTP_HEADER_LEN - MINI_HEADER_LEN == 8
 
 
@@ -242,8 +241,8 @@ def test_first_bit_discriminates_full_from_mini():
 
 
 def test_rtp_header_layout():
-    data = encode_rtp(RtpPacket(seq=0x0102, timestamp=0x03040506, ssrc=0x0708090A,
-                                payload=b"hi", payload_type=0x60, marker=True))
+    data = encode_rtp(seq=0x0102, timestamp=0x03040506, ssrc=0x0708090A,
+                      payload=b"hi", payload_type=0x60, marker=True)
     assert data[0] == 0x80  # version 2, no padding/extension/CSRC
     assert data[1] == 0x80 | 0x60
     assert data[2:4] == b"\x01\x02"
@@ -253,7 +252,7 @@ def test_rtp_header_layout():
 
 
 def test_rtp_decode_rejects_wrong_version_and_flags():
-    good = encode_rtp(RtpPacket(1, 2, 3, b"x"))
+    good = encode_rtp(1, 2, 3, b"x")
     with pytest.raises(Malformed):
         decode_rtp(b"\x40" + good[1:])  # version 1
     with pytest.raises(Malformed):
@@ -264,7 +263,39 @@ def test_rtp_decode_rejects_wrong_version_and_flags():
 
 @given(rtp_packets)
 def test_rtp_round_trip(pkt):
-    assert decode_rtp(encode_rtp(pkt)) == pkt
+    assert decode_rtp(encode_rtp(*pkt)) == pkt
+
+
+def test_rtp_encode_errors_name_the_first_bad_field():
+    good = (1, 2, 3, b"", 0, False)
+    bad = [
+        ("seq", 0, 0x10000),
+        ("timestamp", 1, -1),
+        ("ssrc", 2, 1 << 32),
+        ("payload_type", 4, 0x80),
+        ("marker", 5, 2),  # truthy, but not the one bit the M field holds
+        ("marker", 5, -1),
+        ("marker", 5, 1.0),
+        ("marker", 5, "yes"),
+        ("marker", 5, None),
+    ]
+    for field_name, index, value in bad:
+        fields = list(good)
+        fields[index] = value
+        with pytest.raises(EncodeError) as exc:
+            encode_rtp(*fields)
+        assert exc.value.field_name == field_name, (field_name, value)
+    with pytest.raises(EncodeError) as exc:
+        encode_rtp(0x10000, 2, 1 << 32, b"", 0x80, 2)  # every field bad: the first is named
+    assert exc.value.field_name == "seq"
+
+
+def test_rtp_marker_takes_a_bool_or_one_bit():
+    assert encode_rtp(1, 2, 3, marker=1) == encode_rtp(1, 2, 3, marker=True)
+    assert encode_rtp(1, 2, 3, marker=0) == encode_rtp(1, 2, 3, marker=False)
+    assert decode_rtp(encode_rtp(1, 2, 3, marker=1))[5] is True
+    # int subclasses are ints here too, as in the other encoders
+    assert encode_rtp(Signal.NEW, 2, 3, payload_type=Signal.ACCEPT) == encode_rtp(1, 2, 3, payload_type=4)
 
 
 # ------------------------------------------------------- conference messages

@@ -222,6 +222,19 @@ def test_schedule_in_the_past_rejected():
         sim.schedule(2.0, "x", b"p")
 
 
+def test_schedule_refuses_a_nan_due():
+    # NaN fails every comparison: let in, it dispatched first and the clock then ran backwards
+    sim = Simulator(seed=1)
+    seen = []
+    sim.register("x", lambda s, data: seen.append(s.now))
+    with pytest.raises(ValueError, match="precedes now"):
+        sim.schedule(float("nan"), "x", b"p")
+    sim.schedule(5.0, "x", b"p")
+    sim.schedule(1.0, "x", b"p")
+    sim.run_until_idle()
+    assert seen == [1.0, 5.0]
+
+
 def test_clock_never_decreases_and_returns_final_time():
     sim = Simulator(seed=1)
     seen = []

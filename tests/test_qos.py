@@ -88,6 +88,13 @@ def test_idd_negative_delay():
         idd(-0.001)
 
 
+@pytest.mark.parametrize("ta_ms", [math.inf, math.nan])
+def test_idd_refuses_a_non_finite_delay(ta_ms):
+    # either used to score as nan
+    with pytest.raises(EModelError, match="not finite"):
+        idd(ta_ms)
+
+
 def test_idd_monotone_past_the_knee():
     values = [idd(100 + 10 * k) for k in range(300)]
     assert all(a <= b for a, b in zip(values, values[1:]))
@@ -108,6 +115,13 @@ def test_r_to_mos_clamps():
     assert r_to_mos(250.0) == 4.5
     # the raw cubic dips below 1 for small positive ratings; the MOS scale floor wins
     assert r_to_mos(5.0) == 1.0
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_r_to_mos_refuses_a_non_finite_rating(r):
+    # nan used to map to nan, and an infinite rating to a clamped MOS
+    with pytest.raises(EModelError, match="not finite"):
+        r_to_mos(r)
 
 
 @given(st.floats(min_value=-50, max_value=150, allow_nan=False))

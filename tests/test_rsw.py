@@ -296,19 +296,21 @@ def test_invitee_id_is_validated():
 
 def test_rtp_stream_counters_stride():
     tx = RtpTxState(seq=10, timestamp=1000, ssrc=0xABCD, samples_per_frame=160)
-    pkts = [send_media_rtp(tx, b"x") for _ in range(3)]
-    assert [p.seq for p in pkts] == [10, 11, 12]
-    assert [p.timestamp for p in pkts] == [1000, 1160, 1320]
-    assert all(p.ssrc == 0xABCD for p in pkts)
+    sent = [send_media_rtp(tx, b"x") for _ in range(3)]
+    pkts = [decode_rtp(wire) for _, wire in sent]
+    assert [seq for seq, _ in sent] == [p[0] for p in pkts] == [10, 11, 12]
+    assert [p[1] for p in pkts] == [1000, 1160, 1320]
+    assert all(p[2] == 0xABCD for p in pkts)
 
 
 def test_rtp_counters_wrap():
     tx = RtpTxState(seq=0xFFFE, timestamp=0xFFFFFF60, ssrc=1, samples_per_frame=160)
     seqs, stamps = [], []
     for _ in range(4):
-        p = send_media_rtp(tx, b"")
-        seqs.append(p.seq)
-        stamps.append(p.timestamp)
+        seq, wire = send_media_rtp(tx, b"")
+        assert decode_rtp(wire)[0] == seq
+        seqs.append(seq)
+        stamps.append(decode_rtp(wire)[1])
     assert seqs == [0xFFFE, 0xFFFF, 0x0000, 0x0001]
     assert stamps == [0xFFFFFF60, 0x00000000, 0x000000A0, 0x00000140]
 
@@ -338,9 +340,9 @@ def test_media_requires_active_conference(phase):
         server.handle(sim, encode_rsw(RswMessage(Verb.END, 1, "chair", "server")))
     sim.run_until_idle()
     assert server.conf.phase is phase
-    pkt = send_media_rtp(new_rtp_tx(random.Random(1)), b"x")
-    stats._sent(pkt.seq, sim.now)
-    server.handle(sim, encode_rtp(pkt))
+    seq, wire = send_media_rtp(new_rtp_tx(random.Random(1)), b"x")
+    stats._sent(seq, sim.now)
+    server.handle(sim, wire)
     sim.run_until_idle()
     assert stats.frames_recv == 0
 
@@ -361,10 +363,10 @@ def test_host_invitee_joins_behind_the_ack_for_create():
 
 def test_rtp_media_round_trips_the_wire():
     tx = RtpTxState(seq=1, timestamp=2, ssrc=3, samples_per_frame=160)
-    pkt = send_media_rtp(tx, b"voice!")
-    wire = encode_rtp(pkt)
+    seq, wire = send_media_rtp(tx, b"voice!")
     assert wire[0] == 0x80  # version 2, nothing else in byte 0
-    assert decode_rtp(wire) == pkt
+    assert seq == 1
+    assert decode_rtp(wire) == (1, 2, 3, b"voice!", 0, False)
 
 
 # -- whole lifecycle over the wire -----------------------------------------------------
@@ -390,8 +392,9 @@ def test_full_conference_lifecycle():
     assert conf.members["p3"] is MemberStatus.JOINED
 
     tx = new_rtp_tx(random.Random(9))
-    pkt = send_media_rtp(tx, b"\x00" * 160)
-    assert decode_rtp(encode_rtp(pkt)) == pkt
+    seq, wire = send_media_rtp(tx, b"\x00" * 160)
+    assert decode_rtp(wire)[0] == seq
+    assert decode_rtp(wire)[3] == b"\x00" * 160
 
     out, conf = server_route(over_wire(RswMessage(Verb.END, 3, "chair", "server")), conf)
     assert conf.phase is ConferencePhase.ENDED
