@@ -104,7 +104,7 @@ class Simulator:
 
     def schedule(self, due: float, dst: str, payload: bytes | None) -> None:
         """Queue ``payload`` for ``dst``; ``due`` must not precede the current clock, nor be NaN."""
-        if not due >= self.now:  # NaN compares false both ways: `due < now` would let it in
+        if not due >= self.now:  # not `due < now`, which a NaN due passes
             raise ValueError(f"due {due} precedes now {self.now}")
         seq = self._next_seq
         self._next_seq = seq + 1

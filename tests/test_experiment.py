@@ -261,8 +261,7 @@ def _python_calls(run, duration_s: float) -> int:
 @pytest.mark.parametrize("run, budget", [(run_iax_call, 15), (scenarios.run_rsw_conference, 16)])
 def test_python_calls_per_counted_frame(run, budget):
     # a 2 s run sends 50 more 20 ms frames than a 1 s run; everything else is the same.
-    # Media crosses both stacks as wire bytes: an RTP packet object, its decoded
-    # copy and the encoder's per-field checks used to cost RSW 22 calls, IAX 17
+    # Media crosses both stacks as wire bytes, with no packet object and no call per field check
     per_frame = (_python_calls(run, 2) - _python_calls(run, 1)) / 50
     assert per_frame <= budget
 

@@ -223,7 +223,7 @@ def test_schedule_in_the_past_rejected():
 
 
 def test_schedule_refuses_a_nan_due():
-    # NaN fails every comparison: let in, it dispatched first and the clock then ran backwards
+    # NaN fails every comparison: let in, it would dispatch first and run the clock backwards
     sim = Simulator(seed=1)
     seen = []
     sim.register("x", lambda s, data: seen.append(s.now))

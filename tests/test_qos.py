@@ -90,7 +90,7 @@ def test_idd_negative_delay():
 
 @pytest.mark.parametrize("ta_ms", [math.inf, math.nan])
 def test_idd_refuses_a_non_finite_delay(ta_ms):
-    # either used to score as nan
+    # either would score as nan
     with pytest.raises(EModelError, match="not finite"):
         idd(ta_ms)
 
@@ -119,7 +119,7 @@ def test_r_to_mos_clamps():
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
 def test_r_to_mos_refuses_a_non_finite_rating(r):
-    # nan used to map to nan, and an infinite rating to a clamped MOS
+    # nan would map to nan, and an infinite rating to a clamped MOS
     with pytest.raises(EModelError, match="not finite"):
         r_to_mos(r)
 
