@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .qos import NegativeDelay, QosReport, score_run
-from .scenarios import MediaStats, TraceLog, run_iax_call, run_rsw_conference
+from .scenarios import MediaStats, TraceLog, longest_trip_ms, run_iax_call, run_rsw_conference
 
 CSV_HEADER = "protocol,delay_ms,mean_e2e_delay_ms,setup_time_ms,pkts_sent,pkts_recv,loss_fraction,r_factor,mos"
 
@@ -56,8 +56,9 @@ class SweepConfig:
     The delay grid is ``delay_start_ms, delay_start_ms + delay_step_ms, ...``
     up to and including ``delay_end_ms``, at most ``MAX_DELAY_POINTS``
     delays; a degenerate sweep with ``delay_start_ms == delay_end_ms`` runs a
-    single point per protocol.  The run at ``delay_end_ms`` must end within
-    ``MAX_RUN_MS`` of simulated time (see ``run_horizon_ms``).
+    single point per protocol.  The horizon of the run at ``delay_end_ms``,
+    the bound its message schedule gives, must not pass ``MAX_RUN_MS`` of
+    simulated time (see ``run_horizon_ms``).
     """
 
     delay_start_ms: float = 0.0
@@ -119,14 +120,15 @@ class SweepConfig:
     def run_horizon_ms(self, delay_ms: float) -> float:
         """Simulated time the run at ``delay_ms`` may take; a run still busy then fails.
 
+        A run is at most four one-way trips of ``longest_trip_ms`` (IAX:
+        NEW, ACCEPT and ANSWER, HANGUP; RSW: CREATE, its ACK and the JOIN,
+        END, its ACK) and its frames (the rounded count may pass
+        ``duration_s``) plus two intervals: one before the first frame or
+        after the last, one for the float error of the ticks summed.
         Raises ValueError when that passes ``MAX_RUN_MS``: every run, in a
         sweep or alone, starts with this check.
         """
-        # every frame (the rounded count may pass duration_s) plus one interval:
-        # an IAX caller's first frame follows its anchor by one, and an RSW
-        # chairman's teardown tick follows its last frame by one
-        media_ms = (self.media_frame_count() + 1) * self.frame_interval_ms
-        horizon = media_ms + 20.0 * delay_ms + 60_000.0
+        horizon = (self.media_frame_count() + 2) * self.frame_interval_ms + 4 * longest_trip_ms(delay_ms, self)
         if horizon > MAX_RUN_MS:
             raise ValueError(
                 f"a run at delay {delay_ms:g} ms may last {horizon:.0f} ms, more than the "

@@ -137,6 +137,13 @@ def _check_int(name: str, value: int, lo: int, hi: int) -> None:
         raise EncodeError(name, f"{value} outside [{lo}, {hi}]")
 
 
+def _check_payload(payload) -> None:
+    try:
+        memoryview(payload)
+    except TypeError:
+        raise EncodeError("payload", f"expected bytes, got {type(payload).__name__}") from None
+
+
 @dataclass(slots=True)
 class FullFrame:
     """Signaling or resync frame with the 12-byte header."""
@@ -179,6 +186,7 @@ def encode_full(f: FullFrame) -> bytes:
     _check_int("subclass", f.subclass, 0, 0x7F)
     if f.frame_type == FrameKind.CONTROL and f.subclass not in _SIGNAL_CODES:
         raise EncodeError("subclass", f"{f.subclass} is not a signal code")
+    _check_payload(f.payload)
     header = _FULL_HDR.pack(
         0x8000 | f.source_call,
         (0x8000 if f.retransmit else 0) | f.dest_call,
@@ -188,7 +196,7 @@ def encode_full(f: FullFrame) -> bytes:
         int(f.frame_type),
         f.subclass,
     )
-    return header + bytes(f.payload)
+    return header + f.payload
 
 
 def decode_full(b: bytes) -> FullFrame:
@@ -218,11 +226,16 @@ def decode_full(b: bytes) -> FullFrame:
 
 def encode_mini(source_call: int, ts16: int, payload: bytes = b"") -> bytes:
     """The wire bytes of a mini frame; media carrying only the low 16 timestamp bits."""
-    if not (type(source_call) is int and 0 <= source_call <= 0x7FFF and type(ts16) is int and 0 <= ts16 <= 0xFFFF):
+    if not (
+        type(source_call) is int and 0 <= source_call <= 0x7FFF
+        and type(ts16) is int and 0 <= ts16 <= 0xFFFF
+        and type(payload) is bytes
+    ):
         # the fields in order, so the first bad one names the error
         _check_int("source_call", source_call, 0, 0x7FFF)
         _check_int("ts16", ts16, 0, 0xFFFF)
-    return _MINI_HDR.pack(source_call, ts16) + bytes(payload)
+        _check_payload(payload)
+    return _MINI_HDR.pack(source_call, ts16) + payload
 
 
 def decode_mini(b: bytes) -> tuple[int, int, bytes]:
@@ -248,6 +261,7 @@ def encode_rtp(
         type(seq) is int and 0 <= seq <= 0xFFFF
         and type(timestamp) is int and 0 <= timestamp <= 0xFFFFFFFF
         and type(ssrc) is int and 0 <= ssrc <= 0xFFFFFFFF
+        and type(payload) is bytes
         and type(payload_type) is int and 0 <= payload_type <= 0x7F
         and type(marker) is bool
     ):
@@ -255,10 +269,11 @@ def encode_rtp(
         _check_int("seq", seq, 0, 0xFFFF)
         _check_int("timestamp", timestamp, 0, 0xFFFFFFFF)
         _check_int("ssrc", ssrc, 0, 0xFFFFFFFF)
+        _check_payload(payload)
         _check_int("payload_type", payload_type, 0, 0x7F)
         _check_int("marker", marker, 0, 1)  # the M bit: a bool, 0 or 1, never any truthy value
     b0 = 2 << 6  # version 2, no padding, no extension, CC=0
-    return _RTP_HDR.pack(b0, marker << 7 | payload_type, seq, timestamp, ssrc) + bytes(payload)
+    return _RTP_HDR.pack(b0, marker << 7 | payload_type, seq, timestamp, ssrc) + payload
 
 
 def decode_rtp(b: bytes) -> tuple[int, int, int, bytes, int, bool]:

@@ -47,7 +47,7 @@ class EmptyPacket(ValueError):
 
 
 class HorizonExceeded(RuntimeError):
-    """An event fell past the configured horizon; guards against livelock."""
+    """An event fell past the run's horizon: the run outlived its message schedule, a bug or a livelock."""
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ import random
 from typing import TYPE_CHECKING, TextIO
 
 from .frames import (
+    RTP_HEADER_LEN,
     FrameKind,
     FullFrame,
     RswMessage,
@@ -44,7 +45,7 @@ from .frames import (
     encode_rsw,
 )
 from .iax import CallState, IaxEndpoint, NotInCall
-from .netsim import LinkConfig, Simulator
+from .netsim import LinkConfig, Simulator, serialization_ms
 from .rsw import (
     ConferencePhase,
     RswInvitee,
@@ -148,15 +149,26 @@ class MediaStats:
             self.frames_recv += 1
 
 
-def _run(label: str, delay_ms: float, cfg: SweepConfig, trace: TraceLog | _NoTrace, *nodes: _Node) -> None:
-    """Register the nodes, start the first one and drain the run."""
+def longest_trip_ms(delay_ms: float, cfg: SweepConfig) -> float:
+    """``delay_ms`` plus the serialization of the longest packet either run sends."""
+    # the chairman's CREATE, or a payload behind a 12-byte header (RTP, or the IAX anchor)
+    size = max(len(encode_rsw(_chair_create(cfg.frame_interval_ms))), RTP_HEADER_LEN + cfg.payload_bytes)
+    return delay_ms + serialization_ms(LinkConfig(link_rate_bps=cfg.link_rate_bps), size)
+
+
+def _chair_create(frame_interval_ms: float) -> RswMessage:
+    return create_conference("chair", [_INVITEE], f"codec=pcm;frame_ms={frame_interval_ms:g}", conf_id=1)
+
+
+def _run(label: str, delay_ms: float, cfg: SweepConfig, trace: TraceLog | _NoTrace, *nodes: _Node) -> float:
+    """Register the nodes, start the first one and drain the run; returns the final clock."""
     horizon_ms = cfg.run_horizon_ms(delay_ms)  # refuses a run past the 32-bit clock before it starts
     trace.begin(label)
     sim = Simulator(seed=cfg.seed)
     for node in nodes:
         sim.register(node.name, node.handle)
     nodes[0].start(sim)
-    sim.run_until_idle(horizon_ms)
+    return sim.run_until_idle(horizon_ms)
 
 
 class _Node:
@@ -282,8 +294,7 @@ class _RswChairNode(_MediaSource):
         self.tx = tx
 
     def start(self, sim: Simulator) -> None:
-        media_desc = f"codec=pcm;frame_ms={self.interval:g}"
-        self._send_conf(sim, create_conference("chair", [_INVITEE], media_desc, conf_id=1))
+        self._send_conf(sim, _chair_create(self.interval))
 
     def _control(self, sim: Simulator, data: bytes) -> None:
         # the relayed JOIN starts the media; ACKs need no action

@@ -148,28 +148,82 @@ def test_config_names_a_non_finite_setting(name, value):
 
 
 def test_a_run_just_inside_the_32_bit_clock_is_accepted_and_exact():
-    # 50 frames of 20 ms plus one interval, 60 s of slack, 20 delays
-    edge = float((MAX_RUN_MS - 61_020) // 20)
+    # 50 frames of 20 ms plus two intervals, and four trips of the delay plus 12.5 ms,
+    # the serialization of a 160 B payload behind a 12-byte header at 128 kbit/s
+    edge = (MAX_RUN_MS - 52 * 20 - 4 * 12.5) / 4
     cfg = SweepConfig(delay_start_ms=edge, delay_end_ms=edge, duration_s=1.0, protocols=("IAX",))
-    assert cfg.run_horizon_ms(edge) == MAX_RUN_MS - 15
+    assert cfg.run_horizon_ms(edge) == MAX_RUN_MS
     report = run_scenario("IAX", edge, cfg)
     assert report.pkts_sent == report.pkts_recv == 50
-    assert report.mean_e2e_delay_ms == edge + 12.0  # link plus serialization, as at small delays
+    # link plus serialization, as at small delays; the media passes 2**31 ms, a change of the
+    # timestamp's high 16 bits, so one frame goes out as a full frame, 8 bytes (0.5 ms) longer
+    assert report.mean_e2e_delay_ms == (50 * (edge + 12.0) + 0.5) / 50
     with pytest.raises(ValueError, match=f"more than the {MAX_RUN_MS} ms"):
         SweepConfig(delay_start_ms=edge, delay_end_ms=edge + 1.0, duration_s=1.0)
 
 
+@pytest.mark.parametrize(
+    "protocol, row",
+    [
+        ("IAX", "IAX,1000000000.000,1000000012.000,2000000005.375,50,50,0.000,43.200,2.223"),
+        ("RSW", "RSW,1000000000.000,1000000012.500,2000000007.938,50,50,0.000,43.200,2.223"),
+    ],
+)
+def test_a_run_at_a_billion_ms_matches_its_closed_form(protocol, row):
+    # setup is two trips of the delay plus the signals' serialization, media one trip
+    assert experiment._csv_row(run_scenario(protocol, 1e9, SweepConfig(duration_s=1.0))) == row
+
+
 @pytest.mark.parametrize("protocol", ["IAX", "RSW"])
 def test_a_single_run_past_the_32_bit_clock_is_refused_before_it_starts(protocol):
-    # the config's grid ends at 2000 ms, so only the run itself can refuse this delay
+    # the config's grid ends at 2000 ms, so only the run itself can refuse these delays
     cfg = SweepConfig(duration_s=1.0)
     trace = TraceLog(io.StringIO())
-    with pytest.raises(ValueError, match=f"more than the {MAX_RUN_MS} ms"):
-        run_scenario(protocol, 3e9, cfg, trace)
+    for delay_ms in (3e9, 1e10):
+        with pytest.raises(ValueError, match=f"more than the {MAX_RUN_MS} ms"):
+            run_scenario(protocol, delay_ms, cfg, trace)
     assert trace.count == 0
     report = run_scenario(protocol, 1e8, cfg)  # well inside the clock, still exact
     assert report.pkts_sent == report.pkts_recv == 50
     assert report.mean_e2e_delay_ms == 1e8 + (12.0 if protocol == "IAX" else 12.5)
+
+
+@st.composite
+def _schedules(draw):
+    """Settings across the accepted range; the interval and the delay leave the run inside the clock."""
+    frames = draw(st.sampled_from([1, 65_535]) | st.integers(1, 200) | st.integers(1, 65_535))
+    most_ms = min(100_000.0, MAX_RUN_MS / (frames + 2))
+    frame_ms = draw(st.sampled_from([x for x in (3.1, 65000.3) if x <= most_ms]) | st.floats(1.0, most_ms))
+    delay = draw(st.floats(0.0, min(1e9, (MAX_RUN_MS - (frames + 2) * frame_ms) / 4)))
+    return frames, frame_ms, delay
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    protocol=st.sampled_from(["IAX", "RSW"]),
+    schedule=_schedules(),
+    link_rate=st.sampled_from([1, 10**12]) | st.integers(1, 10**12),
+    payload=st.integers(1, 1400),
+)
+def test_every_run_ends_inside_its_horizon(protocol, schedule, link_rate, payload):
+    frames, frame_ms, delay = schedule
+    try:
+        cfg = SweepConfig(
+            delay_start_ms=delay, delay_end_ms=delay, duration_s=frames * frame_ms / 1000,
+            frame_interval_ms=frame_ms, payload_bytes=payload, link_rate_bps=link_rate,
+        )
+    except ValueError:  # the rounded frame count or the serialization passes a limit
+        assume(False)
+    horizon = cfg.run_horizon_ms(delay)
+    create = encode_rsw(create_conference("chair", ["p1"], f"codec=pcm;frame_ms={frame_ms:g}"))
+    ser = serialization_ms(LinkConfig(link_rate_bps=link_rate), max(len(create), RTP_HEADER_LEN + payload))
+    ends = []
+    with pytest.MonkeyPatch.context() as mp:
+        real_run = scenarios._run
+        mp.setattr(scenarios, "_run", lambda *args: ends.append(real_run(*args)))
+        run_scenario(protocol, delay, cfg)
+    (end,) = ends
+    assert end <= horizon <= end + 2 * frame_ms + delay + 4 * ser
 
 
 # -- single-scenario runs ------------------------------------------------------------
@@ -989,9 +1043,14 @@ def test_cli_horizon_covers_every_frame_interval(argv, row, tmp_path, capsys, mo
 
 
 def test_cli_reports_a_run_past_its_horizon(tmp_path, capsys, monkeypatch):
-    # at 10 bit/s the first packet alone takes minutes to serialize
+    # a media source that never tears down ticks on past its schedule
+    def tick_again(self, sim):
+        sim.schedule_timer(self.interval, self.name)
+
+    monkeypatch.setattr(scenarios._IaxCallerNode, "_teardown", tick_again)
+    monkeypatch.setattr(scenarios._RswChairNode, "_teardown", tick_again)
     monkeypatch.chdir(tmp_path)
-    code = main(["--link-rate", "10", "--delay-end", "0", "--duration", "0.1"])
+    code = main(["--delay-end", "0", "--duration", "0.1"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("voipsim: error:")

@@ -187,6 +187,29 @@ def test_encoders_accept_int_subclasses_and_reject_other_numbers():
     assert exc.value.field_name == "ts16"
 
 
+@pytest.mark.parametrize("payload", [5, "ab", [300], None, 1.5])  # bytes(5) would be five zero bytes
+def test_encoders_name_a_payload_that_is_not_bytes_like(payload):
+    encoders = [
+        lambda: encode_full(FullFrame(1, 2, 3, 4, 5, FrameKind.VOICE, 0, payload)),
+        lambda: encode_mini(1, 2, payload),
+        lambda: encode_rtp(1, 2, 3, payload),
+    ]
+    for encode in encoders:
+        with pytest.raises(EncodeError) as exc:
+            encode()
+        assert exc.value.field_name == "payload"
+
+
+@pytest.mark.parametrize("payload", [bytearray(b"ab"), memoryview(b"ab"), type("Sub", (bytes,), {})(b"ab")])
+def test_encoders_take_any_bytes_like_payload(payload):
+    assert encode_full(FullFrame(1, 2, 3, 4, 5, FrameKind.VOICE, 0, payload)) == encode_full(
+        FullFrame(1, 2, 3, 4, 5, FrameKind.VOICE, 0, b"ab")
+    )
+    assert encode_mini(1, 2, payload) == encode_mini(1, 2, b"ab")
+    assert encode_rtp(1, 2, 3, payload) == encode_rtp(1, 2, 3, b"ab")
+    assert type(encode_mini(1, 2, payload)) is bytes
+
+
 @given(full_frames)
 def test_full_round_trip(frame):
     assert decode_full(encode_full(frame)) == frame
