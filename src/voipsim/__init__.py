@@ -74,7 +74,7 @@ from .qos import (
     r_to_mos,
     score_run,
 )
-from .scenarios import MediaStats, TraceLog, run_iax_call, run_rsw_conference
+from .scenarios import MediaStats, RunNotEnded, TraceLog, run_iax_call, run_rsw_conference
 from .experiment import (
     CSV_HEADER,
     MissingProtocol,

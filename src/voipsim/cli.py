@@ -19,7 +19,7 @@ from .experiment import (
     run_sweep,
 )
 from .netsim import HorizonExceeded
-from .scenarios import TraceLog
+from .scenarios import RunNotEnded, TraceLog
 
 _PROTOCOL_CHOICES = {"iax": ("IAX",), "rsw": ("RSW",), "both": ("IAX", "RSW")}
 
@@ -134,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {trace.count} trace records to {trace_path}")
         if len(set(cfg.protocols)) == 2:
             print(compare_report(rows))
-    except (OSError, ValueError, HorizonExceeded) as exc:
+    except (OSError, ValueError, HorizonExceeded, RunNotEnded) as exc:
         print(f"voipsim: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 from .qos import NegativeDelay, QosReport, score_run
 from .scenarios import MediaStats, TraceLog, longest_trip_ms, run_iax_call, run_rsw_conference
@@ -49,18 +49,7 @@ class MissingProtocol(ValueError):
     """A comparison needs results from both protocols."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Parameters of one delay sweep.
-
-    The delay grid is ``delay_start_ms, delay_start_ms + delay_step_ms, ...``
-    up to and including ``delay_end_ms``, at most ``MAX_DELAY_POINTS``
-    delays; a degenerate sweep with ``delay_start_ms == delay_end_ms`` runs a
-    single point per protocol.  The horizon of the run at ``delay_end_ms``,
-    the bound its message schedule gives, must not pass ``MAX_RUN_MS`` of
-    simulated time (see ``run_horizon_ms``).
-    """
-
+class _SweepFields(NamedTuple):
     delay_start_ms: float = 0.0
     delay_end_ms: float = 2000.0
     delay_step_ms: float = 25.0
@@ -71,7 +60,23 @@ class SweepConfig:
     link_rate_bps: int = 128_000
     seed: int = 1
 
-    def __post_init__(self):
+
+class SweepConfig(_SweepFields):
+    """Parameters of one delay sweep, validated when built (``_replace`` included).
+
+    The delay grid is ``delay_start_ms, delay_start_ms + delay_step_ms, ...``
+    up to and including ``delay_end_ms``, at most ``MAX_DELAY_POINTS``
+    delays; a degenerate sweep with ``delay_start_ms == delay_end_ms`` runs a
+    single point per protocol.  The horizon of the run at ``delay_end_ms``,
+    the bound its message schedule gives, must not pass ``MAX_RUN_MS`` of
+    simulated time (see ``run_horizon_ms``).
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it, so it validates too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("delay_start_ms", "delay_end_ms", "delay_step_ms", "duration_s", "frame_interval_ms"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -113,6 +118,7 @@ class SweepConfig:
         if self.media_frame_count() > 0xFFFF:
             raise ValueError("duration_s / frame_interval_ms exceeds the 16-bit sequence space")
         self.run_horizon_ms(self.delay_end_ms)  # the grid's longest run
+        return self
 
     def media_frame_count(self) -> int:
         return int(round(self.duration_s * 1000.0 / self.frame_interval_ms))
@@ -123,12 +129,14 @@ class SweepConfig:
         A run is at most four one-way trips of ``longest_trip_ms`` (IAX:
         NEW, ACCEPT and ANSWER, HANGUP; RSW: CREATE, its ACK and the JOIN,
         END, its ACK) and its frames (the rounded count may pass
-        ``duration_s``) plus two intervals: one before the first frame or
-        after the last, one for the float error of the ticks summed.
+        ``duration_s``) plus one interval, before the first frame or after
+        the last, and ``frames + 8`` ulps for the float error of the sums.
         Raises ValueError when that passes ``MAX_RUN_MS``: every run, in a
         sweep or alone, starts with this check.
         """
-        horizon = (self.media_frame_count() + 2) * self.frame_interval_ms + 4 * longest_trip_ms(delay_ms, self)
+        frames = self.media_frame_count()
+        horizon = (frames + 1) * self.frame_interval_ms + 4 * longest_trip_ms(delay_ms, self)
+        horizon += (frames + 8) * math.ulp(horizon)
         if horizon > MAX_RUN_MS:
             raise ValueError(
                 f"a run at delay {delay_ms:g} ms may last {horizon:.0f} ms, more than the "

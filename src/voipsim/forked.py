@@ -4,15 +4,15 @@
 ``[run(*job, trace) for job in jobs]`` returns, and leaves in *trace* the
 records that loop would write, byte for byte.  Worker ``w`` of ``n`` takes
 jobs ``w, w + n, ...`` in order and stops at its first failure.  It sends
-its rows back through a pipe as ``marshal``-ed field tuples (``marshal`` is
-built into the interpreter, where importing ``pickle`` would add about
-0.3 MiB to the parent's peak memory); only a failing run's exception is
-pickled.  A traced worker writes its JSONL to an anonymous temporary file
-and notes where each run's records end; once every worker is reaped, the
-parent copies the runs' records into the caller's stream in job order, a
-bounded chunk at a time, and raises the exception of the earliest failing
-job.  Workers leave through ``os._exit``, so they never flush the parent's
-buffers or run its exit handlers.
+its rows back through a pipe as ``marshal``-ed plain tuples (a ``QosReport``
+is a named tuple; ``marshal`` takes only exact tuples, and it is built in,
+where importing ``pickle`` would add about 0.3 MiB to the parent's peak
+memory); only a failing run's exception is pickled.  A traced worker writes
+its JSONL to an anonymous temporary file and notes where each run's records
+end; once every worker is reaped, the parent copies the runs' records into
+the caller's stream in job order, a bounded chunk at a time, and raises the
+exception of the earliest failing job.  Workers leave through ``os._exit``,
+so they never flush the parent's buffers or run its exit handlers.
 
 ``experiment.run_sweep`` imports this module only when a sweep forks.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 import marshal
 import os
 import tempfile
-from dataclasses import astuple
 from typing import Callable
 
 from .qos import QosReport
@@ -107,7 +106,7 @@ def _fork_workers(run, jobs: list[tuple], files: list, workers: int) -> list[byt
 def _run_share(run, jobs: list[tuple], out) -> tuple:
     """A worker's runs, in order, up to its first failure: ``(rows, marks, error)``.
 
-    ``rows`` holds each report's field tuple; ``marks[i]`` is ``(trace bytes,
+    ``rows`` holds each report as a plain tuple; ``marks[i]`` is ``(trace bytes,
     trace records)`` written by the end of run ``i`` (the failing run
     included); ``error`` is ``(i, pickled exception)`` or None.
     """
@@ -117,7 +116,7 @@ def _run_share(run, jobs: list[tuple], out) -> tuple:
     for i, job in enumerate(jobs):
         error = None
         try:
-            rows.append(astuple(run(*job, trace)))
+            rows.append(tuple(run(*job, trace)))
         except Exception as exc:  # handed to the parent, which raises it
             error = (i, _pickled(exc))
         if trace is not None:

@@ -30,8 +30,8 @@ or a typed :class:`DecodeError` subclass, never an unhandled exception.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 FULL_HEADER_LEN = 12
 MINI_HEADER_LEN = 4
@@ -144,8 +144,7 @@ def _check_payload(payload) -> None:
         raise EncodeError("payload", f"expected bytes, got {type(payload).__name__}") from None
 
 
-@dataclass(slots=True)
-class FullFrame:
+class FullFrame(NamedTuple):
     """Signaling or resync frame with the 12-byte header."""
 
     source_call: int
@@ -159,8 +158,7 @@ class FullFrame:
     retransmit: bool = False
 
 
-@dataclass
-class RswMessage:
+class RswMessage(NamedTuple):
     """One conference control line; ``body`` empty means no body.
 
     ``sender``/``recipient`` are the from/to fields of the wire line.  In a

@@ -29,7 +29,6 @@ not sent to call number 0 as RFC 5456 sends it, raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .frames import FrameKind, FullFrame, Signal, decode_mini, encode_full, encode_mini
@@ -76,7 +75,6 @@ class StaleFrame(IaxError):
     """Reconstruction would move time backwards by more than one wrap window."""
 
 
-@dataclass
 class MediaRxState:
     """Receiver-side timestamp reconstruction state.
 
@@ -84,11 +82,13 @@ class MediaRxState:
     ``IaxEndpoint.receive_media_frame`` extends it with a mini frame's ts16.
     """
 
-    high16: int = 0
-    last_reconstructed_ts: int | None = None
+    __slots__ = ("high16", "last_reconstructed_ts")
+
+    def __init__(self, high16: int = 0, last_reconstructed_ts: int | None = None):
+        self.high16 = high16
+        self.last_reconstructed_ts = last_reconstructed_ts
 
 
-@dataclass
 class IaxCallState:
     """The state of an endpoint's one call, numbered ``LOCAL_CALL``.
 
@@ -97,13 +97,16 @@ class IaxCallState:
     before the first.
     """
 
-    state: CallState
-    start_time: float = 0.0
-    last_full_ts: int | None = None
-    oseqno: int = 0
-    iseqno: int = 0
-    peer_call: int = 0
-    rx: MediaRxState = field(default_factory=MediaRxState)
+    __slots__ = ("state", "start_time", "last_full_ts", "oseqno", "iseqno", "peer_call", "rx")
+
+    def __init__(self, state: CallState, start_time: float = 0.0, *, iseqno: int = 0, peer_call: int = 0):
+        self.state = state
+        self.start_time = start_time
+        self.last_full_ts: int | None = None
+        self.oseqno = 0
+        self.iseqno = iseqno
+        self.peer_call = peer_call
+        self.rx = MediaRxState()
 
 
 def _full_frame(cs: IaxCallState, kind: FrameKind, subclass: int, ts32: int, payload: bytes) -> FullFrame:

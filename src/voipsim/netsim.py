@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .qos import NegativeDelay
 
@@ -50,10 +49,7 @@ class HorizonExceeded(RuntimeError):
     """An event fell past the run's horizon: the run outlived its message schedule, a bug or a livelock."""
 
 
-@dataclass(frozen=True)
-class LinkConfig:
-    """Emulated link parameters; probabilities apply to media only."""
-
+class _LinkFields(NamedTuple):
     delay_ms: float = 0.0
     jitter_ms: float = 0.0
     loss_prob: float = 0.0
@@ -61,7 +57,15 @@ class LinkConfig:
     reorder_prob: float = 0.0
     link_rate_bps: int = 128_000
 
-    def __post_init__(self):
+
+class LinkConfig(_LinkFields):
+    """Emulated link parameters, validated when built (``_replace`` too); probabilities apply to media only."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it, so it validates too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("delay_ms", "jitter_ms"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -76,6 +80,7 @@ class LinkConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if self.link_rate_bps <= 0:
             raise ValueError(f"link_rate_bps must be > 0, got {self.link_rate_bps}")
+        return self
 
 
 def serialization_ms(link: LinkConfig, size_bytes: int) -> float:
@@ -126,17 +131,17 @@ class Simulator:
         size = len(pkt)
         if size == 0:
             raise EmptyPacket(f"{src}->{dst}")
-        ser = 8.0 * (size + OVERHEAD_BYTES) * 1000.0 / link.link_rate_bps  # serialization_ms
+        delay_ms, j, loss_prob, dup_prob, reorder_prob, rate = link  # one unpack beats six field reads
+        ser = 8.0 * (size + OVERHEAD_BYTES) * 1000.0 / rate  # serialization_ms
         rand = self.rng.random
-        lost = rand() < link.loss_prob
-        duplicated = rand() < link.dup_prob
-        reordered = rand() < link.reorder_prob
+        lost = rand() < loss_prob
+        duplicated = rand() < dup_prob
+        reordered = rand() < reorder_prob
         # the expression random.Random.uniform(-j, j) evaluates, inlined
-        j = link.jitter_ms
         jitter = -j + (j + j) * rand()
         if lost:
             return []
-        base = 0.0 if reordered else link.delay_ms
+        base = 0.0 if reordered else delay_ms
         arrival = self.now + ser + max(0.0, base + jitter)
         self.schedule(arrival, dst, pkt)
         if duplicated:

@@ -12,7 +12,7 @@ floored at 1.0 to keep MOS inside the published scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Base transmission rating (no equipment impairment, no advantage factor).
 R0 = 93.2
@@ -61,8 +61,7 @@ def r_to_mos(r: float) -> float:
     return max(mos, 1.0)
 
 
-@dataclass(frozen=True)
-class QosReport:
+class QosReport(NamedTuple):
     """Scored outcome of one simulated call or conference run."""
 
     protocol: str

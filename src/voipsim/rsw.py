@@ -16,7 +16,6 @@ sequence number and its encoded bytes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -60,15 +59,17 @@ class NotInvited(RswError):
     """Sender holds no usable invitation (or already responded)."""
 
 
-@dataclass
 class ConferenceState:
     """The server's record of one conference; ``members`` includes the chairman."""
 
-    conf_id: int
-    chairman: str
-    members: dict[str, MemberStatus]
-    media_desc: str
-    phase: ConferencePhase
+    __slots__ = ("conf_id", "chairman", "members", "media_desc", "phase")
+
+    def __init__(self, conf_id: int, chairman: str, members: dict, media_desc: str, phase: ConferencePhase):
+        self.conf_id = conf_id
+        self.chairman = chairman
+        self.members = members
+        self.media_desc = media_desc
+        self.phase = phase
 
 
 def _check_member_id(member_id: str) -> str:
@@ -190,14 +191,16 @@ class RswInvitee:
         return RswMessage(Verb.JOIN, conf_id, self.endpoint_id, DEFAULT_SERVER_ID)
 
 
-@dataclass
 class RtpTxState:
     """Outbound RTP stream counters."""
 
-    seq: int
-    timestamp: int
-    ssrc: int
-    samples_per_frame: int = 160
+    __slots__ = ("seq", "timestamp", "ssrc", "samples_per_frame")
+
+    def __init__(self, seq: int, timestamp: int, ssrc: int, samples_per_frame: int = 160):
+        self.seq = seq
+        self.timestamp = timestamp
+        self.ssrc = ssrc
+        self.samples_per_frame = samples_per_frame
 
 
 def new_rtp_tx(rng: random.Random, samples_per_frame: int = 160) -> RtpTxState:

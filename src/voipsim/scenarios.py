@@ -160,6 +160,10 @@ def _chair_create(frame_interval_ms: float) -> RswMessage:
     return create_conference("chair", [_INVITEE], f"codec=pcm;frame_ms={frame_interval_ms:g}", conf_id=1)
 
 
+class RunNotEnded(RuntimeError):
+    """A run drained its events short of its terminal state: IAX Hungup at both ends, the conference Ended."""
+
+
 def _run(label: str, delay_ms: float, cfg: SweepConfig, trace: TraceLog | _NoTrace, *nodes: _Node) -> float:
     """Register the nodes, start the first one and drain the run; returns the final clock."""
     horizon_ms = cfg.run_horizon_ms(delay_ms)  # refuses a run past the 32-bit clock before it starts
@@ -281,10 +285,10 @@ def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = Non
     link = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
     stats = MediaStats()
     trace = _NO_TRACE if trace is None else trace
-    _run(
-        f"IAX:{delay_ms:g}", delay_ms, cfg, trace,
-        _IaxCallerNode(link, cfg, stats, trace), _IaxCalleeNode(link, stats, trace),
-    )
+    caller, callee = _IaxCallerNode(link, cfg, stats, trace), _IaxCalleeNode(link, stats, trace)
+    _run(f"IAX:{delay_ms:g}", delay_ms, cfg, trace, caller, callee)
+    if not all(getattr(node.endpoint.call, "state", None) is CallState.HUNGUP for node in (caller, callee)):
+        raise RunNotEnded(f"run IAX:{delay_ms:g} drained its events with a call not Hungup")
     return stats
 
 
@@ -364,8 +368,8 @@ def run_rsw_conference(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None
     stats = MediaStats()
     trace = _NO_TRACE if trace is None else trace
     tx = new_rtp_tx(random.Random(cfg.seed), samples_per_frame=cfg.payload_bytes)
-    _run(
-        f"RSW:{delay_ms:g}", delay_ms, cfg, trace,
-        _RswChairNode(wan, cfg, stats, trace, tx), _RswServerNode(wan, stats, trace),
-    )
+    chair, server = _RswChairNode(wan, cfg, stats, trace, tx), _RswServerNode(wan, stats, trace)
+    _run(f"RSW:{delay_ms:g}", delay_ms, cfg, trace, chair, server)
+    if getattr(server.conf, "phase", None) is not ConferencePhase.ENDED:
+        raise RunNotEnded(f"run RSW:{delay_ms:g} drained its events with the conference not Ended")
     return stats

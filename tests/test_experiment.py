@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -23,6 +24,7 @@ from voipsim import (
     MediaStats,
     MissingProtocol,
     NegativeDelay,
+    RunNotEnded,
     SweepConfig,
     TraceLog,
     compare_report,
@@ -74,8 +76,23 @@ def test_config_defaults():
     cfg = SweepConfig()
     assert cfg.protocols == ("IAX", "RSW")
     assert cfg.media_frame_count() == 500
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):  # a refused assignment
         cfg.seed = 2
+
+
+@pytest.mark.parametrize(
+    "config, change, error",
+    [
+        (SweepConfig(), {"seed": -7}, ValueError),
+        (SweepConfig(), {"delay_start_ms": -1.0}, NegativeDelay),
+        (LinkConfig(), {"delay_ms": -1.0}, NegativeDelay),
+        (LinkConfig(), {"loss_prob": 1.5}, ValueError),
+    ],
+)
+def test_a_replaced_config_is_validated_as_a_new_one(config, change, error):
+    with pytest.raises(error):
+        config._replace(**change)
+    assert type(config._replace()) is type(config)
 
 
 def test_negative_start_delay_is_typed():
@@ -148,18 +165,20 @@ def test_config_names_a_non_finite_setting(name, value):
 
 
 def test_a_run_just_inside_the_32_bit_clock_is_accepted_and_exact():
-    # 50 frames of 20 ms plus two intervals, and four trips of the delay plus 12.5 ms,
-    # the serialization of a 160 B payload behind a 12-byte header at 128 kbit/s
-    edge = (MAX_RUN_MS - 52 * 20 - 4 * 12.5) / 4
+    # 50 frames of 20 ms plus one interval, and four trips of the delay plus 12.5 ms,
+    # the serialization of a 160 B payload behind a 12-byte header at 128 kbit/s, sum
+    # to 1 ms below the clock; the float-error slack of 58 ulps adds under 3e-5 ms
+    edge = (MAX_RUN_MS - 1 - 51 * 20 - 4 * 12.5) / 4
     cfg = SweepConfig(delay_start_ms=edge, delay_end_ms=edge, duration_s=1.0, protocols=("IAX",))
-    assert cfg.run_horizon_ms(edge) == MAX_RUN_MS
+    assert MAX_RUN_MS - 1 < cfg.run_horizon_ms(edge) < MAX_RUN_MS - 1 + 3e-5
     report = run_scenario("IAX", edge, cfg)
     assert report.pkts_sent == report.pkts_recv == 50
     # link plus serialization, as at small delays; the media passes 2**31 ms, a change of the
     # timestamp's high 16 bits, so one frame goes out as a full frame, 8 bytes (0.5 ms) longer
     assert report.mean_e2e_delay_ms == (50 * (edge + 12.0) + 0.5) / 50
+    # a quarter ms later the sum reaches the clock exactly, and the slack passes it
     with pytest.raises(ValueError, match=f"more than the {MAX_RUN_MS} ms"):
-        SweepConfig(delay_start_ms=edge, delay_end_ms=edge + 1.0, duration_s=1.0)
+        SweepConfig(delay_start_ms=edge, delay_end_ms=edge + 0.25, duration_s=1.0)
 
 
 _ROWS_AT_A_BILLION_MS = {
@@ -217,7 +236,9 @@ def test_every_run_ends_inside_its_horizon(protocol, schedule, link_rate, payloa
         mp.setattr(scenarios, "_run", lambda *args: ends.append(real_run(*args)))
         run_scenario(protocol, delay, cfg)
     (end,) = ends
-    assert end <= horizon <= end + 2 * frame_ms + delay + 4 * ser
+    # IAX ends three trips after its last interval, RSW four trips after its frames
+    slack = (cfg.media_frame_count() + 8) * math.ulp(horizon)
+    assert end <= horizon <= end + frame_ms + delay + 4 * ser + slack
 
 
 # -- single-scenario runs ------------------------------------------------------------
@@ -298,11 +319,14 @@ def _python_calls(run, duration_s: float) -> int:
         if event == "call":
             calls += 1
 
+    # no collection inside the count: hypothesis hooks a Python callback into every one
+    gc.disable()
     sys.setprofile(count)
     try:
         run(200.0, SweepConfig(duration_s=duration_s))
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls
 
 
@@ -708,6 +732,18 @@ def test_sweep_writes_the_same_bytes_over_any_worker_count(monkeypatch, tmp_path
         assert output == outputs[0]
 
 
+def test_the_cli_imports_neither_dataclasses_nor_the_forked_sweep():
+    # dataclasses would pull in inspect, ast and dis, about 1 MiB of every run's peak memory;
+    # voipsim.forked is imported only when a sweep forks
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = "import sys, voipsim.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    modules = set(loaded.stdout.split())
+    assert "voipsim.cli" in modules
+    assert not modules & {"dataclasses", "inspect", "ast", "dis", "voipsim.forked"}
+
+
 def test_forked_sweep_raises_the_earliest_failing_run(monkeypatch, tmp_path, capsys):
     # with two workers, IAX:75 (run 3) is worker 1's and RSW:25 (run 6) is worker 0's
     real = dict(experiment._RUNNERS)
@@ -789,8 +825,8 @@ def _report_for_gaps(gaps: list[float]) -> str:
     iax = run_scenario("IAX", 0.0, SweepConfig(**FAST))
     rows = []
     for i, gap in enumerate(gaps):
-        rows.append(dataclasses.replace(iax, configured_delay_ms=100.0 * i, mos=3.0 + gap))
-        rows.append(dataclasses.replace(iax, protocol="RSW", configured_delay_ms=100.0 * i, mos=3.0))
+        rows.append(iax._replace(configured_delay_ms=100.0 * i, mos=3.0 + gap))
+        rows.append(iax._replace(protocol="RSW", configured_delay_ms=100.0 * i, mos=3.0))
     return compare_report(rows).splitlines()[-1]
 
 
@@ -817,7 +853,7 @@ def test_compare_report_no_band_when_gap_tiny(fast_sweep):
 
 def test_compare_report_equal_curves():
     iax = run_scenario("IAX", 0.0, SweepConfig(**FAST))
-    fake_rsw = dataclasses.replace(iax, protocol="RSW")
+    fake_rsw = iax._replace(protocol="RSW")
     report = compare_report([iax, fake_rsw])
     assert "max gap +0.0000 MOS at delay 0 ms" in report
 
@@ -1027,6 +1063,9 @@ def test_cli_refuses_a_run_past_the_32_bit_clock(argv, tmp_path, capsys, monkeyp
         # 1.5 frames round up to 2, and the teardown tick follows the second
         (["--protocol", "rsw", "--duration", "1500", "--frame-ms", "1000000"],
          "RSW,0.000,12.500,8.125,2,2,0.000,93.200,4.409"),
+        # 42,948 frames of 100 s: the float error of the summed ticks needs ulps, not an interval
+        (["--protocol", "iax", "--duration", "4294800", "--frame-ms", "100000"],
+         "IAX,0.000,12.500,5.375,42948,42948,0.000,93.200,4.409"),
     ],
 )
 def test_cli_horizon_covers_every_frame_interval(argv, row, tmp_path, capsys, monkeypatch):
@@ -1050,6 +1089,27 @@ def test_cli_reports_a_run_past_its_horizon(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("voipsim: error:")
     assert "horizon" in captured.err
     assert captured.out == ""
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "protocol, node, message",
+    [
+        ("IAX", scenarios._IaxCallerNode, "run IAX:25 drained its events with a call not Hungup"),
+        ("RSW", scenarios._RswChairNode, "run RSW:25 drained its events with the conference not Ended"),
+    ],
+)
+def test_a_run_that_drains_short_of_its_terminal_state_is_refused(
+    protocol, node, message, tmp_path, capsys, monkeypatch
+):
+    # a media source that never tears down leaves the call Up, or the conference Active
+    monkeypatch.setattr(node, "_teardown", lambda self, sim: None)
+    with pytest.raises(RunNotEnded, match=message):
+        run_scenario(protocol, 25.0, SweepConfig(**FAST))
+    # the CLI reports it as an error, with status 2, and writes no CSV
+    monkeypatch.chdir(tmp_path)
+    assert main(["--protocol", protocol.lower(), "--delay-start", "25", "--delay-end", "25", "--duration", "0.5"]) == 2
+    assert capsys.readouterr().err == f"voipsim: error: {message}\n"
     assert not (tmp_path / "sweep.csv").exists()
 
 

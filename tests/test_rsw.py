@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import same_state
 from voipsim import (
     ConferencePhase,
     EmptyInviteeList,
@@ -243,7 +244,7 @@ def test_a_refused_message_leaves_the_conference_as_it_was(messages):
         try:
             _, after = server_route(msg, conf)
         except RswError:
-            assert conf == before
+            assert same_state(conf, before)
         else:
             assert after is conf
 
