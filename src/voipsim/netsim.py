@@ -1,22 +1,21 @@
 """Deterministic discrete-event emulation of a single delayed link.
 
-One :class:`Simulator` owns the virtual clock, a seeded RNG, and the event
-heap.  Events are dispatched strictly in ``(due, seq)`` order, where ``seq``
-is the global scheduling counter, so runs with the same seed and the same
-scenario replay identically.
+:class:`Simulator` is a run's event core: the virtual clock, the one seeded
+RNG and the event heap, dispatched strictly in ``(due, seq)`` order (``seq``
+counts every scheduling), so a seed and a scenario replay identically.
 
-Packet timing on a link::
+A :class:`Link` is one direction of the link, ``src`` to ``dst``.  Packet timing::
 
     serialization_ms = 8 * (len(pkt) + 28) / link_rate_bps * 1000
 
 where 28 bytes (``OVERHEAD_BYTES``) are the IPv4 and UDP headers of every packet.
 
-``transmit`` models the lossy media channel (loss, duplication, reordering,
-jitter); ``reliable_send`` models the in-order signaling channel and never
-consumes randomness.  ``deliver_local`` moves a packet between co-located
-nodes at no cost: it arrives at the current time, after the events already
-due then.  No scenario calls it: the conference's server hands everything to
-the member on its host by a direct call.
+``Link.transmit(sim, pkt)`` models the lossy media channel (loss, duplication,
+reordering, jitter), drawing from ``sim.rng``, the one stream both directions
+share; ``Link.reliable_send(sim, pkt)`` models the in-order signaling channel
+and never consumes randomness.  ``Simulator.deliver_local`` moves a packet
+between co-located nodes at no cost: it arrives at the current time, after
+the events already due then.  No scenario calls it.
 
 An event is a heap entry ``(due, seq, dst, payload)``; ``seq`` is unique, so
 the heap never compares ``dst`` or ``payload``.  Dispatch calls the handler
@@ -83,7 +82,7 @@ class LinkConfig(_LinkFields):
         return self
 
 
-def serialization_ms(link: LinkConfig, size_bytes: int) -> float:
+def serialization_ms(link: LinkConfig | Link, size_bytes: int) -> float:
     """Time to clock ``size_bytes`` plus the IP/UDP overhead onto the link."""
     return 8.0 * (size_bytes + OVERHEAD_BYTES) * 1000.0 / link.link_rate_bps
 
@@ -102,7 +101,6 @@ class Simulator:
         self._heap: list[tuple[float, int, str, bytes | None]] = []
         self._next_seq = 0
         self._handlers: dict[str, Handler] = {}
-        self._reliable_front: dict[tuple[str, str], float] = {}
 
     def register(self, endpoint_id: str, handler: Handler) -> None:
         self._handlers[endpoint_id] = handler
@@ -118,53 +116,6 @@ class Simulator:
     def schedule_timer(self, delay_ms: float, dst: str) -> None:
         """Tick ``dst`` after ``delay_ms``: its handler gets ``None``."""
         self.schedule(self.now + delay_ms, dst, None)
-
-    def transmit(self, link: LinkConfig, pkt: bytes, src: str, dst: str) -> list[float]:
-        """Send over the lossy media channel; returns the arrival times queued.
-
-        Four RNG draws happen on every call (loss, duplicate, reorder,
-        jitter) in that fixed order, whatever the configured probabilities,
-        so event streams stay aligned across configs with the same seed.
-        A reordered packet skips the configured delay and arrives early.
-        Arrival never precedes ``now + serialization``.
-        """
-        size = len(pkt)
-        if size == 0:
-            raise EmptyPacket(f"{src}->{dst}")
-        delay_ms, j, loss_prob, dup_prob, reorder_prob, rate = link  # one unpack beats six field reads
-        ser = 8.0 * (size + OVERHEAD_BYTES) * 1000.0 / rate  # serialization_ms
-        rand = self.rng.random
-        lost = rand() < loss_prob
-        duplicated = rand() < dup_prob
-        reordered = rand() < reorder_prob
-        # the expression random.Random.uniform(-j, j) evaluates, inlined
-        jitter = -j + (j + j) * rand()
-        if lost:
-            return []
-        base = 0.0 if reordered else delay_ms
-        arrival = self.now + ser + max(0.0, base + jitter)
-        self.schedule(arrival, dst, pkt)
-        if duplicated:
-            self.schedule(arrival, dst, pkt)
-            return [arrival, arrival]
-        return [arrival]
-
-    def reliable_send(self, link: LinkConfig, pkt: bytes, src: str, dst: str) -> float:
-        """Send over the in-order signaling channel; returns the arrival time.
-
-        Arrival is ``now + serialization + delay_ms`` — no loss, duplication,
-        reordering, or jitter, and no RNG draws.  Arrival is clamped to the
-        previous reliable arrival for the same (src, dst) pair so FIFO order
-        holds even for pathological size mixes.
-        """
-        if len(pkt) == 0:
-            raise EmptyPacket(f"{src}->{dst}")
-        arrival = self.now + serialization_ms(link, len(pkt)) + link.delay_ms
-        front = self._reliable_front.get((src, dst), 0.0)
-        arrival = max(arrival, front)
-        self._reliable_front[(src, dst)] = arrival
-        self.schedule(arrival, dst, pkt)
-        return arrival
 
     def deliver_local(self, pkt: bytes, dst: str) -> float:
         """Hand a packet to a co-located node now, at no link cost; no scenario calls this."""
@@ -197,3 +148,61 @@ class Simulator:
         finally:
             self.dispatched += dispatched
         return self.now
+
+
+class Link:
+    """One direction of an emulated link, ``src`` to ``dst``, with its ``LinkConfig`` unpacked.
+
+    Sends take the run's ``sim``: holding it would close a cycle only the collector frees.
+    """
+
+    __slots__ = ("src", "dst", "delay_ms", "jitter_ms", "loss_prob", "dup_prob", "reorder_prob",
+                 "link_rate_bps", "_reliable_front")
+
+    def __init__(self, config: LinkConfig, src: str, dst: str):
+        self.src, self.dst = src, dst
+        self.delay_ms, self.jitter_ms, self.loss_prob, self.dup_prob, self.reorder_prob, self.link_rate_bps = config
+        self._reliable_front = 0.0  # the last signaling arrival queued; the next may not precede it
+
+    def transmit(self, sim: Simulator, pkt: bytes) -> list[float]:
+        """Send over the lossy media channel; returns the arrival times queued.
+
+        Four ``sim.rng`` draws happen on every call (loss, duplicate, reorder,
+        jitter) in that fixed order, whatever the probabilities, so event streams
+        stay aligned across configs with the same seed.  A reordered packet skips
+        the configured delay.  Arrival never precedes ``now + serialization``.
+        """
+        size = len(pkt)
+        if size == 0:
+            raise EmptyPacket(f"{self.src}->{self.dst}")
+        ser = 8.0 * (size + OVERHEAD_BYTES) * 1000.0 / self.link_rate_bps  # serialization_ms
+        rand = sim.rng.random
+        lost = rand() < self.loss_prob
+        duplicated = rand() < self.dup_prob
+        reordered = rand() < self.reorder_prob
+        # the expression random.Random.uniform(-j, j) evaluates, inlined
+        j = self.jitter_ms
+        jitter = -j + (j + j) * rand()
+        if lost:
+            return []
+        base = 0.0 if reordered else self.delay_ms
+        arrival = sim.now + ser + max(0.0, base + jitter)
+        sim.schedule(arrival, self.dst, pkt)
+        if duplicated:
+            sim.schedule(arrival, self.dst, pkt)
+            return [arrival, arrival]
+        return [arrival]
+
+    def reliable_send(self, sim: Simulator, pkt: bytes) -> float:
+        """Send over the in-order signaling channel; returns the arrival time.
+
+        Arrival is ``now + serialization + delay_ms`` — no loss, duplication,
+        reordering, or jitter, and no RNG draws — clamped to this direction's
+        previous reliable arrival, so FIFO holds for any mix of sizes.
+        """
+        if len(pkt) == 0:
+            raise EmptyPacket(f"{self.src}->{self.dst}")
+        arrival = max(sim.now + serialization_ms(self, len(pkt)) + self.delay_ms, self._reliable_front)
+        self._reliable_front = arrival
+        sim.schedule(arrival, self.dst, pkt)
+        return arrival

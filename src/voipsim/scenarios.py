@@ -13,8 +13,8 @@ emulated WAN link and add each counted frame's one-way delay to a
   routes the invitee's messages and delivers relayed media to it by direct
   calls, within the event that brought them.
 
-Every node is a ``_Node`` (name, link, stats, trace); the caller and the
-chairman are ``_MediaSource`` nodes, which pace, count and send the frames.
+Every node is a ``_Node`` (name, its ``netsim.Link`` to its peer, stats, trace); the
+caller and the chairman are ``_MediaSource`` nodes, which pace, count and send the frames.
 A node's ``handle(sim, data)`` gets a packet's bytes, or ``None`` for a
 timer tick.  Nodes write their records to the trace unconditionally: an
 untraced run writes them to ``_NO_TRACE``, which drops them.
@@ -45,7 +45,7 @@ from .frames import (
     encode_rsw,
 )
 from .iax import CallState, IaxEndpoint, NotInCall
-from .netsim import LinkConfig, Simulator, serialization_ms
+from .netsim import Link, LinkConfig, Simulator, serialization_ms
 from .rsw import (
     ConferencePhase,
     RswInvitee,
@@ -176,18 +176,17 @@ def _run(label: str, delay_ms: float, cfg: SweepConfig, trace: TraceLog | _NoTra
 
 
 class _Node:
-    """One endpoint of a run; ``peer`` is where its control messages go."""
+    """One endpoint of a run; ``link`` carries its messages to its peer, ``link.dst``."""
 
-    def __init__(self, name: str, peer: str | None, link: LinkConfig | None, stats: MediaStats, trace):
+    def __init__(self, name: str, peer: str, config: LinkConfig, stats: MediaStats, trace):
         self.name = name
-        self.peer = peer
-        self.link = link
+        self.link = Link(config, name, peer)
         self.stats = stats
         self.trace = trace
 
     def _send_control(self, sim: Simulator, kind: str, data: bytes, **fields) -> None:
-        self.trace.add(sim.now, kind, src=self.name, dst=self.peer, **fields, bytes=len(data))
-        sim.reliable_send(self.link, data, self.name, self.peer)
+        self.trace.add(sim.now, kind, src=self.name, dst=self.link.dst, **fields, bytes=len(data))
+        self.link.reliable_send(sim, data)
 
 
 class _MediaSource(_Node):
@@ -198,8 +197,8 @@ class _MediaSource(_Node):
     ``_teardown``, and call ``_begin_media``.
     """
 
-    def __init__(self, name: str, peer: str, link: LinkConfig, cfg: SweepConfig, stats: MediaStats, trace):
-        super().__init__(name, peer, link, stats, trace)
+    def __init__(self, name: str, peer: str, config: LinkConfig, cfg: SweepConfig, stats: MediaStats, trace):
+        super().__init__(name, peer, config, stats, trace)
         self.interval = cfg.frame_interval_ms
         self.payload = bytes(cfg.payload_bytes)
         self.frames_left = cfg.media_frame_count()
@@ -223,7 +222,7 @@ class _MediaSource(_Node):
 
     def _send_media(self, sim: Simulator, data: bytes) -> None:
         self.trace.packet(sim.now, self._media_tail, len(data))
-        sim.transmit(self.link, data, self.name, self.peer)
+        self.link.transmit(sim, data)
 
 
 def _send_signal(node: _Node, sim: Simulator, frame: FullFrame) -> None:
@@ -231,8 +230,8 @@ def _send_signal(node: _Node, sim: Simulator, frame: FullFrame) -> None:
 
 
 class _IaxCallerNode(_MediaSource):
-    def __init__(self, link, cfg, stats, trace):
-        super().__init__("caller", "callee", link, cfg, stats, trace)
+    def __init__(self, config, cfg, stats, trace):
+        super().__init__("caller", "callee", config, cfg, stats, trace)
         self.endpoint = IaxEndpoint("caller")
         self._next_frame = self.endpoint.send_media  # its (ts32, wire bytes); ts32 is the stats key
 
@@ -258,8 +257,8 @@ class _IaxCallerNode(_MediaSource):
 
 
 class _IaxCalleeNode(_Node):
-    def __init__(self, link, stats, trace):
-        super().__init__("callee", "caller", link, stats, trace)
+    def __init__(self, config, stats, trace):
+        super().__init__("callee", "caller", config, stats, trace)
         self.endpoint = IaxEndpoint("callee")
         self._deliver_tail = _packet_tail("deliver", "ts", dst="callee")
 
@@ -282,10 +281,10 @@ class _IaxCalleeNode(_Node):
 
 def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
     """Simulate one two-party call; returns the raw measurements."""
-    link = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
+    config = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
     stats = MediaStats()
     trace = _NO_TRACE if trace is None else trace
-    caller, callee = _IaxCallerNode(link, cfg, stats, trace), _IaxCalleeNode(link, stats, trace)
+    caller, callee = _IaxCallerNode(config, cfg, stats, trace), _IaxCalleeNode(config, stats, trace)
     _run(f"IAX:{delay_ms:g}", delay_ms, cfg, trace, caller, callee)
     if not all(getattr(node.endpoint.call, "state", None) is CallState.HUNGUP for node in (caller, callee)):
         raise RunNotEnded(f"run IAX:{delay_ms:g} drained its events with a call not Hungup")
@@ -328,7 +327,7 @@ class _RswServerNode(_Node):
     """
 
     def __init__(self, wan, stats, trace):
-        super().__init__("server", None, wan, stats, trace)
+        super().__init__("server", "chair", wan, stats, trace)
         self.conf = None
         self.invitee = RswInvitee(_INVITEE)
         self._relay_tail = _packet_tail("relay", "bytes", src="server", dst=_INVITEE)
@@ -350,8 +349,10 @@ class _RswServerNode(_Node):
         for reply in out:
             raw, dst = encode_rsw(reply), reply.recipient
             self.trace.add(sim.now, "conf", src="server", dst=dst, bytes=len(raw), verb=reply.verb.value)
-            if dst != _INVITEE:
-                sim.reliable_send(self.link, raw, "server", dst)
+            if dst == self.link.dst:
+                self.link.reliable_send(sim, raw)
+            elif dst != _INVITEE:
+                raise LookupError(f"the server has no route to {dst!r}")
             elif reply.verb is Verb.CREATE:  # the invitee needs no ACK or END
                 invitation = reply
         if invitation is not None:

@@ -17,7 +17,7 @@ import tracemalloc
 import types
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from voipsim import (
     CSV_HEADER,
@@ -218,6 +218,8 @@ def _schedules(draw):
     link_rate=st.sampled_from([1, 10**12]) | st.integers(1, 10**12),
     payload=st.integers(1, 1400),
 )
+# 65,535 ticks summed in floats end 3.9e-6 ms (8,380 ulps) below their exact sum
+@example(protocol="RSW", schedule=(65535, 34.96157823002068, 0.0), link_rate=10**12, payload=1)
 def test_every_run_ends_inside_its_horizon(protocol, schedule, link_rate, payload):
     frames, frame_ms, delay = schedule
     try:
@@ -238,7 +240,8 @@ def test_every_run_ends_inside_its_horizon(protocol, schedule, link_rate, payloa
     (end,) = ends
     # IAX ends three trips after its last interval, RSW four trips after its frames
     slack = (cfg.media_frame_count() + 8) * math.ulp(horizon)
-    assert end <= horizon <= end + frame_ms + delay + 4 * ser + slack
+    # the horizon may exceed the float end by the end's own rounding too, at most one more slack
+    assert end <= horizon <= end + frame_ms + delay + 4 * ser + 2 * slack
 
 
 # -- single-scenario runs ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Event simulator tests: serialization math, channel semantics, determinism."""
+"""Event core and link tests: serialization math, channel semantics, determinism."""
 
 import random
 
@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from voipsim.netsim import (
     EmptyPacket,
     HorizonExceeded,
+    Link,
     LinkConfig,
     Simulator,
     serialization_ms,
@@ -65,24 +66,24 @@ def test_link_config_rejects_a_non_finite_time(name, value):
 
 def test_transmit_exact_arrival_with_defaults():
     sim = Simulator(seed=1)
-    link = LinkConfig(delay_ms=40.0)
+    link = Link(LinkConfig(delay_ms=40.0), "a", "b")
     log = []
     sim.register("b", _sink(log))
-    assert sim.transmit(link, bytes(164), "a", "b") == [40.0 + 12.0]
+    assert link.transmit(sim, bytes(164)) == [40.0 + 12.0]
     sim.run_until_idle()
     assert log == [(40.0 + 12.0, bytes(164))]  # delivered as the packet, not as a timer tick
 
 
 def test_transmit_loss_prob_one_schedules_nothing():
     sim = Simulator(seed=1)
-    assert sim.transmit(LinkConfig(loss_prob=1.0), b"x", "a", "b") == []
+    assert Link(LinkConfig(loss_prob=1.0), "a", "b").transmit(sim, b"x") == []
 
 
 def test_transmit_dup_prob_one_schedules_twice_at_same_time():
     sim = Simulator(seed=1)
     log = []
     sim.register("b", _sink(log))
-    arrivals = sim.transmit(LinkConfig(dup_prob=1.0), bytes(164), "a", "b")
+    arrivals = Link(LinkConfig(dup_prob=1.0), "a", "b").transmit(sim, bytes(164))
     assert arrivals == [12.0, 12.0]
     sim.schedule(12.0, "b", b"later")  # same due, queued after both copies
     sim.run_until_idle()
@@ -91,15 +92,15 @@ def test_transmit_dup_prob_one_schedules_twice_at_same_time():
 
 def test_transmit_reorder_skips_the_configured_delay():
     sim = Simulator(seed=1)
-    link = LinkConfig(delay_ms=500.0, reorder_prob=1.0)
-    assert sim.transmit(link, bytes(164), "a", "b") == [12.0]  # serialization only: the packet overtakes
+    link = Link(LinkConfig(delay_ms=500.0, reorder_prob=1.0), "a", "b")
+    assert link.transmit(sim, bytes(164)) == [12.0]  # serialization only: the packet overtakes
 
 
 def test_transmit_jitter_bounds_and_causality():
     sim = Simulator(seed=7)
-    link = LinkConfig(delay_ms=5.0, jitter_ms=20.0)
+    link = Link(LinkConfig(delay_ms=5.0, jitter_ms=20.0), "a", "b")
     for _ in range(200):
-        (due,) = sim.transmit(link, bytes(164), "a", "b")
+        (due,) = link.transmit(sim, bytes(164))
         # arrival never precedes now + serialization, never exceeds +delay+jitter
         assert sim.now + 12.0 <= due <= sim.now + 12.0 + 25.0
 
@@ -107,7 +108,7 @@ def test_transmit_jitter_bounds_and_causality():
 def test_transmit_empty_packet():
     sim = Simulator(seed=1)
     with pytest.raises(EmptyPacket):
-        sim.transmit(LinkConfig(), b"", "a", "b")
+        Link(LinkConfig(), "a", "b").transmit(sim, b"")
     with pytest.raises(EmptyPacket):
         sim.deliver_local(b"", "a")
 
@@ -115,10 +116,11 @@ def test_transmit_empty_packet():
 def test_transmit_rng_draws_fixed_per_call():
     # same seed, different probabilities: the RNG stream stays aligned
     sims = [Simulator(seed=42) for _ in range(3)]
-    links = [LinkConfig(), LinkConfig(loss_prob=1.0), LinkConfig(dup_prob=1.0, jitter_ms=3.0)]
-    for sim, link in zip(sims, links):
+    configs = [LinkConfig(), LinkConfig(loss_prob=1.0), LinkConfig(dup_prob=1.0, jitter_ms=3.0)]
+    for sim, config in zip(sims, configs):
+        link = Link(config, "a", "b")
         for _ in range(5):
-            sim.transmit(link, b"pkt", "a", "b")
+            link.transmit(sim, b"pkt")
     follow_ups = [sim.rng.random() for sim in sims]
     assert follow_ups[0] == follow_ups[1] == follow_ups[2]
 
@@ -139,11 +141,12 @@ _prob = st.floats(0.0, 1.0)
 def test_transmit_draw_contract(seed, calls, size, delay, jitter, loss, dup, reorder):
     # four random() draws per call (loss, dup, reorder, jitter), and the jitter
     # is exactly what rng.uniform(-jitter, jitter) gives at that point
-    link = LinkConfig(delay_ms=delay, jitter_ms=jitter, loss_prob=loss, dup_prob=dup, reorder_prob=reorder)
+    config = LinkConfig(delay_ms=delay, jitter_ms=jitter, loss_prob=loss, dup_prob=dup, reorder_prob=reorder)
+    link = Link(config, "a", "b")
     sim = Simulator(seed=seed)
     ref = random.Random(seed)
     for _ in range(calls):
-        arrivals = sim.transmit(link, bytes(size), "a", "b")
+        arrivals = link.transmit(sim, bytes(size))
         lost = ref.random() < loss
         duplicated = ref.random() < dup
         reordered = ref.random() < reorder
@@ -152,7 +155,7 @@ def test_transmit_draw_contract(seed, calls, size, delay, jitter, loss, dup, reo
             assert arrivals == []
             continue
         base = 0.0 if reordered else delay
-        due = sim.now + serialization_ms(link, size) + max(0.0, base + offset)
+        due = sim.now + serialization_ms(config, size) + max(0.0, base + offset)
         assert arrivals == [due] * (2 if duplicated else 1)
     fresh = random.Random(seed)
     for _ in range(4 * calls):
@@ -166,17 +169,17 @@ def test_transmit_draw_contract(seed, calls, size, delay, jitter, loss, dup, reo
 def test_reliable_send_exact_arrival_and_no_rng():
     sim = Simulator(seed=9)
     before = sim.rng.getstate()
-    assert sim.reliable_send(LinkConfig(delay_ms=2000.0), bytes(164), "a", "b") == 2000.0 + 12.0
+    assert Link(LinkConfig(delay_ms=2000.0), "a", "b").reliable_send(sim, bytes(164)) == 2000.0 + 12.0
     assert sim.rng.getstate() == before
 
 
 def test_reliable_send_fifo_per_pair():
     sim = Simulator(seed=1)
-    link = LinkConfig(delay_ms=10.0)
+    link = Link(LinkConfig(delay_ms=10.0), "a", "b")
     log = []
     sim.register("b", _sink(log))
-    big = sim.reliable_send(link, bytes(1000), "a", "b")
-    small = sim.reliable_send(link, bytes(10), "a", "b")
+    big = link.reliable_send(sim, bytes(1000))
+    small = link.reliable_send(sim, bytes(10))
     # the small packet would serialize sooner; FIFO clamps it behind the big one
     assert small >= big
     sim.run_until_idle()
@@ -185,14 +188,44 @@ def test_reliable_send_fifo_per_pair():
 
 def test_reliable_send_two_signals_arrive_in_send_order():
     sim = Simulator(seed=1)
-    link = LinkConfig(delay_ms=100.0)
+    link = Link(LinkConfig(delay_ms=100.0), "a", "b")
     log = []
     sim.register("b", _sink(log))
-    sim.reliable_send(link, b"first", "a", "b")
+    link.reliable_send(sim, b"first")
     sim.schedule_timer(1.0, "a")
-    sim.register("a", lambda s, data: s.reliable_send(link, b"second", "a", "b"))
+    sim.register("a", lambda s, data: link.reliable_send(s, b"second"))
     sim.run_until_idle()
     assert [p for _, p in log] == [b"first", b"second"]
+
+
+def test_two_directions_share_the_rng_stream_and_keep_separate_fifo_fronts():
+    sim = Simulator(seed=5)
+    config = LinkConfig(delay_ms=10.0, jitter_ms=3.0, loss_prob=0.3, dup_prob=0.2, reorder_prob=0.2)
+    links = {"b": Link(config, "a", "b"), "a": Link(config, "b", "a")}
+    log = {dst: [] for dst in links}
+    for dst in links:
+        sim.register(dst, _sink(log[dst]))
+    ref = random.Random(5)
+    expected = {dst: [] for dst in links}
+    for i, dst in enumerate("bbaabab"):
+        pkt = bytes([i + 1]) * 100
+        arrivals = links[dst].transmit(sim, pkt)
+        # one stream in call order, four draws per call, whichever direction sends
+        lost = ref.random() < 0.3
+        duplicated = ref.random() < 0.2
+        reordered = ref.random() < 0.2
+        offset = ref.uniform(-3.0, 3.0)
+        due = serialization_ms(config, 100) + max(0.0, (0.0 if reordered else 10.0) + offset)
+        assert arrivals == ([] if lost else [due] * (2 if duplicated else 1))
+        expected[dst] += [(due, pkt)] * len(arrivals)
+    assert sim.rng.getstate() == ref.getstate()
+    sim.run_until_idle()
+    assert {dst: sorted(got) for dst, got in log.items()} == {dst: sorted(e) for dst, e in expected.items()}
+    # a big then a small signal a->b: the small one waits behind the big one, b->a does not
+    start = sim.now
+    big = links["b"].reliable_send(sim, bytes(1000))
+    assert links["b"].reliable_send(sim, bytes(10)) == big
+    assert links["a"].reliable_send(sim, bytes(10)) == start + serialization_ms(config, 10) + 10.0 < big
 
 
 # ----------------------------------------------------------------- event loop
@@ -293,13 +326,13 @@ def test_deliver_local_arrives_at_once():
 def test_dispatch_trace_is_deterministic():
     def run():
         sim = Simulator(seed=33)
-        link = LinkConfig(delay_ms=10.0, jitter_ms=4.0, loss_prob=0.2, dup_prob=0.1, reorder_prob=0.1)
+        link = Link(LinkConfig(delay_ms=10.0, jitter_ms=4.0, loss_prob=0.2, dup_prob=0.1, reorder_prob=0.1), "a", "b")
         log = []
         sim.register("b", _sink(log))
 
         def ticker(s, data):
             if s.now < 200.0:
-                s.transmit(link, bytes(50), "a", "b")
+                link.transmit(s, bytes(50))
                 s.schedule_timer(10.0, "a")
 
         sim.register("a", ticker)
@@ -313,15 +346,16 @@ def test_dispatch_trace_is_deterministic():
 @given(st.integers(1, 1400), st.integers(0, 2000))
 def test_per_packet_delay_is_delay_plus_serialization(size, delay):
     sim = Simulator(seed=1)
-    link = LinkConfig(delay_ms=float(delay))
-    assert sim.transmit(link, bytes(size), "a", "b") == [serialization_ms(link, size) + delay]
+    config = LinkConfig(delay_ms=float(delay))
+    assert Link(config, "a", "b").transmit(sim, bytes(size)) == [serialization_ms(config, size) + delay]
 
 
 def test_conservation_without_impairments():
     sim = Simulator(seed=1)
     log = []
     sim.register("b", _sink(log))
+    link = Link(LinkConfig(delay_ms=1.0), "a", "b")
     for i in range(50):
-        sim.transmit(LinkConfig(delay_ms=1.0), bytes([i + 1]), "a", "b")
+        link.transmit(sim, bytes([i + 1]))
     sim.run_until_idle()
     assert len(log) == 50

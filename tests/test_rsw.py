@@ -362,6 +362,19 @@ def test_host_invitee_joins_behind_the_ack_for_create():
     assert heard == [(ack_ms, Verb.ACK), (ack_ms, Verb.JOIN)]
 
 
+def test_a_reply_to_a_member_off_the_host_is_refused_not_sent_to_the_chairman():
+    # the server's one WAN link leads to the chairman; a CREATE for a member it has no route to must not take it
+    sim = Simulator()
+    heard = []
+    sim.register("chair", lambda sim, data: heard.append(decode_rsw(data).verb))
+    server = scenarios._RswServerNode(LinkConfig(), scenarios.MediaStats(), scenarios._NO_TRACE)
+    with pytest.raises(LookupError, match="'p2'"):
+        server.handle(sim, encode_rsw(create_conference("chair", ["p1", "p2"], MEDIA, conf_id=1)))
+        sim.run_until_idle()
+    sim.run_until_idle()
+    assert Verb.CREATE not in heard
+
+
 def test_rtp_media_round_trips_the_wire():
     tx = RtpTxState(seq=1, timestamp=2, ssrc=3, samples_per_frame=160)
     seq, wire = send_media_rtp(tx, b"voice!")
