@@ -11,9 +11,10 @@ A :class:`Link` is one direction of the link, ``src`` to ``dst``.  Packet timing
 where 28 bytes (``OVERHEAD_BYTES``) are the IPv4 and UDP headers of every packet.
 
 ``Link.transmit(sim, pkt)`` models the lossy media channel (loss, duplication,
-reordering, jitter), drawing from ``sim.rng``, the one stream both directions
-share; ``Link.reliable_send(sim, pkt)`` models the in-order signaling channel
-and never consumes randomness.  ``Simulator.deliver_local`` moves a packet
+reordering, jitter), drawing four values per packet from ``sim.rng``, the one
+stream both directions share (an unimpaired link skips their eight 32-bit words
+in one call); ``Link.reliable_send(sim, pkt)`` models the in-order signaling
+channel and never consumes randomness.  ``Simulator.deliver_local`` moves a packet
 between co-located nodes at no cost: it arrives at the current time, after
 the events already due then.  No scenario calls it.
 
@@ -157,25 +158,30 @@ class Link:
     """
 
     __slots__ = ("src", "dst", "delay_ms", "jitter_ms", "loss_prob", "dup_prob", "reorder_prob",
-                 "link_rate_bps", "_reliable_front")
+                 "link_rate_bps", "_impaired", "_reliable_front")
 
     def __init__(self, config: LinkConfig, src: str, dst: str):
         self.src, self.dst = src, dst
         self.delay_ms, self.jitter_ms, self.loss_prob, self.dup_prob, self.reorder_prob, self.link_rate_bps = config
+        self._impaired = any((self.jitter_ms, self.loss_prob, self.dup_prob, self.reorder_prob))
         self._reliable_front = 0.0  # the last signaling arrival queued; the next may not precede it
 
     def transmit(self, sim: Simulator, pkt: bytes) -> list[float]:
         """Send over the lossy media channel; returns the arrival times queued.
 
-        Four ``sim.rng`` draws happen on every call (loss, duplicate, reorder,
-        jitter) in that fixed order, whatever the probabilities, so event streams
-        stay aligned across configs with the same seed.  A reordered packet skips
-        the configured delay.  Arrival never precedes ``now + serialization``.
+        Four ``sim.rng`` draws happen on every call (loss, duplicate, reorder, jitter) in that
+        fixed order, or on an unimpaired link one ``getrandbits(256)`` of the same eight 32-bit
+        words, so event streams stay aligned across configs with the same seed.  A reordered
+        packet skips the configured delay.  Arrival never precedes ``now + serialization``.
         """
         size = len(pkt)
         if size == 0:
             raise EmptyPacket(f"{self.src}->{self.dst}")
         ser = 8.0 * (size + OVERHEAD_BYTES) * 1000.0 / self.link_rate_bps  # serialization_ms
+        if not self._impaired:  # the arrival that four zero impairments give below
+            sim.rng.getrandbits(256)
+            sim.schedule(arrival := sim.now + ser + self.delay_ms, self.dst, pkt)
+            return [arrival]
         rand = sim.rng.random
         lost = rand() < self.loss_prob
         duplicated = rand() < self.dup_prob

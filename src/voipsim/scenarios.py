@@ -15,9 +15,9 @@ emulated WAN link and add each counted frame's one-way delay to a
 
 Every node is a ``_Node`` (name, its ``netsim.Link`` to its peer, stats, trace); the
 caller and the chairman are ``_MediaSource`` nodes, which pace, count and send the frames.
-A node's ``handle(sim, data)`` gets a packet's bytes, or ``None`` for a
-timer tick.  Nodes write their records to the trace unconditionally: an
-untraced run writes them to ``_NO_TRACE``, which drops them.
+A node's ``handle(sim, data)`` gets a packet's bytes, or ``None`` for a timer tick.  Its
+per-packet send and arrival go straight to its link and stats, or in a traced run through
+wrappers that write the ``media``, ``relay`` or ``deliver`` record first.
 
 The configured one-way delay is paid once per end-to-end path; the
 server-to-member hop of a co-located relay is free.  With identical
@@ -106,7 +106,7 @@ class _NoTrace:
     def _drop(self, *_args, **_fields) -> None:
         pass
 
-    begin = add = packet = _drop
+    begin = add = _drop
 
 
 _NO_TRACE = _NoTrace()
@@ -115,6 +115,17 @@ _NO_TRACE = _NoTrace()
 def _packet_tail(kind: str, key: str, **fields) -> str:
     """The encoded ``"kind":…`` through ``"key":`` of a ``TraceLog.packet`` record."""
     return _encode({"kind": kind, **fields})[1:-1] + "," + _encode(key) + ":"
+
+
+def _traced(trace, forward, kind: str, key: str, **fields):
+    """``forward``, or in a traced run a wrapper writing the ``kind`` record first: of a
+    send ``(sim, data)`` for ``"bytes"``, else of an arrival ``(key, now)``.  It holds no node."""
+    if trace is _NO_TRACE:
+        return forward
+    packet, tail = trace.packet, _packet_tail(kind, key, **fields)
+    if key == "bytes":
+        return lambda sim, data: (packet(sim.now, tail, len(data)), forward(sim, data))
+    return lambda value, now: (packet(now, tail, value), forward(value, now))
 
 
 class MediaStats:
@@ -202,27 +213,23 @@ class _MediaSource(_Node):
         self.interval = cfg.frame_interval_ms
         self.payload = bytes(cfg.payload_bytes)
         self.frames_left = cfg.media_frame_count()
-        self._media_tail = _packet_tail("media", "bytes", src=name, dst=peer)
+        self._transmit = _traced(trace, self.link.transmit, "media", "bytes", src=name, dst=peer)
 
     def handle(self, sim: Simulator, data: bytes | None) -> None:
         if data is not None:
             self._control(sim, data)
         elif self.frames_left > 0:
-            key, data = self._next_frame(self.payload, sim.now)
-            self.stats._sent(key, sim.now)
-            self._send_media(sim, data)
+            key, data = self._next_frame(self.payload, now := sim.now)
+            self.stats._sent(key, now)
+            self._transmit(sim, data)
             self.frames_left -= 1
-            sim.schedule_timer(self.interval, self.name)
+            sim.schedule(now + self.interval, self.name, None)  # the next tick
         else:
             self._teardown(sim)  # no tick is scheduled after this one
 
     def _begin_media(self, sim: Simulator, first_tick_ms: float) -> None:
         self.stats.setup_ms = sim.now
         sim.schedule_timer(first_tick_ms, self.name)
-
-    def _send_media(self, sim: Simulator, data: bytes) -> None:
-        self.trace.packet(sim.now, self._media_tail, len(data))
-        self.link.transmit(sim, data)
 
 
 def _send_signal(node: _Node, sim: Simulator, frame: FullFrame) -> None:
@@ -249,7 +256,7 @@ class _IaxCallerNode(_MediaSource):
         if call.state is CallState.UP and self.stats.setup_ms is None:
             # The first voice frame is a full frame that anchors the receiver's
             # 16-bit timestamp window; its size differs, so it goes uncounted.
-            self._send_media(sim, self._next_frame(self.payload, sim.now)[1])
+            self._transmit(sim, self._next_frame(self.payload, sim.now)[1])
             self._begin_media(sim, self.interval)
 
     def _teardown(self, sim: Simulator) -> None:
@@ -260,7 +267,7 @@ class _IaxCalleeNode(_Node):
     def __init__(self, config, stats, trace):
         super().__init__("callee", "caller", config, stats, trace)
         self.endpoint = IaxEndpoint("callee")
-        self._deliver_tail = _packet_tail("deliver", "ts", dst="callee")
+        self._arrived = _traced(trace, stats._arrived, "deliver", "ts", dst="callee")
 
     def handle(self, sim: Simulator, data: bytes) -> None:
         endpoint = self.endpoint
@@ -275,8 +282,7 @@ class _IaxCalleeNode(_Node):
                 return
         except NotInCall:
             return  # media straggling past teardown is dropped, not fatal
-        self.stats._arrived(ts32, sim.now)
-        self.trace.packet(sim.now, self._deliver_tail, ts32)
+        self._arrived(ts32, sim.now)
 
 
 def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
@@ -330,17 +336,15 @@ class _RswServerNode(_Node):
         super().__init__("server", "chair", wan, stats, trace)
         self.conf = None
         self.invitee = RswInvitee(_INVITEE)
-        self._relay_tail = _packet_tail("relay", "bytes", src="server", dst=_INVITEE)
-        self._deliver_tail = _packet_tail("deliver", "seq", dst=_INVITEE)
+        arrived = _traced(trace, stats._arrived, "deliver", "seq", dst=_INVITEE)
+        self._relay = _traced(trace, lambda sim, data: arrived(decode_rtp(data)[0], sim.now),
+                              "relay", "bytes", src="server", dst=_INVITEE)
 
     def handle(self, sim: Simulator, data: bytes) -> None:
         if data.startswith(b"RSW/1 "):
             self._route(sim, decode_rsw(data))
         elif self.conf is not None and self.conf.phase is _ACTIVE:
-            now, seq = sim.now, decode_rtp(data)[0]
-            self.trace.packet(now, self._relay_tail, len(data))
-            self.stats._arrived(seq, now)
-            self.trace.packet(now, self._deliver_tail, seq)
+            self._relay(sim, data)
         # media outside an active conference is dropped
 
     def _route(self, sim: Simulator, msg: RswMessage) -> None:
