@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from voipsim.netsim import (
     EmptyPacket,
@@ -138,6 +138,8 @@ _prob = st.floats(0.0, 1.0)
     dup=_prob,
     reorder=_prob,
 )
+# an unimpaired link skips the four draws in one call; Hypothesis alone rarely zeroes all four
+@example(seed=7, calls=20, size=10, delay=150.0, jitter=0.0, loss=0.0, dup=0.0, reorder=0.0)
 def test_transmit_draw_contract(seed, calls, size, delay, jitter, loss, dup, reorder):
     # four random() draws per call (loss, dup, reorder, jitter), and the jitter
     # is exactly what rng.uniform(-jitter, jitter) gives at that point
@@ -226,6 +228,67 @@ def test_two_directions_share_the_rng_stream_and_keep_separate_fifo_fronts():
     big = links["b"].reliable_send(sim, bytes(1000))
     assert links["b"].reliable_send(sim, bytes(10)) == big
     assert links["a"].reliable_send(sim, bytes(10)) == start + serialization_ms(config, 10) + 10.0 < big
+
+
+def test_getrandbits_256_advances_the_state_as_four_random_calls():
+    # an unimpaired transmit relies on this: random() takes two 32-bit words and
+    # getrandbits(256) eight, through many refills of the Mersenne Twister's 624 words
+    drawn, skipped = random.Random(2024), random.Random(2024)
+    for _ in range(500):
+        for _ in range(4):
+            drawn.random()
+        skipped.getrandbits(256)
+        assert skipped.getstate() == drawn.getstate()
+
+
+class _LoggedRandom(random.Random):
+    """A ``Random`` that logs each call of the two methods ``Link.transmit`` draws with."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def random(self):
+        self.calls.append("random")
+        return super().random()
+
+    def getrandbits(self, k):
+        self.calls.append(f"getrandbits({k})")
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("impairment", [None, "jitter_ms", "loss_prob", "dup_prob", "reorder_prob"])
+def test_any_one_impairment_takes_the_drawing_path(impairment):
+    # the smallest positive float is still an impairment; with none, one call skips the draws
+    sim = Simulator(seed=3)
+    sim.rng = _LoggedRandom(3)
+    fields = {impairment: 5e-324} if impairment else {}
+    Link(LinkConfig(delay_ms=40.0, **fields), "a", "b").transmit(sim, bytes(10))
+    assert sim.rng.calls == (["random"] * 4 if impairment else ["getrandbits(256)"])
+
+
+def test_unimpaired_and_impaired_links_interleave_on_one_stream():
+    # the impaired link draws what one Random(seed) gives when each unimpaired send takes four random()
+    sim = Simulator(seed=11)
+    plain = Link(LinkConfig(delay_ms=150.0), "a", "b")
+    config = LinkConfig(delay_ms=10.0, jitter_ms=3.0, loss_prob=0.3, dup_prob=0.2, reorder_prob=0.2)
+    impaired = Link(config, "b", "a")
+    ref = random.Random(11)
+    for i, which in enumerate("ppippiipiipp"):
+        pkt = bytes(i + 1)
+        if which == "p":
+            assert plain.transmit(sim, pkt) == [serialization_ms(config, i + 1) + 150.0]
+            for _ in range(4):
+                ref.random()
+            continue
+        arrivals = impaired.transmit(sim, pkt)
+        lost = ref.random() < 0.3
+        duplicated = ref.random() < 0.2
+        reordered = ref.random() < 0.2
+        offset = ref.uniform(-3.0, 3.0)
+        due = serialization_ms(config, i + 1) + max(0.0, (0.0 if reordered else 10.0) + offset)
+        assert arrivals == ([] if lost else [due] * (2 if duplicated else 1))
+    assert sim.rng.getstate() == ref.getstate()
 
 
 # ----------------------------------------------------------------- event loop
