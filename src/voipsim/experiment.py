@@ -174,7 +174,7 @@ def run_scenario(
         stats.frames_recv,
         protocol=protocol,
         configured_delay_ms=delay_ms,
-        setup_time_ms=stats.setup_ms if stats.setup_ms is not None else 0.0,
+        setup_time_ms=stats.setup_ms,
     )
 
 

@@ -19,13 +19,15 @@ between co-located nodes at no cost: it arrives at the current time, after
 the events already due then.  No scenario calls it.
 
 An event is a heap entry ``(due, seq, dst, payload)``; ``seq`` is unique, so
-the heap never compares ``dst`` or ``payload``.  Dispatch calls the handler
-registered for ``dst`` as ``handler(sim, payload)``: a delivered packet's
-payload is its bytes, and a timer tick's is ``None``.
-:meth:`Simulator.schedule` is the one entry to the queue: every send and
-timer goes through it, so its ``due >= now`` guard and the ``(due, seq)``
-order hold for all of them.  The send methods return the arrival times they
-queued.
+the heap never compares ``dst`` or ``payload``.  ``run_until_idle(handlers)``
+dispatches each as ``handlers[dst](payload)``: a delivered packet's payload is
+its bytes, and a timer tick's is ``None``.  The simulator holds no handler, so a
+node may hold ``sim`` without a reference cycle.  A handler may be a
+generator's ``send``: when the generator returns, dispatch drops it from
+``handlers``.  :meth:`Simulator.schedule` is the one entry to the queue: every
+send and timer goes through it, so its ``due >= now`` guard and the
+``(due, seq)`` order hold for all of them.  The send methods return the
+arrival times they queued.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def serialization_ms(link: LinkConfig | Link, size_bytes: int) -> float:
 
 
 # a handler gets the event's payload: the packet, or None for a timer tick
-Handler = Callable[["Simulator", "bytes | None"], None]
+Handler = Callable[["bytes | None"], object]
 
 
 class Simulator:
@@ -101,10 +103,6 @@ class Simulator:
         self.dispatched = 0
         self._heap: list[tuple[float, int, str, bytes | None]] = []
         self._next_seq = 0
-        self._handlers: dict[str, Handler] = {}
-
-    def register(self, endpoint_id: str, handler: Handler) -> None:
-        self._handlers[endpoint_id] = handler
 
     def schedule(self, due: float, dst: str, payload: bytes | None) -> None:
         """Queue ``payload`` for ``dst``; ``due`` must not precede the current clock, nor be NaN."""
@@ -114,10 +112,6 @@ class Simulator:
         self._next_seq = seq + 1
         heappush(self._heap, (due, seq, dst, payload))
 
-    def schedule_timer(self, delay_ms: float, dst: str) -> None:
-        """Tick ``dst`` after ``delay_ms``: its handler gets ``None``."""
-        self.schedule(self.now + delay_ms, dst, None)
-
     def deliver_local(self, pkt: bytes, dst: str) -> float:
         """Hand a packet to a co-located node now, at no link cost; no scenario calls this."""
         if len(pkt) == 0:
@@ -125,14 +119,15 @@ class Simulator:
         self.schedule(self.now, dst, pkt)
         return self.now
 
-    def run_until_idle(self, horizon_ms: float | None = None) -> float:
-        """Dispatch events in (due, seq) order until the queue drains.
+    def run_until_idle(self, handlers: dict[str, Handler], horizon_ms: float | None = None) -> float:
+        """Dispatch events in (due, seq) order to ``handlers[dst](payload)`` until the queue drains.
 
         Returns the final clock value (0.0 for an initially empty queue).
         An event due past ``horizon_ms`` raises :class:`HorizonExceeded`.
+        A handler that raises ``StopIteration``, a generator's ``send`` as
+        the generator returns, is done: it is dropped from ``handlers``.
         """
         heap = self._heap
-        handlers = self._handlers
         limit = float("inf") if horizon_ms is None else horizon_ms
         dispatched = 0  # a local, added once: an attribute update per event costs more
         try:
@@ -143,8 +138,11 @@ class Simulator:
                 self.now = due
                 handler = handlers.get(dst)
                 if handler is None:
-                    raise LookupError(f"no handler registered for {dst!r}")
-                handler(self, payload)
+                    raise LookupError(f"no handler for {dst!r}")
+                try:
+                    handler(payload)
+                except StopIteration:
+                    del handlers[dst]
                 dispatched += 1
         finally:
             self.dispatched += dispatched
@@ -154,7 +152,7 @@ class Simulator:
 class Link:
     """One direction of an emulated link, ``src`` to ``dst``, with its ``LinkConfig`` unpacked.
 
-    Sends take the run's ``sim``: holding it would close a cycle only the collector frees.
+    Each send takes the run's ``sim``.
     """
 
     __slots__ = ("src", "dst", "delay_ms", "jitter_ms", "loss_prob", "dup_prob", "reorder_prob",

@@ -13,11 +13,12 @@ emulated WAN link and add each counted frame's one-way delay to a
   routes the invitee's messages and delivers relayed media to it by direct
   calls, within the event that brought them.
 
-Every node is a ``_Node`` (name, its ``netsim.Link`` to its peer, stats, trace); the
-caller and the chairman are ``_MediaSource`` nodes, which pace, count and send the frames.
-A node's ``handle(sim, data)`` gets a packet's bytes, or ``None`` for a timer tick.  Its
-per-packet send and arrival go straight to its link and stats, or in a traced run through
-wrappers that write the ``media``, ``relay`` or ``deliver`` record first.
+The caller and the chairman are scripts: generators that the event core resumes with each
+packet's bytes, or ``None`` for a timer tick.  Each runs its protocol's opening, the paced
+loop of counted frames in ``_media_source`` and its protocol's closing, then returns.  The
+callee and the server's host are handler nodes: ``handle(data)``.  Each per-packet send and
+arrival is bound when its node is built: straight to the link and stats, or in a traced run
+to a wrapper that writes the ``media``, ``relay`` or ``deliver`` record first.
 
 The configured one-way delay is paid once per end-to-end path; the
 server-to-member hop of a co-located relay is free.  With identical
@@ -172,104 +173,104 @@ def _chair_create(frame_interval_ms: float) -> RswMessage:
 
 
 class RunNotEnded(RuntimeError):
-    """A run drained its events short of its terminal state: IAX Hungup at both ends, the conference Ended."""
+    """A run drained its events before its media source returned: a call not Hungup, or a conference not Ended."""
 
 
-def _run(label: str, delay_ms: float, cfg: SweepConfig, trace: TraceLog | _NoTrace, *nodes: _Node) -> float:
-    """Register the nodes, start the first one and drain the run; returns the final clock."""
+class PacketWhilePacing(RuntimeError):
+    """A packet reached a media source's script while it waited for a tick."""
+
+    def __init__(self, node: str):
+        super().__init__(f"{node} got a packet while it waited for a tick")
+
+
+def _run(label: str, delay_ms: float, cfg: SweepConfig, trace, sim: Simulator, source, handlers: dict) -> float:
+    """Start ``source``, the media source's script, and drain the run; returns the final clock.
+
+    ``handlers`` maps each node's name to its handler, ``source.send`` included.
+    """
     horizon_ms = cfg.run_horizon_ms(delay_ms)  # refuses a run past the 32-bit clock before it starts
     trace.begin(label)
-    sim = Simulator(seed=cfg.seed)
-    for node in nodes:
-        sim.register(node.name, node.handle)
-    nodes[0].start(sim)
-    return sim.run_until_idle(horizon_ms)
+    next(source)  # the script runs to its first wait
+    end = sim.run_until_idle(handlers, horizon_ms)
+    if source.gi_frame is not None:
+        raise RunNotEnded(f"run {label} drained its events before its media source's script returned")
+    return end
 
 
-class _Node:
-    """One endpoint of a run; ``link`` carries its messages to its peer, ``link.dst``."""
-
-    def __init__(self, name: str, peer: str, config: LinkConfig, stats: MediaStats, trace):
-        self.name = name
-        self.link = Link(config, name, peer)
-        self.stats = stats
-        self.trace = trace
-
-    def _send_control(self, sim: Simulator, kind: str, data: bytes, **fields) -> None:
-        self.trace.add(sim.now, kind, src=self.name, dst=self.link.dst, **fields, bytes=len(data))
-        self.link.reliable_send(sim, data)
+def _send_control(sim: Simulator, link: Link, trace, kind: str, data: bytes, **fields) -> None:
+    trace.add(sim.now, kind, src=link.src, dst=link.dst, **fields, bytes=len(data))
+    link.reliable_send(sim, data)
 
 
-class _MediaSource(_Node):
-    """Paces ``cfg.media_frame_count()`` counted frames to its peer, then tears down.
+def _send_signal(sim: Simulator, link: Link, trace, frame: FullFrame) -> None:
+    _send_control(sim, link, trace, "signal", encode_full(frame), signal=Signal(frame.subclass).name)
 
-    Subclasses supply ``_control`` (each packet; timer ticks pace the media),
-    ``_next_frame(payload, now) -> (stats key, wire bytes)`` and
-    ``_teardown``, and call ``_begin_media``.
+
+def _media_source(sim: Simulator, name: str, transmit, cfg: SweepConfig, stats: MediaStats,
+                  opening, next_frame, closing):
+    """The script of a run's media source, resumed with each packet's bytes or a tick's ``None``.
+
+    ``opening`` signals until media may flow and returns the delay of the first tick.  Each
+    tick then sends one counted frame, ``next_frame(payload, now) -> (stats key, wire bytes)``,
+    and the tick after the last runs ``closing``.  A packet that arrives while the script
+    waits for a tick raises :class:`PacketWhilePacing`.
     """
-
-    def __init__(self, name: str, peer: str, config: LinkConfig, cfg: SweepConfig, stats: MediaStats, trace):
-        super().__init__(name, peer, config, stats, trace)
-        self.interval = cfg.frame_interval_ms
-        self.payload = bytes(cfg.payload_bytes)
-        self.frames_left = cfg.media_frame_count()
-        self._transmit = _traced(trace, self.link.transmit, "media", "bytes", src=name, dst=peer)
-
-    def handle(self, sim: Simulator, data: bytes | None) -> None:
-        if data is not None:
-            self._control(sim, data)
-        elif self.frames_left > 0:
-            key, data = self._next_frame(self.payload, now := sim.now)
-            self.stats._sent(key, now)
-            self._transmit(sim, data)
-            self.frames_left -= 1
-            sim.schedule(now + self.interval, self.name, None)  # the next tick
-        else:
-            self._teardown(sim)  # no tick is scheduled after this one
-
-    def _begin_media(self, sim: Simulator, first_tick_ms: float) -> None:
-        self.stats.setup_ms = sim.now
-        sim.schedule_timer(first_tick_ms, self.name)
+    first_tick_ms = yield from opening
+    stats.setup_ms = now = sim.now
+    sim.schedule(now + first_tick_ms, name, None)
+    interval, payload = cfg.frame_interval_ms, bytes(cfg.payload_bytes)
+    for _ in range(cfg.media_frame_count()):
+        if (yield) is not None:
+            raise PacketWhilePacing(name)
+        key, data = next_frame(payload, now := sim.now)
+        stats._sent(key, now)
+        transmit(sim, data)
+        sim.schedule(now + interval, name, None)  # the next tick
+    if (yield) is not None:
+        raise PacketWhilePacing(name)
+    yield from closing
 
 
-def _send_signal(node: _Node, sim: Simulator, frame: FullFrame) -> None:
-    node._send_control(sim, "signal", encode_full(frame), signal=Signal(frame.subclass).name)
+def _iax_caller(sim: Simulator, config: LinkConfig, cfg: SweepConfig, stats: MediaStats, trace):
+    """The caller's script: NEW; ACCEPT and ANSWER; the anchor; the counted frames; HANGUP."""
+    link = Link(config, "caller", "callee")
+    endpoint = IaxEndpoint("caller")
+    transmit = _traced(trace, link.transmit, "media", "bytes", src="caller", dst="callee")
+
+    def place_call():
+        _send_signal(sim, link, trace, endpoint.place_call("callee", sim.now))
+        call = endpoint.call
+        while call.state is not CallState.UP:
+            frame, before = decode_full((yield)), call.state
+            endpoint.handle_signal(frame, sim.now)
+            trace.add(
+                sim.now, "state", endpoint="caller", event=Signal(frame.subclass).name,
+                state_before=before.value, state_after=call.state.value,
+            )
+        # The first voice frame is a full frame that anchors the receiver's
+        # 16-bit timestamp window; its size differs, so it goes uncounted.
+        transmit(sim, endpoint.send_media(bytes(cfg.payload_bytes), sim.now)[1])
+        return cfg.frame_interval_ms
+
+    def hang_up():
+        _send_signal(sim, link, trace, endpoint.hangup(sim.now))
+        yield from ()  # a HANGUP gets no reply
+
+    # send_media returns (ts32, wire bytes); ts32 is the stats key
+    return _media_source(sim, "caller", transmit, cfg, stats, place_call(), endpoint.send_media, hang_up())
 
 
-class _IaxCallerNode(_MediaSource):
-    def __init__(self, config, cfg, stats, trace):
-        super().__init__("caller", "callee", config, cfg, stats, trace)
-        self.endpoint = IaxEndpoint("caller")
-        self._next_frame = self.endpoint.send_media  # its (ts32, wire bytes); ts32 is the stats key
+class _IaxCalleeNode:
+    """The callee: answers the caller's NEW at once and takes its media."""
 
-    def start(self, sim: Simulator) -> None:
-        _send_signal(self, sim, self.endpoint.place_call("callee", sim.now))
-
-    def _control(self, sim: Simulator, data: bytes) -> None:
-        frame, call = decode_full(data), self.endpoint.call
-        before = call.state
-        self.endpoint.handle_signal(frame, sim.now)
-        self.trace.add(
-            sim.now, "state", endpoint="caller", event=Signal(frame.subclass).name,
-            state_before=before.value, state_after=call.state.value,
-        )
-        if call.state is CallState.UP and self.stats.setup_ms is None:
-            # The first voice frame is a full frame that anchors the receiver's
-            # 16-bit timestamp window; its size differs, so it goes uncounted.
-            self._transmit(sim, self._next_frame(self.payload, sim.now)[1])
-            self._begin_media(sim, self.interval)
-
-    def _teardown(self, sim: Simulator) -> None:
-        _send_signal(self, sim, self.endpoint.hangup(sim.now))
-
-
-class _IaxCalleeNode(_Node):
-    def __init__(self, config, stats, trace):
-        super().__init__("callee", "caller", config, stats, trace)
+    def __init__(self, sim: Simulator, config: LinkConfig, stats: MediaStats, trace):
+        self.sim = sim
+        self.link = Link(config, "callee", "caller")
+        self.trace = trace
         self.endpoint = IaxEndpoint("callee")
         self._arrived = _traced(trace, stats._arrived, "deliver", "ts", dst="callee")
 
-    def handle(self, sim: Simulator, data: bytes) -> None:
+    def handle(self, data: bytes) -> None:
         endpoint = self.endpoint
         try:
             if not data[0] & 0x80:
@@ -277,50 +278,49 @@ class _IaxCalleeNode(_Node):
             elif (frame := decode_full(data)).frame_type is _VOICE:
                 ts32, _payload = endpoint.receive_anchor(frame)
             else:
-                for reply in endpoint.handle_signal(frame, sim.now):
-                    _send_signal(self, sim, reply)
+                for reply in endpoint.handle_signal(frame, self.sim.now):
+                    _send_signal(self.sim, self.link, self.trace, reply)
                 return
         except NotInCall:
             return  # media straggling past teardown is dropped, not fatal
-        self._arrived(ts32, sim.now)
+        self._arrived(ts32, self.sim.now)
 
 
 def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
     """Simulate one two-party call; returns the raw measurements."""
     config = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
-    stats = MediaStats()
+    stats, sim = MediaStats(), Simulator(seed=cfg.seed)
     trace = _NO_TRACE if trace is None else trace
-    caller, callee = _IaxCallerNode(config, cfg, stats, trace), _IaxCalleeNode(config, stats, trace)
-    _run(f"IAX:{delay_ms:g}", delay_ms, cfg, trace, caller, callee)
-    if not all(getattr(node.endpoint.call, "state", None) is CallState.HUNGUP for node in (caller, callee)):
-        raise RunNotEnded(f"run IAX:{delay_ms:g} drained its events with a call not Hungup")
+    caller, callee = _iax_caller(sim, config, cfg, stats, trace), _IaxCalleeNode(sim, config, stats, trace)
+    _run(f"IAX:{delay_ms:g}", delay_ms, cfg, trace, sim, caller, {"caller": caller.send, "callee": callee.handle})
     return stats
 
 
-class _RswChairNode(_MediaSource):
-    def __init__(self, wan, cfg, stats, trace, tx):
-        super().__init__("chair", "server", wan, cfg, stats, trace)
-        self.tx = tx
+def _rsw_chair(sim: Simulator, wan: LinkConfig, cfg: SweepConfig, stats: MediaStats, trace):
+    """The chairman's script: CREATE; the relayed JOIN; the counted frames; END and its ACK."""
+    link = Link(wan, "chair", "server")
+    tx = new_rtp_tx(random.Random(cfg.seed), samples_per_frame=cfg.payload_bytes)
+    transmit = _traced(trace, link.transmit, "media", "bytes", src="chair", dst="server")
 
-    def start(self, sim: Simulator) -> None:
-        self._send_conf(sim, _chair_create(self.interval))
+    def send_conf(msg: RswMessage) -> None:
+        _send_control(sim, link, trace, "conf", encode_rsw(msg), verb=msg.verb.value)
 
-    def _control(self, sim: Simulator, data: bytes) -> None:
-        # the relayed JOIN starts the media; ACKs need no action
-        if decode_rsw(data).verb is Verb.JOIN and self.stats.setup_ms is None:
-            self._begin_media(sim, 0.0)
+    def create():
+        send_conf(_chair_create(cfg.frame_interval_ms))
+        while decode_rsw((yield)).verb is not Verb.JOIN:
+            pass  # the server's ACK for CREATE needs no action
+        return 0.0  # the relayed JOIN starts the media at once
 
-    def _next_frame(self, payload: bytes, now: float) -> tuple[int, bytes]:
-        return send_media_rtp(self.tx, payload)  # its (seq, wire bytes); seq is the stats key
+    def end():
+        send_conf(RswMessage(Verb.END, 1, "chair", "server"))
+        yield  # the server's ACK for END, the run's last event
 
-    def _teardown(self, sim: Simulator) -> None:
-        self._send_conf(sim, RswMessage(Verb.END, 1, "chair", "server"))
-
-    def _send_conf(self, sim: Simulator, msg: RswMessage) -> None:
-        self._send_control(sim, "conf", encode_rsw(msg), verb=msg.verb.value)
+    # send_media_rtp returns (seq, wire bytes); seq is the stats key
+    return _media_source(sim, "chair", transmit, cfg, stats, create(),
+                         lambda payload, _now: send_media_rtp(tx, payload), end())
 
 
-class _RswServerNode(_Node):
+class _RswServerNode:
     """The server's host: routes control messages and bridges the chairman's media.
 
     The chairman is across the WAN link; the conference's one invitee sits on
@@ -332,29 +332,31 @@ class _RswServerNode(_Node):
     for the chairman behind the server's ACK for CREATE.
     """
 
-    def __init__(self, wan, stats, trace):
-        super().__init__("server", "chair", wan, stats, trace)
+    def __init__(self, sim: Simulator, wan: LinkConfig, stats: MediaStats, trace):
+        self.sim = sim
+        self.link = Link(wan, "server", "chair")
+        self.trace = trace
         self.conf = None
         self.invitee = RswInvitee(_INVITEE)
         arrived = _traced(trace, stats._arrived, "deliver", "seq", dst=_INVITEE)
         self._relay = _traced(trace, lambda sim, data: arrived(decode_rtp(data)[0], sim.now),
                               "relay", "bytes", src="server", dst=_INVITEE)
 
-    def handle(self, sim: Simulator, data: bytes) -> None:
+    def handle(self, data: bytes) -> None:
         if data.startswith(b"RSW/1 "):
-            self._route(sim, decode_rsw(data))
+            self._route(decode_rsw(data))
         elif self.conf is not None and self.conf.phase is _ACTIVE:
-            self._relay(sim, data)
+            self._relay(self.sim, data)
         # media outside an active conference is dropped
 
-    def _route(self, sim: Simulator, msg: RswMessage) -> None:
+    def _route(self, msg: RswMessage) -> None:
         out, self.conf = server_route(msg, self.conf)
         invitation = None
         for reply in out:
             raw, dst = encode_rsw(reply), reply.recipient
-            self.trace.add(sim.now, "conf", src="server", dst=dst, bytes=len(raw), verb=reply.verb.value)
+            self.trace.add(self.sim.now, "conf", src="server", dst=dst, bytes=len(raw), verb=reply.verb.value)
             if dst == self.link.dst:
-                self.link.reliable_send(sim, raw)
+                self.link.reliable_send(self.sim, raw)
             elif dst != _INVITEE:
                 raise LookupError(f"the server has no route to {dst!r}")
             elif reply.verb is Verb.CREATE:  # the invitee needs no ACK or END
@@ -363,18 +365,15 @@ class _RswServerNode(_Node):
             self.invitee.receive_invitation(invitation)
             join = self.invitee.respond()
             raw = encode_rsw(join)  # for the trace's byte count; the JOIN itself goes to _route as it is
-            self.trace.add(sim.now, "conf", src=_INVITEE, dst="server", verb=join.verb.value, bytes=len(raw))
-            self._route(sim, join)
+            self.trace.add(self.sim.now, "conf", src=_INVITEE, dst="server", verb=join.verb.value, bytes=len(raw))
+            self._route(join)
 
 
 def run_rsw_conference(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
     """Simulate one two-member conference; returns the raw measurements."""
     wan = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
-    stats = MediaStats()
+    stats, sim = MediaStats(), Simulator(seed=cfg.seed)
     trace = _NO_TRACE if trace is None else trace
-    tx = new_rtp_tx(random.Random(cfg.seed), samples_per_frame=cfg.payload_bytes)
-    chair, server = _RswChairNode(wan, cfg, stats, trace, tx), _RswServerNode(wan, stats, trace)
-    _run(f"RSW:{delay_ms:g}", delay_ms, cfg, trace, chair, server)
-    if getattr(server.conf, "phase", None) is not ConferencePhase.ENDED:
-        raise RunNotEnded(f"run RSW:{delay_ms:g} drained its events with the conference not Ended")
+    chair, server = _rsw_chair(sim, wan, cfg, stats, trace), _RswServerNode(sim, wan, stats, trace)
+    _run(f"RSW:{delay_ms:g}", delay_ms, cfg, trace, sim, chair, {"chair": chair.send, "server": server.handle})
     return stats

@@ -40,7 +40,7 @@ from voipsim import cli, experiment, forked, scenarios
 from voipsim.cli import build_parser, load_config_file, main, resolve_settings
 from voipsim.experiment import GAP_BAND_MOS, MAX_RUN_MS
 from voipsim.frames import RTP_HEADER_LEN, RswMessage, Signal, Verb, encode_rsw, encode_rtp
-from voipsim.iax import CallState, ProtocolViolation
+from voipsim.iax import CallState, IaxEndpoint, ProtocolViolation
 from voipsim.netsim import LinkConfig, Simulator, serialization_ms
 from voipsim.rsw import ConferencePhase, create_conference, server_route
 from voipsim.scenarios import _packet_tail
@@ -273,9 +273,9 @@ def test_rsw_run_carries_rtp_header_overhead():
 def test_rsw_bridge_relays_media_only_in_an_active_conference():
     # the bridge, not the sender, holds media back until the invitee has joined and after END
     sim = Simulator()
-    sim.register("chair", lambda _sim, data: None)  # the server's ACKs and the relayed JOIN
+    handlers = {"chair": lambda data: None}  # the server's ACKs and the relayed JOIN
     records = io.StringIO()
-    server = scenarios._RswServerNode(LinkConfig(), MediaStats(), TraceLog(records))
+    server = scenarios._RswServerNode(sim, LinkConfig(), MediaStats(), TraceLog(records))
     rtp = encode_rtp(seq=1, timestamp=2, ssrc=3, payload=b"voice")
     relayed = []
     for phase in (None, ConferencePhase.CREATING, ConferencePhase.ACTIVE, ConferencePhase.ENDED):
@@ -283,15 +283,15 @@ def test_rsw_bridge_relays_media_only_in_an_active_conference():
             # the host's invitee joins inside a CREATE's own event, so the Creating record is built here
             server.conf = server_route(create_conference("chair", ["p1"], "codec=pcm"), None)[1]
         elif phase is ConferencePhase.ACTIVE:
-            server.handle(sim, encode_rsw(RswMessage(Verb.JOIN, 1, "p1", "server")))
+            server.handle(encode_rsw(RswMessage(Verb.JOIN, 1, "p1", "server")))
         elif phase is ConferencePhase.ENDED:
-            server.handle(sim, encode_rsw(RswMessage(Verb.END, 1, "chair", "server")))
-        sim.run_until_idle()
+            server.handle(encode_rsw(RswMessage(Verb.END, 1, "chair", "server")))
+        sim.run_until_idle(handlers)
         assert (None if server.conf is None else server.conf.phase) is phase
         dispatched = sim.dispatched
-        server.handle(sim, rtp)
+        server.handle(rtp)
         relayed.append(records.getvalue().count('"kind":"deliver"'))  # a relay is done when handle returns
-        sim.run_until_idle()
+        sim.run_until_idle(handlers)
         assert sim.dispatched == dispatched  # and media queues no event
     assert relayed == [0, 0, 1, 1]
 
@@ -1085,13 +1085,24 @@ def test_cli_horizon_covers_every_frame_interval(argv, row, tmp_path, capsys, mo
     assert (tmp_path / "sweep.csv").read_text(encoding="ascii").splitlines()[1:] == [row]
 
 
+def _with_closing(monkeypatch, closing):
+    """Make every media source run ``closing(sim, name, cfg)`` in place of its protocol's closing phase."""
+    real = scenarios._media_source
+
+    def media_source(sim, name, transmit, cfg, stats, opening, next_frame, _closing):
+        return real(sim, name, transmit, cfg, stats, opening, next_frame, closing(sim, name, cfg))
+
+    monkeypatch.setattr(scenarios, "_media_source", media_source)
+
+
 def test_cli_reports_a_run_past_its_horizon(tmp_path, capsys, monkeypatch):
     # a media source that never tears down ticks on past its schedule
-    def tick_again(self, sim):
-        sim.schedule_timer(self.interval, self.name)
+    def tick_again(sim, name, cfg):
+        while True:
+            sim.schedule(sim.now + cfg.frame_interval_ms, name, None)
+            yield
 
-    monkeypatch.setattr(scenarios._IaxCallerNode, "_teardown", tick_again)
-    monkeypatch.setattr(scenarios._RswChairNode, "_teardown", tick_again)
+    _with_closing(monkeypatch, tick_again)
     monkeypatch.chdir(tmp_path)
     code = main(["--delay-end", "0", "--duration", "0.1"])
     assert code == 2
@@ -1102,18 +1113,15 @@ def test_cli_reports_a_run_past_its_horizon(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "protocol, node, message",
-    [
-        ("IAX", scenarios._IaxCallerNode, "run IAX:25 drained its events with a call not Hungup"),
-        ("RSW", scenarios._RswChairNode, "run RSW:25 drained its events with the conference not Ended"),
-    ],
-)
-def test_a_run_that_drains_short_of_its_terminal_state_is_refused(
-    protocol, node, message, tmp_path, capsys, monkeypatch
-):
-    # a media source that never tears down leaves the call Up, or the conference Active
-    monkeypatch.setattr(node, "_teardown", lambda self, sim: None)
+@pytest.mark.parametrize("protocol", ["IAX", "RSW"])
+def test_a_run_that_drains_short_of_its_terminal_state_is_refused(protocol, tmp_path, capsys, monkeypatch):
+    # a media source that never tears down waits for a reply that never comes:
+    # the call stays Up, or the conference Active, and the heap drains
+    def wait_forever(sim, name, cfg):
+        yield
+
+    _with_closing(monkeypatch, wait_forever)
+    message = f"run {protocol}:25 drained its events before its media source's script returned"
     with pytest.raises(RunNotEnded, match=message):
         run_scenario(protocol, 25.0, SweepConfig(**FAST))
     # the CLI reports it as an error, with status 2, and writes no CSV
@@ -1121,6 +1129,37 @@ def test_a_run_that_drains_short_of_its_terminal_state_is_refused(
     assert main(["--protocol", protocol.lower(), "--delay-start", "25", "--delay-end", "25", "--duration", "0.5"]) == 2
     assert capsys.readouterr().err == f"voipsim: error: {message}\n"
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("frame", [1, 25])  # in mid-media, and in the wait for the tick that starts the closing
+@pytest.mark.parametrize("protocol, source", [("IAX", "caller"), ("RSW", "chair")])
+def test_a_packet_that_reaches_a_pacing_script_is_refused(protocol, source, frame, monkeypatch):
+    # a stray packet queued as a counted frame goes out arrives before the next tick, an interval later
+    real = scenarios._media_source
+
+    def media_source(sim, name, transmit, cfg, stats, opening, next_frame, closing):
+        sent = []
+
+        def next_frame_then_stray(payload, now):
+            sent.append(now)
+            if len(sent) == frame:
+                sim.schedule(now, name, b"stray")
+            return next_frame(payload, now)
+
+        return real(sim, name, transmit, cfg, stats, opening, next_frame_then_stray, closing)
+
+    monkeypatch.setattr(scenarios, "_media_source", media_source)
+    with pytest.raises(scenarios.PacketWhilePacing, match=f"^{source} got a packet while it waited for a tick$"):
+        run_scenario(protocol, 25.0, SweepConfig(**FAST))
+
+
+def test_a_typed_error_raised_inside_a_script_comes_out_as_itself(monkeypatch):
+    # a callee that sends ACCEPT twice: the second reaches the caller's opening in state Accepted
+    real = IaxEndpoint._on_new
+    monkeypatch.setattr(IaxEndpoint, "_on_new", lambda self, f, now: real(self, f, now)[:1] * 2)
+    with pytest.raises(ProtocolViolation) as info:
+        run_iax_call(25.0, SweepConfig(**FAST))
+    assert (info.value.state, info.value.signal) == (CallState.ACCEPTED, Signal.ACCEPT)
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

@@ -16,11 +16,9 @@ from voipsim.netsim import (
 from voipsim.qos import NegativeDelay
 
 
-def _sink(log):
-    """A handler that records ``(now, payload)`` for every event it is given."""
-    def handler(sim, data):
-        log.append((sim.now, data))
-    return handler
+def _sink(sim, log):
+    """A handler that records ``(sim.now, payload)`` for every event it is given."""
+    return lambda data: log.append((sim.now, data))
 
 
 # -------------------------------------------------------------- serialization
@@ -68,9 +66,8 @@ def test_transmit_exact_arrival_with_defaults():
     sim = Simulator(seed=1)
     link = Link(LinkConfig(delay_ms=40.0), "a", "b")
     log = []
-    sim.register("b", _sink(log))
     assert link.transmit(sim, bytes(164)) == [40.0 + 12.0]
-    sim.run_until_idle()
+    sim.run_until_idle({"b": _sink(sim, log)})
     assert log == [(40.0 + 12.0, bytes(164))]  # delivered as the packet, not as a timer tick
 
 
@@ -82,11 +79,10 @@ def test_transmit_loss_prob_one_schedules_nothing():
 def test_transmit_dup_prob_one_schedules_twice_at_same_time():
     sim = Simulator(seed=1)
     log = []
-    sim.register("b", _sink(log))
     arrivals = Link(LinkConfig(dup_prob=1.0), "a", "b").transmit(sim, bytes(164))
     assert arrivals == [12.0, 12.0]
     sim.schedule(12.0, "b", b"later")  # same due, queued after both copies
-    sim.run_until_idle()
+    sim.run_until_idle({"b": _sink(sim, log)})
     assert log == [(12.0, bytes(164)), (12.0, bytes(164)), (12.0, b"later")]
 
 
@@ -179,12 +175,11 @@ def test_reliable_send_fifo_per_pair():
     sim = Simulator(seed=1)
     link = Link(LinkConfig(delay_ms=10.0), "a", "b")
     log = []
-    sim.register("b", _sink(log))
     big = link.reliable_send(sim, bytes(1000))
     small = link.reliable_send(sim, bytes(10))
     # the small packet would serialize sooner; FIFO clamps it behind the big one
     assert small >= big
-    sim.run_until_idle()
+    sim.run_until_idle({"b": _sink(sim, log)})
     assert [len(p) for _, p in log] == [1000, 10]
 
 
@@ -192,11 +187,9 @@ def test_reliable_send_two_signals_arrive_in_send_order():
     sim = Simulator(seed=1)
     link = Link(LinkConfig(delay_ms=100.0), "a", "b")
     log = []
-    sim.register("b", _sink(log))
     link.reliable_send(sim, b"first")
-    sim.schedule_timer(1.0, "a")
-    sim.register("a", lambda s, data: link.reliable_send(s, b"second"))
-    sim.run_until_idle()
+    sim.schedule(1.0, "a", None)
+    sim.run_until_idle({"b": _sink(sim, log), "a": lambda data: link.reliable_send(sim, b"second")})
     assert [p for _, p in log] == [b"first", b"second"]
 
 
@@ -205,8 +198,6 @@ def test_two_directions_share_the_rng_stream_and_keep_separate_fifo_fronts():
     config = LinkConfig(delay_ms=10.0, jitter_ms=3.0, loss_prob=0.3, dup_prob=0.2, reorder_prob=0.2)
     links = {"b": Link(config, "a", "b"), "a": Link(config, "b", "a")}
     log = {dst: [] for dst in links}
-    for dst in links:
-        sim.register(dst, _sink(log[dst]))
     ref = random.Random(5)
     expected = {dst: [] for dst in links}
     for i, dst in enumerate("bbaabab"):
@@ -221,7 +212,7 @@ def test_two_directions_share_the_rng_stream_and_keep_separate_fifo_fronts():
         assert arrivals == ([] if lost else [due] * (2 if duplicated else 1))
         expected[dst] += [(due, pkt)] * len(arrivals)
     assert sim.rng.getstate() == ref.getstate()
-    sim.run_until_idle()
+    sim.run_until_idle({dst: _sink(sim, log[dst]) for dst in links})
     assert {dst: sorted(got) for dst, got in log.items()} == {dst: sorted(e) for dst, e in expected.items()}
     # a big then a small signal a->b: the small one waits behind the big one, b->a does not
     start = sim.now
@@ -295,24 +286,22 @@ def test_unimpaired_and_impaired_links_interleave_on_one_stream():
 
 
 def test_run_until_idle_empty_queue_returns_zero():
-    assert Simulator(seed=1).run_until_idle() == 0.0
+    assert Simulator(seed=1).run_until_idle({}) == 0.0
 
 
 def test_same_due_dispatches_in_scheduling_order():
     sim = Simulator(seed=1)
     log = []
-    sim.register("x", _sink(log))
     sim.schedule(5.0, "x", b"one")
     sim.schedule(5.0, "x", b"two")
-    sim.run_until_idle()
+    sim.run_until_idle({"x": _sink(sim, log)})
     assert [p for _, p in log] == [b"one", b"two"]
 
 
 def test_schedule_in_the_past_rejected():
     sim = Simulator(seed=1)
-    sim.register("x", _sink([]))
     sim.schedule(3.0, "x", b"p")
-    sim.run_until_idle()
+    sim.run_until_idle({"x": _sink(sim, [])})
     assert sim.now == 3.0
     with pytest.raises(ValueError):
         sim.schedule(2.0, "x", b"p")
@@ -322,67 +311,81 @@ def test_schedule_refuses_a_nan_due():
     # NaN fails every comparison: let in, it would dispatch first and run the clock backwards
     sim = Simulator(seed=1)
     seen = []
-    sim.register("x", lambda s, data: seen.append(s.now))
     with pytest.raises(ValueError, match="precedes now"):
         sim.schedule(float("nan"), "x", b"p")
     sim.schedule(5.0, "x", b"p")
     sim.schedule(1.0, "x", b"p")
-    sim.run_until_idle()
+    sim.run_until_idle({"x": lambda data: seen.append(sim.now)})
     assert seen == [1.0, 5.0]
 
 
 def test_clock_never_decreases_and_returns_final_time():
     sim = Simulator(seed=1)
     seen = []
-    sim.register("x", lambda s, data: seen.append(s.now))
     for due in (4.0, 1.0, 2.5):
         sim.schedule(due, "x", b"p")
-    final = sim.run_until_idle()
+    final = sim.run_until_idle({"x": lambda data: seen.append(sim.now)})
     assert seen == sorted(seen) == [1.0, 2.5, 4.0]
     assert final == 4.0
 
 
 def test_horizon_exceeded():
     sim = Simulator(seed=1)
-    sim.register("x", _sink([]))
     sim.schedule(100.0, "x", b"p")
     with pytest.raises(HorizonExceeded):
-        sim.run_until_idle(horizon_ms=50.0)
+        sim.run_until_idle({"x": _sink(sim, [])}, horizon_ms=50.0)
 
 
 def test_missing_handler_is_an_error():
     sim = Simulator(seed=1)
     sim.schedule(1.0, "nobody", b"p")
-    with pytest.raises(LookupError):
-        sim.run_until_idle()
+    with pytest.raises(LookupError, match="'nobody'"):
+        sim.run_until_idle({})
+
+
+def test_a_returned_script_is_dropped_and_a_later_event_for_it_is_refused():
+    sim = Simulator(seed=1)
+    got = []
+
+    def script():
+        got.append((yield))  # returns with the first event it is sent
+
+    source = script()
+    next(source)
+    handlers = {"s": source.send}
+    sim.schedule(1.0, "s", b"last")
+    sim.schedule(2.0, "s", b"late")
+    with pytest.raises(LookupError, match="'s'"):
+        sim.run_until_idle(handlers)
+    assert got == [b"last"] and handlers == {}
+    assert sim.dispatched == 1  # the event the script returned on is counted, the refused one is not
 
 
 def test_dispatched_counts_handled_events_across_runs_and_a_raising_handler():
     sim = Simulator(seed=1)
 
-    def handler(s, data):
+    def handler(data):
         if data == b"boom":
             raise RuntimeError("boom")
 
-    sim.register("x", handler)
     for payload in (b"a", b"b", b"boom", b"c"):
         sim.schedule(1.0, "x", payload)
     with pytest.raises(RuntimeError):
-        sim.run_until_idle()
+        sim.run_until_idle({"x": handler})
     assert sim.dispatched == 2  # the raising event is not counted
-    sim.run_until_idle()
+    sim.run_until_idle({"x": handler})
     assert sim.dispatched == 3
 
 
 def test_deliver_local_arrives_at_once():
     sim = Simulator(seed=1)
     log = []
-    sim.register("x", _sink(log))
+    handlers = {"x": _sink(sim, log)}
     assert sim.deliver_local(b"a", "x") == 0.0
-    sim.schedule_timer(2.5, "x")
-    sim.run_until_idle()
+    sim.schedule(2.5, "x", None)
+    sim.run_until_idle(handlers)
     assert sim.deliver_local(b"b", "x") == 2.5  # from the clock as it stands, not from zero
-    sim.run_until_idle()
+    sim.run_until_idle(handlers)
     assert log == [(0.0, b"a"), (2.5, None), (2.5, b"b")]  # the timer tick reaches its handler as None
 
 
@@ -391,16 +394,14 @@ def test_dispatch_trace_is_deterministic():
         sim = Simulator(seed=33)
         link = Link(LinkConfig(delay_ms=10.0, jitter_ms=4.0, loss_prob=0.2, dup_prob=0.1, reorder_prob=0.1), "a", "b")
         log = []
-        sim.register("b", _sink(log))
 
-        def ticker(s, data):
-            if s.now < 200.0:
-                link.transmit(s, bytes(50))
-                s.schedule_timer(10.0, "a")
+        def ticker(data):
+            if sim.now < 200.0:
+                link.transmit(sim, bytes(50))
+                sim.schedule(sim.now + 10.0, "a", None)
 
-        sim.register("a", ticker)
-        sim.schedule_timer(0.0, "a")
-        sim.run_until_idle()
+        sim.schedule(0.0, "a", None)
+        sim.run_until_idle({"b": _sink(sim, log), "a": ticker})
         return log
 
     assert run() == run()
@@ -416,9 +417,8 @@ def test_per_packet_delay_is_delay_plus_serialization(size, delay):
 def test_conservation_without_impairments():
     sim = Simulator(seed=1)
     log = []
-    sim.register("b", _sink(log))
     link = Link(LinkConfig(delay_ms=1.0), "a", "b")
     for i in range(50):
         link.transmit(sim, bytes([i + 1]))
-    sim.run_until_idle()
+    sim.run_until_idle({"b": _sink(sim, log)})
     assert len(log) == 50

@@ -329,22 +329,22 @@ def test_new_rtp_tx_is_seed_deterministic():
 def test_media_requires_active_conference(phase):
     # the RSW bridge drops the chairman's media unless the conference is Active
     sim = Simulator()
-    sim.register("chair", lambda _sim, data: None)  # the server's ACKs and the relayed JOIN
+    handlers = {"chair": lambda data: None}  # the server's ACKs and the relayed JOIN
     stats = scenarios.MediaStats()
-    server = scenarios._RswServerNode(LinkConfig(), stats, scenarios._NO_TRACE)
+    server = scenarios._RswServerNode(sim, LinkConfig(), stats, scenarios._NO_TRACE)
     create = create_conference("chair", ["p1"], MEDIA, conf_id=1)
     if phase is ConferencePhase.CREATING:
         # the host's invitee joins inside a CREATE's own event, so the Creating record is built here
         server.conf = server_route(create, None)[1]
     else:
-        server.handle(sim, encode_rsw(create))
-        server.handle(sim, encode_rsw(RswMessage(Verb.END, 1, "chair", "server")))
-    sim.run_until_idle()
+        server.handle(encode_rsw(create))
+        server.handle(encode_rsw(RswMessage(Verb.END, 1, "chair", "server")))
+    sim.run_until_idle(handlers)
     assert server.conf.phase is phase
     seq, wire = send_media_rtp(new_rtp_tx(random.Random(1)), b"x")
     stats._sent(seq, sim.now)
-    server.handle(sim, wire)
-    sim.run_until_idle()
+    server.handle(wire)
+    sim.run_until_idle(handlers)
     assert stats.frames_recv == 0
 
 
@@ -353,11 +353,11 @@ def test_host_invitee_joins_behind_the_ack_for_create():
     # the chairman gets the ACK for CREATE first and the relayed JOIN after it
     sim = Simulator()
     heard = []
-    sim.register("chair", lambda sim, data: heard.append((sim.now, decode_rsw(data).verb)))
-    server = scenarios._RswServerNode(LinkConfig(), scenarios.MediaStats(), scenarios._NO_TRACE)
-    server.handle(sim, encode_rsw(create_conference("chair", ["p1"], MEDIA, conf_id=1)))
+    handlers = {"chair": lambda data: heard.append((sim.now, decode_rsw(data).verb))}
+    server = scenarios._RswServerNode(sim, LinkConfig(), scenarios.MediaStats(), scenarios._NO_TRACE)
+    server.handle(encode_rsw(create_conference("chair", ["p1"], MEDIA, conf_id=1)))
     assert server.conf.phase is ConferencePhase.ACTIVE  # joined within the CREATE's event
-    sim.run_until_idle()
+    sim.run_until_idle(handlers)
     ack_ms = 8 * (25 + 28) / 128  # the 25 B ACK and its 28 B of IP and UDP at 128 kbit/s
     assert heard == [(ack_ms, Verb.ACK), (ack_ms, Verb.JOIN)]
 
@@ -366,12 +366,12 @@ def test_a_reply_to_a_member_off_the_host_is_refused_not_sent_to_the_chairman():
     # the server's one WAN link leads to the chairman; a CREATE for a member it has no route to must not take it
     sim = Simulator()
     heard = []
-    sim.register("chair", lambda sim, data: heard.append(decode_rsw(data).verb))
-    server = scenarios._RswServerNode(LinkConfig(), scenarios.MediaStats(), scenarios._NO_TRACE)
+    handlers = {"chair": lambda data: heard.append(decode_rsw(data).verb)}
+    server = scenarios._RswServerNode(sim, LinkConfig(), scenarios.MediaStats(), scenarios._NO_TRACE)
     with pytest.raises(LookupError, match="'p2'"):
-        server.handle(sim, encode_rsw(create_conference("chair", ["p1", "p2"], MEDIA, conf_id=1)))
-        sim.run_until_idle()
-    sim.run_until_idle()
+        server.handle(encode_rsw(create_conference("chair", ["p1", "p2"], MEDIA, conf_id=1)))
+        sim.run_until_idle(handlers)
+    sim.run_until_idle(handlers)
     assert Verb.CREATE not in heard
 
 
