@@ -77,6 +77,7 @@ from .qos import (
 from .scenarios import MediaStats, RunNotEnded, TraceLog, run_iax_call, run_rsw_conference
 from .experiment import (
     CSV_HEADER,
+    ClockTooCoarse,
     MissingProtocol,
     SweepConfig,
     compare_report,

@@ -41,12 +41,19 @@ MAX_DELAY_POINTS = 10_000
 # an IAX endpoint stamps its frames with a run's milliseconds in 32 bits
 MAX_RUN_MS = 2**32 - 1
 
+# the coarsest step a run's float clock may take: one microsecond
+CLOCK_RESOLUTION_MS = 1e-3
+
 # compare_report's bands: the delays where IAX's MOS beats RSW's by more than this
 GAP_BAND_MOS = 0.01
 
 
 class MissingProtocol(ValueError):
     """A comparison needs results from both protocols."""
+
+
+class ClockTooCoarse(ValueError):
+    """A run would last so long that its float clock could not resolve a microsecond."""
 
 
 class _SweepFields(NamedTuple):
@@ -68,8 +75,9 @@ class SweepConfig(_SweepFields):
     up to and including ``delay_end_ms``, at most ``MAX_DELAY_POINTS``
     delays; a degenerate sweep with ``delay_start_ms == delay_end_ms`` runs a
     single point per protocol.  The horizon of the run at ``delay_end_ms``,
-    the bound its message schedule gives, must not pass ``MAX_RUN_MS`` of
-    simulated time (see ``run_horizon_ms``).
+    the bound its message schedule gives, must leave the clock a microsecond
+    of resolution and, with IAX in ``protocols``, must not pass ``MAX_RUN_MS``
+    (see ``run_horizon_ms``).
     """
 
     __slots__ = ()
@@ -123,24 +131,32 @@ class SweepConfig(_SweepFields):
     def media_frame_count(self) -> int:
         return int(round(self.duration_s * 1000.0 / self.frame_interval_ms))
 
-    def run_horizon_ms(self, delay_ms: float) -> float:
-        """Simulated time the run at ``delay_ms`` may take; a run still busy then fails.
+    def run_horizon_ms(self, delay_ms: float, protocol: str | None = None) -> float:
+        """Simulated time the ``protocol`` run at ``delay_ms`` may take; a run still busy then fails.
 
         A run is at most four one-way trips of ``longest_trip_ms`` (IAX:
         NEW, ACCEPT and ANSWER, HANGUP; RSW: CREATE, its ACK and the JOIN,
         END, its ACK) and its frames (the rounded count may pass
         ``duration_s``) plus one interval, before the first frame or after
         the last, and ``frames + 8`` ulps for the float error of the sums.
-        Raises ValueError when that passes ``MAX_RUN_MS``: every run, in a
-        sweep or alone, starts with this check.
+        Raises ValueError when an IAX run's horizon passes ``MAX_RUN_MS``
+        (``protocol`` None checks every stack in ``protocols``), and
+        :class:`ClockTooCoarse` when the clock steps by more than
+        ``CLOCK_RESOLUTION_MS`` there: every run, in a sweep or alone,
+        starts with these checks.
         """
         frames = self.media_frame_count()
         horizon = (frames + 1) * self.frame_interval_ms + 4 * longest_trip_ms(delay_ms, self)
         horizon += (frames + 8) * math.ulp(horizon)
-        if horizon > MAX_RUN_MS:
+        if horizon > MAX_RUN_MS and "IAX" in ((protocol,) if protocol else self.protocols):
             raise ValueError(
                 f"a run at delay {delay_ms:g} ms may last {horizon:.0f} ms, more than the "
                 f"{MAX_RUN_MS} ms (2**32 - 1) an IAX 32-bit timestamp can count"
+            )
+        if math.ulp(horizon) > CLOCK_RESOLUTION_MS:
+            raise ClockTooCoarse(
+                f"a run at delay {delay_ms:g} ms may last {horizon:.0f} ms, where its clock "
+                f"steps by {math.ulp(horizon):g} ms, more than {CLOCK_RESOLUTION_MS:g} ms"
             )
         return horizon
 

@@ -14,11 +14,17 @@ the caller's stream in job order, a bounded chunk at a time, and raises the
 exception of the earliest failing job.  Workers leave through ``os._exit``,
 so they never flush the parent's buffers or run its exit handlers.
 
+Worker ``w`` pins itself to the ``w % len(cpus)``-th of the CPUs the parent
+may use: left to itself, the kernel can keep every worker on the parent's
+CPU for a whole sweep once the others have been idle.  Where the affinity
+call is missing or fails, the worker runs unpinned.
+
 ``experiment.run_sweep`` imports this module only when a sweep forks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import marshal
 import os
 import tempfile
@@ -66,6 +72,7 @@ def _fork_workers(run, jobs: list[tuple], files: list, workers: int) -> list[byt
     pids: list[int] = []
     readers: list[int] = []
     blobs: list[bytes] = []
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     try:
         for w in range(workers):
             reader, writer = os.pipe()
@@ -75,6 +82,9 @@ def _fork_workers(run, jobs: list[tuple], files: list, workers: int) -> list[byt
                 if pid == 0:
                     status = 1
                     try:
+                        if cpus:  # a worker the call fails for runs unpinned
+                            with contextlib.suppress(OSError):
+                                os.sched_setaffinity(0, {cpus[w % len(cpus)]})
                         share = _run_share(run, jobs[w::workers], files[w] if files else None)
                         with open(writer, "wb", closefd=False) as pipe:
                             pipe.write(marshal.dumps(share))

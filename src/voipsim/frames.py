@@ -243,7 +243,8 @@ def decode_mini(b: bytes) -> tuple[int, int, bytes]:
     w0, ts16 = _MINI_HDR.unpack_from(b)
     if w0 & 0x8000:
         raise NotMiniFrame("F bit is set")
-    return w0, ts16, bytes(b[MINI_HEADER_LEN:])
+    # a slice of bytes is bytes already; another buffer's slice is copied into bytes
+    return w0, ts16, b[MINI_HEADER_LEN:] if type(b) is bytes else bytes(b[MINI_HEADER_LEN:])
 
 
 def encode_rtp(
@@ -284,7 +285,8 @@ def decode_rtp(b: bytes) -> tuple[int, int, int, bytes, int, bool]:
     if b0 & 0x3F:
         # padding/extension/CSRC would shift the payload boundary
         raise Malformed("padding, extension, or CSRC bits set")
-    return seq, ts, ssrc, bytes(b[RTP_HEADER_LEN:]), b1 & 0x7F, bool(b1 & 0x80)
+    payload = b[RTP_HEADER_LEN:] if type(b) is bytes else bytes(b[RTP_HEADER_LEN:])  # as decode_mini's
+    return seq, ts, ssrc, payload, b1 & 0x7F, bool(b1 & 0x80)
 
 
 def _check_token(name: str, value: str) -> None:

@@ -134,7 +134,9 @@ class MediaStats:
 
     ``_in_flight`` maps the stats key of each counted frame not yet arrived
     (IAX ``ts32``, RTP ``seq``; unique within a run) to its send time, so it
-    holds only the frames in flight and the lost ones.  The first copy of a
+    holds only the frames in flight and the lost ones.  The media source's
+    loop enters each counted frame there and counts it in ``frames_sent``
+    itself, with no call per frame.  The first copy of a
     frame to arrive adds its one-way delay (arrival minus send time) to
     ``delay_sum`` and counts in ``frames_recv``.  A duplicate copy, or a key
     that was never counted (the IAX anchor full frame), finds no entry and is
@@ -149,10 +151,6 @@ class MediaStats:
         self.frames_recv = 0
         self.delay_sum = 0.0
         self._in_flight: dict[int, float] = {}
-
-    def _sent(self, key: int, now: float) -> None:
-        self._in_flight[key] = now
-        self.frames_sent += 1
 
     def _arrived(self, key: int, now: float) -> None:
         sent_at = self._in_flight.pop(key, None)
@@ -183,13 +181,13 @@ class PacketWhilePacing(RuntimeError):
         super().__init__(f"{node} got a packet while it waited for a tick")
 
 
-def _run(label: str, delay_ms: float, cfg: SweepConfig, trace, sim: Simulator, source, handlers: dict) -> float:
+def _run(protocol: str, delay_ms: float, cfg: SweepConfig, trace, sim: Simulator, source, handlers: dict) -> float:
     """Start ``source``, the media source's script, and drain the run; returns the final clock.
 
     ``handlers`` maps each node's name to its handler, ``source.send`` included.
     """
-    horizon_ms = cfg.run_horizon_ms(delay_ms)  # refuses a run past the 32-bit clock before it starts
-    trace.begin(label)
+    horizon_ms = cfg.run_horizon_ms(delay_ms, protocol)  # refuses a run past its clock before it starts
+    trace.begin(label := f"{protocol}:{delay_ms:g}")
     next(source)  # the script runs to its first wait
     end = sim.run_until_idle(handlers, horizon_ms)
     if source.gi_frame is not None:
@@ -218,12 +216,13 @@ def _media_source(sim: Simulator, name: str, transmit, cfg: SweepConfig, stats: 
     first_tick_ms = yield from opening
     stats.setup_ms = now = sim.now
     sim.schedule(now + first_tick_ms, name, None)
-    interval, payload = cfg.frame_interval_ms, bytes(cfg.payload_bytes)
+    interval, payload, in_flight = cfg.frame_interval_ms, bytes(cfg.payload_bytes), stats._in_flight
     for _ in range(cfg.media_frame_count()):
         if (yield) is not None:
             raise PacketWhilePacing(name)
         key, data = next_frame(payload, now := sim.now)
-        stats._sent(key, now)
+        in_flight[key] = now
+        stats.frames_sent += 1
         transmit(sim, data)
         sim.schedule(now + interval, name, None)  # the next tick
     if (yield) is not None:
@@ -292,7 +291,7 @@ def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = Non
     stats, sim = MediaStats(), Simulator(seed=cfg.seed)
     trace = _NO_TRACE if trace is None else trace
     caller, callee = _iax_caller(sim, config, cfg, stats, trace), _IaxCalleeNode(sim, config, stats, trace)
-    _run(f"IAX:{delay_ms:g}", delay_ms, cfg, trace, sim, caller, {"caller": caller.send, "callee": callee.handle})
+    _run("IAX", delay_ms, cfg, trace, sim, caller, {"caller": caller.send, "callee": callee.handle})
     return stats
 
 
@@ -375,5 +374,5 @@ def run_rsw_conference(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None
     stats, sim = MediaStats(), Simulator(seed=cfg.seed)
     trace = _NO_TRACE if trace is None else trace
     chair, server = _rsw_chair(sim, wan, cfg, stats, trace), _RswServerNode(sim, wan, stats, trace)
-    _run(f"RSW:{delay_ms:g}", delay_ms, cfg, trace, sim, chair, {"chair": chair.send, "server": server.handle})
+    _run("RSW", delay_ms, cfg, trace, sim, chair, {"chair": chair.send, "server": server.handle})
     return stats

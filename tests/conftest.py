@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -20,3 +22,19 @@ def same_state(a, b) -> bool:
     if not slots:
         return a == b
     return all(same_state(getattr(a, name), getattr(b, name)) for name in slots)
+
+
+class LoggedRandom(random.Random):
+    """A ``Random`` that logs each draw; every other draw goes through these two methods."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def random(self):
+        self.calls.append("random")
+        return super().random()
+
+    def getrandbits(self, k):
+        self.calls.append(f"getrandbits({k})")
+        return super().getrandbits(k)

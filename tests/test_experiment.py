@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import types
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import LoggedRandom
 from voipsim import (
     CSV_HEADER,
     MediaStats,
@@ -38,7 +40,7 @@ from voipsim import (
 )
 from voipsim import cli, experiment, forked, scenarios
 from voipsim.cli import build_parser, load_config_file, main, resolve_settings
-from voipsim.experiment import GAP_BAND_MOS, MAX_RUN_MS
+from voipsim.experiment import GAP_BAND_MOS, MAX_RUN_MS, ClockTooCoarse
 from voipsim.frames import RTP_HEADER_LEN, RswMessage, Signal, Verb, encode_rsw, encode_rtp
 from voipsim.iax import CallState, IaxEndpoint, ProtocolViolation
 from voipsim.netsim import LinkConfig, Simulator, serialization_ms
@@ -183,11 +185,11 @@ def test_a_run_just_inside_the_32_bit_clock_is_accepted_and_exact():
 
 _ROWS_AT_A_BILLION_MS = {
     "IAX": "IAX,1000000000.000,1000000012.000,2000000005.375,50,50,0.000,43.200,2.223",
-    "RSW": "RSW,1000000000.000,1000000012.500,2000000007.938,50,50,0.000,43.200,2.223",
 }
 
 
-@pytest.mark.parametrize("protocol", ["IAX", "RSW"])
+# the IAX 32-bit clock binds IAX runs only; an RSW run's bound is its float clock's resolution
+@pytest.mark.parametrize("protocol", ["IAX"])
 def test_a_single_run_past_the_32_bit_clock_is_refused_before_it_starts(protocol):
     # the config's grid ends at 2000 ms, so only the run itself can refuse these delays
     cfg = SweepConfig(duration_s=1.0)
@@ -199,6 +201,50 @@ def test_a_single_run_past_the_32_bit_clock_is_refused_before_it_starts(protocol
     # inside the clock the row is its closed form: setup is two trips of the delay
     # plus the signals' serialization, media one trip
     assert experiment._csv_row(run_scenario(protocol, 1e9, cfg)) == _ROWS_AT_A_BILLION_MS[protocol]
+
+
+# the run at this delay lasts 2**43 ms less 4 ms: past it the clock steps by 2**-9 ms
+_RSW_CLOCK_EDGE_MS = (2**43 - 51 * 20 - 4 * 12.5) / 4 - 1
+
+
+@pytest.mark.parametrize("delay_ms", [2e9, 1e10, 1e12, _RSW_CLOCK_EDGE_MS])
+def test_an_rsw_run_past_the_32_bit_clock_is_its_closed_form(delay_ms):
+    # RTP timestamps wrap by design: an RSW-only config or run is not held to the IAX clock.
+    # Media is one trip of the delay plus 12.5 ms of serialization, setup two trips plus 7.9375 ms
+    cfg = SweepConfig(delay_start_ms=delay_ms, delay_end_ms=delay_ms, duration_s=1.0, protocols=("RSW",))
+    row = f"RSW,{delay_ms:.3f},{delay_ms + 12.5:.3f},{2 * delay_ms + 7.9375:.3f},50,50,0.000,43.200,2.223"
+    assert experiment._csv_row(run_scenario("RSW", delay_ms, cfg)) == row
+    assert experiment._csv_row(run_scenario("RSW", delay_ms, SweepConfig(duration_s=1.0))) == row
+    with pytest.raises(ValueError, match=f"more than the {MAX_RUN_MS} ms"):
+        cfg._replace(protocols=("IAX", "RSW"))  # with IAX in it, the grid is held to the IAX clock
+
+
+def test_a_run_whose_clock_cannot_resolve_a_microsecond_is_refused():
+    edge = _RSW_CLOCK_EDGE_MS
+    cfg = SweepConfig(delay_start_ms=edge, delay_end_ms=edge, duration_s=1.0, protocols=("RSW",))
+    assert math.ulp(cfg.run_horizon_ms(edge)) < 1e-3
+    for delay_ms in (edge + 2, 1e14):
+        with pytest.raises(ClockTooCoarse, match="more than 0.001 ms"):
+            cfg._replace(delay_start_ms=delay_ms, delay_end_ms=delay_ms)
+        trace = TraceLog(io.StringIO())
+        with pytest.raises(ClockTooCoarse):
+            run_scenario("RSW", delay_ms, cfg, trace)  # a run alone, before it starts
+        assert trace.count == 0
+
+
+def test_cli_runs_an_rsw_sweep_past_the_32_bit_clock_and_refuses_one_past_a_microsecond(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--protocol", "rsw", "--delay-start", "2e9", "--delay-end", "2e9", "--duration", "1"]) == 0
+    assert (tmp_path / "sweep.csv").read_text(encoding="ascii").splitlines()[1:] == [
+        "RSW,2000000000.000,2000000012.500,4000000007.938,50,50,0.000,43.200,2.223"
+    ]
+    (tmp_path / "sweep.csv").unlink()
+    capsys.readouterr()
+    assert main(["--protocol", "rsw", "--delay-start", "1e14", "--delay-end", "1e14", "--duration", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("voipsim: error:") and "more than 0.001 ms" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @st.composite
@@ -313,6 +359,32 @@ def test_events_dispatched_per_run_at_200_ms(monkeypatch):
     assert [sim.dispatched for sim in sims] == [1_006, 1_006]
 
 
+def test_unimpaired_runs_make_no_call_on_the_simulators_rng(monkeypatch):
+    # each media send owes the four draws' eight words; nothing reads the RNG while the
+    # run lasts, so nothing is drawn, and a reader afterwards sees four draws per send
+    sims = []
+
+    class WatchedSimulator(Simulator):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.rng = LoggedRandom(seed)
+            sims.append(self)
+
+    monkeypatch.setattr(scenarios, "Simulator", WatchedSimulator)
+    cfg = SweepConfig(duration_s=1.0)
+    scenarios.run_iax_call(200.0, cfg)
+    scenarios.run_rsw_conference(200.0, cfg)
+    # IAX sends the anchor full frame before its 50 counted frames
+    for sim, sends in zip(sims, (51, 50)):
+        logged = sim._rng
+        assert logged.calls == []
+        ref = random.Random(cfg.seed)
+        for _ in range(4 * sends):
+            ref.random()
+        assert sim.rng is logged and logged.getstate() == ref.getstate()
+        assert logged.calls == [f"getrandbits({32 * 8 * sends})"]
+
+
 def _python_calls(run, duration_s: float) -> int:
     """Python-level function calls made by one run at 200 ms."""
     calls = 0
@@ -333,7 +405,7 @@ def _python_calls(run, duration_s: float) -> int:
     return calls
 
 
-@pytest.mark.parametrize("run, budget", [(run_iax_call, 11), (scenarios.run_rsw_conference, 12)])
+@pytest.mark.parametrize("run, budget", [(run_iax_call, 10), (scenarios.run_rsw_conference, 11)])
 def test_python_calls_per_counted_frame(run, budget):
     # a 2 s run sends 50 more 20 ms frames than a 1 s run; everything else is the same.
     # Media crosses both stacks as wire bytes, with no packet object and no call per field check.
@@ -449,7 +521,8 @@ def test_media_stats_match_the_sent_list_and_arrival_dict_they_replace(data):
             key = keys[next_frame]
             sent.append((key, now))
             send_time[key] = now
-            stats._sent(key, now)
+            stats._in_flight[key] = now  # what the media source's loop does per counted frame
+            stats.frames_sent += 1
             pending.extend([key] * copies[next_frame])
             next_frame += 1
         else:
@@ -794,6 +867,29 @@ def test_forked_sweep_reports_an_error_that_cannot_cross_processes(monkeypatch, 
     error, _trace = _traced_sweep_with_workers(2, monkeypatch, tmp_path)
     assert type(error) is RuntimeError
     assert str(error) == "ProtocolViolation: signal NEW in state Up"
+
+
+def test_each_forked_worker_runs_on_its_own_cpu(monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2:
+        pytest.skip(f"pinning the workers apart needs two usable CPUs; this process may use {len(cpus)}")
+    cfg = SweepConfig(delay_end_ms=25.0 * (len(cpus) - 1), duration_s=0.1)  # one delay per CPU, two protocols
+    real = experiment.run_scenario
+
+    def report_cpus(protocol, delay_ms, cfg, trace=None):
+        # a report's protocol field carries the worker's pid and the CPUs it may run on
+        return real(protocol, delay_ms, cfg, trace)._replace(protocol=f"{os.getpid()} {sorted(os.sched_getaffinity(0))}")
+
+    monkeypatch.setattr(experiment, "run_scenario", report_cpus)
+    monkeypatch.setattr(experiment, "_worker_count", lambda runs: len(cpus))
+    workers = {}
+    for row in run_sweep(cfg):
+        pid, affinity = row.protocol.split(" ", 1)
+        workers.setdefault(pid, set()).add(affinity)
+    assert str(os.getpid()) not in workers and len(workers) == len(cpus)
+    pinned = [json.loads(affinity) for (affinity,) in workers.values()]  # one mask per worker
+    assert all(len(mask) == 1 for mask in pinned)
+    assert sorted(cpu for (cpu,) in pinned) == cpus
 
 
 def test_sweep_stays_in_process_for_one_run_or_other_threads():

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import LoggedRandom
 from voipsim.netsim import (
     EmptyPacket,
     HorizonExceeded,
@@ -232,30 +233,41 @@ def test_getrandbits_256_advances_the_state_as_four_random_calls():
         assert skipped.getstate() == drawn.getstate()
 
 
-class _LoggedRandom(random.Random):
-    """A ``Random`` that logs each call of the two methods ``Link.transmit`` draws with."""
-
-    def __init__(self, seed):
-        self.calls = []
-        super().__init__(seed)
-
-    def random(self):
-        self.calls.append("random")
-        return super().random()
-
-    def getrandbits(self, k):
-        self.calls.append(f"getrandbits({k})")
-        return super().getrandbits(k)
-
-
 @pytest.mark.parametrize("impairment", [None, "jitter_ms", "loss_prob", "dup_prob", "reorder_prob"])
 def test_any_one_impairment_takes_the_drawing_path(impairment):
-    # the smallest positive float is still an impairment; with none, one call skips the draws
+    # the smallest positive float is still an impairment; with none, the send makes no call
+    # and owes the four draws' eight words, which one call draws when the RNG is read
     sim = Simulator(seed=3)
-    sim.rng = _LoggedRandom(3)
+    sim.rng = logged = LoggedRandom(3)
     fields = {impairment: 5e-324} if impairment else {}
     Link(LinkConfig(delay_ms=40.0, **fields), "a", "b").transmit(sim, bytes(10))
-    assert sim.rng.calls == (["random"] * 4 if impairment else ["getrandbits(256)"])
+    assert logged.calls == (["random"] * 4 if impairment else [])
+    assert sim.rng is logged
+    assert logged.calls == (["random"] * 4 if impairment else ["getrandbits(256)"])
+
+
+# words owed just below, at and past one settling call's 2**15, and over several calls
+@pytest.mark.parametrize("owed", [2**15 - 8, 2**15, 2**15 + 8, 3 * 2**15 + 8])
+def test_reading_the_rng_settles_the_owed_words(owed):
+    # each unimpaired send owes eight 32-bit words; a reader sees Random(seed) after
+    # owed / 2 random() calls, as if each send had drawn its four values
+    sim = Simulator(seed=17)
+    link = Link(LinkConfig(delay_ms=5.0), "a", "b")
+    for _ in range(owed // 8):
+        link.transmit(sim, bytes(10))
+    ref = random.Random(17)
+    for _ in range(owed // 2):
+        ref.random()
+    old = sim.rng
+    assert old.getstate() == ref.getstate()
+    assert sim.rng.getstate() == ref.getstate()  # settled once: a second read draws nothing
+    # a replaced RNG keeps the words owed to it, and the new one starts where it is put
+    link.transmit(sim, bytes(10))
+    sim.rng = random.Random(99)
+    for _ in range(4):
+        ref.random()
+    assert old.getstate() == ref.getstate()
+    assert sim.rng.getstate() == random.Random(99).getstate()
 
 
 def test_unimpaired_and_impaired_links_interleave_on_one_stream():
