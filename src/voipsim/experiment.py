@@ -8,8 +8,9 @@ Runs are deterministic: the same configuration and seed produce
 byte-identical output files.
 
 The runs share no state, so a sweep of more than one run is spread over one
-forked worker per CPU this process may use, never more workers than runs
-(see :mod:`voipsim.forked`).  The rows, the CSV and the trace are the bytes
+forked worker per CPU this process may use, never more workers than runs;
+each worker takes the next run of the grid when it has finished one (see
+:mod:`voipsim.forked`).  The rows, the CSV and the trace are the bytes
 a serial sweep writes, and a failing sweep raises the error of its earliest
 failing run in grid order.  The sweep stays in this process when it has one
 run, when only one CPU is usable, when ``os.fork`` is missing, or when the

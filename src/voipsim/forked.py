@@ -2,17 +2,22 @@
 
 ``run_forked(run, jobs, trace, workers)`` returns what
 ``[run(*job, trace) for job in jobs]`` returns, and leaves in *trace* the
-records that loop would write, byte for byte.  Worker ``w`` of ``n`` takes
-jobs ``w, w + n, ...`` in order and stops at its first failure.  It sends
-its rows back through a pipe as ``marshal``-ed plain tuples (a ``QosReport``
-is a named tuple; ``marshal`` takes only exact tuples, and it is built in,
-where importing ``pickle`` would add about 0.3 MiB to the parent's peak
-memory); only a failing run's exception is pickled.  A traced worker writes
-its JSONL to an anonymous temporary file and notes where each run's records
-end; once every worker is reaped, the parent copies the runs' records into
-the caller's stream in job order, a bounded chunk at a time, and raises the
-exception of the earliest failing job.  Workers leave through ``os._exit``,
-so they never flush the parent's buffers or run its exit handlers.
+records that loop would write, byte for byte.  The workers share one job
+queue: a pipe the parent fills with the job numbers in order, from which
+each worker reads its next job when it has finished one, so a worker on a
+slower CPU takes fewer runs.  A worker stops at the end of the queue or at
+its first failure.  It sends back the numbers of the jobs it ran with their
+rows through a pipe of its own, as ``marshal``-ed plain tuples (a
+``QosReport`` is a named tuple; ``marshal`` takes only exact tuples, and it
+is built in, where importing ``pickle`` would add about 0.3 MiB to the
+parent's peak memory); only a failing run's exception is pickled.  A traced
+worker writes its JSONL to an anonymous temporary file and notes where each
+run's records end; once every worker is reaped, the parent copies the runs'
+records into the caller's stream in job order, a bounded chunk at a time,
+and raises the exception of the earliest failing job.  Jobs are claimed in
+order, so every job before that one was claimed and run to its end.
+Workers leave through ``os._exit``, so they never flush the parent's
+buffers or run its exit handlers.
 
 Worker ``w`` pins itself to the ``w % len(cpus)``-th of the CPUs the parent
 may use: left to itself, the kernel can keep every worker on the parent's
@@ -36,6 +41,13 @@ from .scenarios import TraceLog
 # bytes of trace the parent holds at once while copying a worker's file
 _COPY_CHUNK = 1 << 20
 
+# a job number on the queue: four bytes, big-endian
+_JOB_BYTES = 4
+
+# bytes per write to the job queue: the least PIPE_BUF that POSIX allows, so each write is
+# atomic, and a whole number of job numbers, so a worker's read of one never gets part of it
+_QUEUE_WRITE = 512
+
 
 def run_forked(
     run: Callable[..., QosReport], jobs: list[tuple], trace: TraceLog | None, workers: int
@@ -46,16 +58,21 @@ def run_forked(
     ]
     try:
         shares = [marshal.loads(blob) for blob in _fork_workers(run, jobs, files, workers)]
-        failures = [w + error[0] * workers for w, (_rows, _marks, error) in enumerate(shares) if error]
+        place: list = [None] * len(jobs)  # job -> (worker, its position among that worker's runs)
+        for w, (ran, _rows, _marks, _error) in enumerate(shares):
+            for i, job in enumerate(ran):
+                place[job] = (w, i)
+        # a worker's failing run is its last; jobs are claimed in order, so every job
+        # before the earliest failing one was claimed and run to its end
+        failures = [ran[-1] for ran, _rows, _marks, error in shares if error is not None]
         done = min(failures) + 1 if failures else len(jobs)
         if trace is not None:
             # the failing run's records up to its failure too, as a serial sweep leaves them
-            for job in range(done):
-                marks = shares[job % workers][1]
-                i = job // workers
+            for w, i in place[:done]:
+                marks = shares[w][2]
                 start, before = marks[i - 1] if i else (0, 0)
                 end, after = marks[i]
-                _copy_range(files[job % workers].fileno(), start, end, trace.stream)
+                _copy_range(files[w].fileno(), start, end, trace.stream)
                 trace.count += after - before
     finally:
         for fh in files:
@@ -63,16 +80,19 @@ def run_forked(
     if failures:
         import pickle
 
-        raise pickle.loads(shares[(done - 1) % workers][2][1])
-    return [QosReport(*shares[job % workers][0][job // workers]) for job in range(len(jobs))]
+        raise pickle.loads(shares[place[done - 1][0]][3])
+    return [QosReport(*shares[w][1][i]) for w, i in place]
 
 
 def _fork_workers(run, jobs: list[tuple], files: list, workers: int) -> list[bytes]:
-    """Fork the workers, reap them all, and return each one's marshalled share."""
+    """Fork the workers, write them the job queue, reap them all, and return each one's marshalled share."""
     pids: list[int] = []
     readers: list[int] = []
     blobs: list[bytes] = []
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    # the job queue: the parent writes job numbers to *queue*, the workers read them from *claims*
+    reads, writes = os.pipe()
+    claims, queue = open(reads, "rb", buffering=0), open(writes, "wb", buffering=0)
     try:
         for w in range(workers):
             reader, writer = os.pipe()
@@ -82,10 +102,12 @@ def _fork_workers(run, jobs: list[tuple], files: list, workers: int) -> list[byt
                 if pid == 0:
                     status = 1
                     try:
+                        queue.close()  # the queue ends when the parent closes its end
                         if cpus:  # a worker the call fails for runs unpinned
                             with contextlib.suppress(OSError):
                                 os.sched_setaffinity(0, {cpus[w % len(cpus)]})
-                        share = _run_share(run, jobs[w::workers], files[w] if files else None)
+                        share = _run_share(run, jobs, claims, files[w] if files else None)
+                        claims.close()  # claims no more: once all have stopped, the parent's write fails, not waits
                         with open(writer, "wb", closefd=False) as pipe:
                             pipe.write(marshal.dumps(share))
                         status = 0
@@ -94,6 +116,12 @@ def _fork_workers(run, jobs: list[tuple], files: list, workers: int) -> list[byt
             finally:
                 os.close(writer)  # the pipe reads to its end once the worker is gone
             pids.append(pid)
+        claims.close()  # the workers hold the queue's only read ends
+        numbers = b"".join(job.to_bytes(_JOB_BYTES, "big") for job in range(len(jobs)))
+        with contextlib.suppress(BrokenPipeError):  # every worker has stopped at a failure
+            for start in range(0, len(numbers), _QUEUE_WRITE):
+                queue.write(numbers[start : start + _QUEUE_WRITE])
+        queue.close()  # at its end each worker sends its share and exits
         for reader in readers:
             with open(reader, "rb", closefd=False) as pipe:
                 blobs.append(pipe.read())
@@ -104,6 +132,8 @@ def _fork_workers(run, jobs: list[tuple], files: list, workers: int) -> list[byt
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        claims.close()
+        queue.close()
         for reader in readers:
             os.close(reader)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
@@ -113,28 +143,35 @@ def _fork_workers(run, jobs: list[tuple], files: list, workers: int) -> list[byt
     return blobs
 
 
-def _run_share(run, jobs: list[tuple], out) -> tuple:
-    """A worker's runs, in order, up to its first failure: ``(rows, marks, error)``.
+def _run_share(run, jobs: list[tuple], claims, out) -> tuple:
+    """The jobs a worker reads from the queue's read end *claims* and runs, up to its first failure.
 
-    ``rows`` holds each report as a plain tuple; ``marks[i]`` is ``(trace bytes,
-    trace records)`` written by the end of run ``i`` (the failing run
-    included); ``error`` is ``(i, pickled exception)`` or None.
+    Returns ``(ran, rows, marks, error)``: ``ran`` holds the jobs' numbers in
+    the order run, the failing one last; ``rows`` each report as a plain
+    tuple; ``marks[i]`` is ``(trace bytes, trace records)`` written by the end
+    of run ``i`` (the failing run included); ``error`` is the failing run's
+    pickled exception, or None.
     """
     trace = TraceLog(out) if out is not None else None
+    ran: list[int] = []
     rows: list[tuple] = []
     marks: list[tuple[int, int]] = []
-    for i, job in enumerate(jobs):
+    while number := claims.read(_JOB_BYTES):
+        if len(number) != _JOB_BYTES:
+            raise RuntimeError(f"a sweep worker read {len(number)} bytes of a job number")
+        job = int.from_bytes(number, "big")
+        ran.append(job)
         error = None
         try:
-            rows.append(tuple(run(*job, trace)))
+            rows.append(tuple(run(*jobs[job], trace)))
         except Exception as exc:  # handed to the parent, which raises it
-            error = (i, _pickled(exc))
+            error = _pickled(exc)
         if trace is not None:
             out.flush()
             marks.append((os.lseek(out.fileno(), 0, os.SEEK_CUR), trace.count))
         if error is not None:
-            return rows, marks, error
-    return rows, marks, None
+            return ran, rows, marks, error
+    return ran, rows, marks, None
 
 
 def _pickled(exc: Exception) -> bytes:

@@ -14,8 +14,10 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -828,7 +830,7 @@ def test_the_cli_imports_neither_dataclasses_nor_the_forked_sweep():
 
 
 def test_forked_sweep_raises_the_earliest_failing_run(monkeypatch, tmp_path, capsys):
-    # with two workers, IAX:75 (run 3) is worker 1's and RSW:25 (run 6) is worker 0's
+    # IAX:75 (run 3) fails first in grid order and RSW:25 (run 6) later, whichever worker takes each
     real = dict(experiment._RUNNERS)
 
     def failing(protocol):
@@ -869,27 +871,120 @@ def test_forked_sweep_reports_an_error_that_cannot_cross_processes(monkeypatch, 
     assert str(error) == "ProtocolViolation: signal NEW in state Up"
 
 
-def test_each_forked_worker_runs_on_its_own_cpu(monkeypatch):
+def test_each_forked_worker_runs_on_its_own_cpu(monkeypatch, tmp_path):
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     if len(cpus) < 2:
         pytest.skip(f"pinning the workers apart needs two usable CPUs; this process may use {len(cpus)}")
     cfg = SweepConfig(delay_end_ms=25.0 * (len(cpus) - 1), duration_s=0.1)  # one delay per CPU, two protocols
-    real = experiment.run_scenario
+    real_pin, real_run = os.sched_setaffinity, experiment.run_scenario
+    log = os.open(tmp_path / "pinned", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def pin(pid, mask):
+        # each worker notes its pid and the CPUs it may run on once pinned, whether or not it takes a run
+        real_pin(pid, mask)
+        os.write(log, f"{os.getpid()} {sorted(os.sched_getaffinity(0))}\n".encode())
 
     def report_cpus(protocol, delay_ms, cfg, trace=None):
         # a report's protocol field carries the worker's pid and the CPUs it may run on
-        return real(protocol, delay_ms, cfg, trace)._replace(protocol=f"{os.getpid()} {sorted(os.sched_getaffinity(0))}")
+        return real_run(protocol, delay_ms, cfg, trace)._replace(protocol=f"{os.getpid()} {sorted(os.sched_getaffinity(0))}")
 
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
     monkeypatch.setattr(experiment, "run_scenario", report_cpus)
     monkeypatch.setattr(experiment, "_worker_count", lambda runs: len(cpus))
-    workers = {}
-    for row in run_sweep(cfg):
+    try:
+        rows = run_sweep(cfg)
+    finally:
+        os.close(log)
+    lines = (tmp_path / "pinned").read_text().splitlines()
+    pinned = dict(line.split(" ", 1) for line in lines)
+    assert len(pinned) == len(lines) == len(cpus) and str(os.getpid()) not in pinned
+    masks = [json.loads(mask) for mask in pinned.values()]
+    assert all(len(mask) == 1 for mask in masks)
+    assert sorted(cpu for (cpu,) in masks) == cpus
+    # every run ran in one of those workers, on the CPU it was pinned to
+    for row in rows:
         pid, affinity = row.protocol.split(" ", 1)
-        workers.setdefault(pid, set()).add(affinity)
-    assert str(os.getpid()) not in workers and len(workers) == len(cpus)
-    pinned = [json.loads(affinity) for (affinity,) in workers.values()]  # one mask per worker
-    assert all(len(mask) == 1 for mask in pinned)
-    assert sorted(cpu for (cpu,) in pinned) == cpus
+        assert pinned[pid] == affinity
+
+
+def test_a_slowed_worker_leaves_its_runs_to_the_others(monkeypatch, tmp_path):
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2:
+        pytest.skip(f"slowing one of two pinned workers needs two usable CPUs; this process may use {len(cpus)}")
+    real = experiment.run_scenario
+    log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def slowed(protocol, delay_ms, cfg, trace=None):
+        # the worker pinned to the first CPU of the mask sleeps before each run; each run notes its CPUs
+        cpus_now = sorted(os.sched_getaffinity(0))
+        if cpus_now == cpus[:1]:
+            time.sleep(0.2)
+        os.write(log, f"{cpus_now}\n".encode())
+        return real(protocol, delay_ms, cfg, trace)
+
+    serial, serial_trace = _traced_sweep_with_workers(1, monkeypatch, tmp_path)
+    monkeypatch.setattr(experiment, "run_scenario", slowed)
+    try:
+        csv, trace = _traced_sweep_with_workers(2, monkeypatch, tmp_path)
+    finally:
+        os.close(log)
+    taken = Counter((tmp_path / "ran").read_text().splitlines())
+    assert sum(taken.values()) == 10 and set(taken) <= {str(cpus[:1]), str(cpus[1:2])}
+    assert taken[str(cpus[:1])] < taken[str(cpus[1:2])]
+    assert csv == serial
+    assert (trace.stream.getvalue(), trace.count) == (serial_trace.stream.getvalue(), serial_trace.count)
+
+
+@pytest.mark.parametrize("impairment", [{}, dict(loss_prob=0.05, dup_prob=0.05)], ids=repr)
+def test_no_run_depends_on_the_runs_before_it(impairment, monkeypatch):
+    # a worker of the shared queue runs a grid point after whichever runs it took before
+    monkeypatch.setattr(scenarios, "LinkConfig", functools.partial(LinkConfig, **impairment))
+    cfg = SweepConfig(**ODD_GRID)
+    runs = [(protocol, delay_ms) for protocol in cfg.protocols for delay_ms in sweep_points(cfg)]
+
+    def in_order(order):
+        """Each run's (row, trace records, record count) when *order* runs in one process."""
+        trace, results = TraceLog(io.StringIO()), {}
+        for run in order:
+            start, count = trace.stream.tell(), trace.count
+            row = run_scenario(*run, cfg, trace)
+            results[run] = (row, trace.stream.getvalue()[start:], trace.count - count)
+        return results
+
+    alone = {run: in_order([run])[run] for run in runs}
+    assert all(records > 0 for _row, _text, records in alone.values())
+    assert in_order(runs) == alone
+    assert in_order(runs[::-1]) == alone
+
+
+def test_an_all_failing_grid_longer_than_the_pipe_does_not_hang():
+    # 10,000 delays x 2 protocols is 80 KB of job numbers, more than a 64 KiB pipe holds; every
+    # worker stops at its first run, and the parent must stop writing the queue, not wait
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = """
+import os
+from voipsim import experiment
+
+def failing(delay_ms, cfg, trace=None):
+    raise ValueError(f"boom at {delay_ms:g}")
+
+experiment._RUNNERS = {"IAX": failing, "RSW": failing}
+experiment._worker_count = lambda runs: 2
+cfg = experiment.SweepConfig(delay_end_ms=9999.0, delay_step_ms=1.0, duration_s=0.1)
+assert len(experiment.sweep_points(cfg)) == experiment.MAX_DELAY_POINTS == 10_000
+try:
+    experiment.run_sweep(cfg)
+except ValueError as exc:
+    print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("every worker reaped")
+"""
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["boom at 0", "every worker reaped"]
 
 
 def test_sweep_stays_in_process_for_one_run_or_other_threads():
