@@ -15,7 +15,9 @@ worker writes its JSONL to an anonymous temporary file and notes where each
 run's records end; once every worker is reaped, the parent copies the runs'
 records into the caller's stream in job order, a bounded chunk at a time,
 and raises the exception of the earliest failing job.  Jobs are claimed in
-order, so every job before that one was claimed and run to its end.
+order, so every job before that one was claimed and run to its end.  A
+failing worker first reads the rest of the queue, so the others stop after
+their current runs and no run starts whose row the sweep would discard.
 Workers leave through ``os._exit``, so they never flush the parent's
 buffers or run its exit handlers.
 
@@ -107,7 +109,6 @@ def _fork_workers(run, jobs: list[tuple], files: list, workers: int) -> list[byt
                             with contextlib.suppress(OSError):
                                 os.sched_setaffinity(0, {cpus[w % len(cpus)]})
                         share = _run_share(run, jobs, claims, files[w] if files else None)
-                        claims.close()  # claims no more: once all have stopped, the parent's write fails, not waits
                         with open(writer, "wb", closefd=False) as pipe:
                             pipe.write(marshal.dumps(share))
                         status = 0
@@ -118,7 +119,7 @@ def _fork_workers(run, jobs: list[tuple], files: list, workers: int) -> list[byt
             pids.append(pid)
         claims.close()  # the workers hold the queue's only read ends
         numbers = b"".join(job.to_bytes(_JOB_BYTES, "big") for job in range(len(jobs)))
-        with contextlib.suppress(BrokenPipeError):  # every worker has stopped at a failure
+        with contextlib.suppress(BrokenPipeError):  # every worker has died; their statuses say how
             for start in range(0, len(numbers), _QUEUE_WRITE):
                 queue.write(numbers[start : start + _QUEUE_WRITE])
         queue.close()  # at its end each worker sends its share and exits
@@ -146,6 +147,10 @@ def _fork_workers(run, jobs: list[tuple], files: list, workers: int) -> list[byt
 def _run_share(run, jobs: list[tuple], claims, out) -> tuple:
     """The jobs a worker reads from the queue's read end *claims* and runs, up to its first failure.
 
+    A failing worker then reads the queue to its end, so every other worker
+    stops after its current run.  The jobs it drops all come after the failing
+    one, and each read takes whole job numbers, as each write holds them.
+
     Returns ``(ran, rows, marks, error)``: ``ran`` holds the jobs' numbers in
     the order run, the failing one last; ``rows`` each report as a plain
     tuple; ``marks[i]`` is ``(trace bytes, trace records)`` written by the end
@@ -170,6 +175,8 @@ def _run_share(run, jobs: list[tuple], claims, out) -> tuple:
             out.flush()
             marks.append((os.lseek(out.fileno(), 0, os.SEEK_CUR), trace.count))
         if error is not None:
+            while claims.read(_QUEUE_WRITE):
+                pass
             return ran, rows, marks, error
     return ran, rows, marks, None
 

@@ -11,14 +11,13 @@ A :class:`Link` is one direction of the link, ``src`` to ``dst``.  Packet timing
 where 28 bytes (``OVERHEAD_BYTES``) are the IPv4 and UDP headers of every packet.
 
 ``Link.transmit(sim, pkt)`` models the lossy media channel (loss, duplication,
-reordering, jitter), drawing four values per packet from ``sim.rng``, the one
-stream both directions share.  An unimpaired link makes no RNG call: it owes the
-simulator the four draws' eight 32-bit words, and reading ``sim.rng`` first
-draws every word owed, so any reader sees the state four draws per send leave.
-``Link.reliable_send(sim, pkt)`` models the in-order signaling channel and never
-consumes randomness.  ``Simulator.deliver_local`` moves a packet
-between co-located nodes at no cost: it arrives at the current time, after
-the events already due then.  No scenario calls it.
+reordering, jitter).  An impaired link draws four values per packet from
+``sim.rng``, the one stream both directions share; an unimpaired link makes no
+RNG call.  ``Link.reliable_send(sim, pkt)`` models the in-order channel for
+signaling and full frames, and never consumes randomness.
+``Simulator.deliver_local`` moves a packet between co-located nodes at no
+cost: it arrives at the current time, after the events already due then.  No
+scenario calls it.
 
 An event is a heap entry ``(due, seq, dst, payload)``; ``seq`` is unique, so
 the heap never compares ``dst`` or ``payload``.  ``run_until_idle(handlers)``
@@ -96,36 +95,17 @@ def serialization_ms(link: LinkConfig | Link, size_bytes: int) -> float:
 Handler = Callable[["bytes | None"], object]
 
 
-# the most 32-bit words one getrandbits call draws when owed words are settled
-_SETTLE_WORDS = 1 << 15
-
-
 class Simulator:
     """Event queue, virtual clock, and seeded randomness for one run."""
 
-    __slots__ = ("now", "dispatched", "_rng", "_owed", "_heap", "_next_seq")
+    __slots__ = ("now", "dispatched", "rng", "_heap", "_next_seq")
 
     def __init__(self, seed: int = 1):
         self.now: float = 0.0
-        self._rng = random.Random(seed)
-        self._owed = 0  # 32-bit words the unimpaired sends skipped, drawn when ``rng`` is read
+        self.rng = random.Random(seed)
         self.dispatched = 0
         self._heap: list[tuple[float, int, str, bytes | None]] = []
         self._next_seq = 0
-
-    @property
-    def rng(self) -> random.Random:
-        """The run's RNG, with the words owed to it drawn first."""
-        owed, self._owed = self._owed, 0
-        while owed > 0:
-            self._rng.getrandbits(32 * min(owed, _SETTLE_WORDS))
-            owed -= _SETTLE_WORDS
-        return self._rng
-
-    @rng.setter
-    def rng(self, rng: random.Random) -> None:
-        self.rng  # draws the words owed to the RNG it replaces
-        self._rng = rng
 
     def schedule(self, due: float, dst: str, payload: bytes | None) -> None:
         """Queue ``payload`` for ``dst``; ``due`` must not precede the current clock, nor be NaN."""
@@ -190,18 +170,16 @@ class Link:
     def transmit(self, sim: Simulator, pkt: bytes) -> list[float]:
         """Send over the lossy media channel; returns the arrival times queued.
 
-        Four ``sim.rng`` draws happen on every call (loss, duplicate, reorder, jitter) in that
-        fixed order, so event streams stay aligned across configs with the same seed.  An
-        unimpaired link owes their eight 32-bit words instead, and reading ``sim.rng`` draws
-        them.  A reordered packet skips the configured delay.  Arrival never precedes
-        ``now + serialization``.
+        An impaired link makes four ``sim.rng`` draws on every call (loss, duplicate, reorder,
+        jitter) in that fixed order, so the n-th send takes the same draws under any impaired
+        config with the same seed.  An unimpaired link makes no RNG call.  A reordered packet
+        skips the configured delay.  Arrival never precedes ``now + serialization``.
         """
         size = len(pkt)
         if size == 0:
             raise EmptyPacket(f"{self.src}->{self.dst}")
         ser = 8.0 * (size + OVERHEAD_BYTES) * 1000.0 / self.link_rate_bps  # serialization_ms
         if not self._impaired:  # the arrival that four zero impairments give below
-            sim._owed += 8
             sim.schedule(arrival := sim.now + ser + self.delay_ms, self.dst, pkt)
             return [arrival]
         rand = sim.rng.random

@@ -5,8 +5,10 @@ emulated WAN link and add each counted frame's one-way delay to a
 ``MediaStats`` as the frame arrives:
 
 * two-party call: caller places the call, the callee auto-answers, media
-  runs caller -> callee in mini frames (full frames only to anchor), then
-  the caller hangs up;
+  runs caller -> callee in mini frames, then the caller hangs up.  The first
+  voice frame is an uncounted full frame that anchors the callee's timestamp
+  window; it rides the reliable channel, as RFC 5456 sends full frames, so
+  every ``Link.transmit`` of either scenario carries one counted frame;
 * conference: the chairman CREATEs with one invitee, the invitee JOINs,
   media runs chairman -> server -> invitee as RTP, then the chairman ENDs.
   The invitee sits on the server's host, which is one node: the server
@@ -248,7 +250,10 @@ def _iax_caller(sim: Simulator, config: LinkConfig, cfg: SweepConfig, stats: Med
             )
         # The first voice frame is a full frame that anchors the receiver's
         # 16-bit timestamp window; its size differs, so it goes uncounted.
-        transmit(sim, endpoint.send_media(bytes(cfg.payload_bytes), sim.now)[1])
+        # A full frame is sent reliably, so it takes no impairment draws.
+        anchor = endpoint.send_media(bytes(cfg.payload_bytes), sim.now)[1]
+        trace.add(sim.now, "media", src="caller", dst="callee", bytes=len(anchor))
+        link.reliable_send(sim, anchor)
         return cfg.frame_interval_ms
 
     def hang_up():

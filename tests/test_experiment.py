@@ -362,8 +362,7 @@ def test_events_dispatched_per_run_at_200_ms(monkeypatch):
 
 
 def test_unimpaired_runs_make_no_call_on_the_simulators_rng(monkeypatch):
-    # each media send owes the four draws' eight words; nothing reads the RNG while the
-    # run lasts, so nothing is drawn, and a reader afterwards sees four draws per send
+    # no send of an unimpaired run draws, so each run leaves its RNG as the seed left it
     sims = []
 
     class WatchedSimulator(Simulator):
@@ -376,15 +375,10 @@ def test_unimpaired_runs_make_no_call_on_the_simulators_rng(monkeypatch):
     cfg = SweepConfig(duration_s=1.0)
     scenarios.run_iax_call(200.0, cfg)
     scenarios.run_rsw_conference(200.0, cfg)
-    # IAX sends the anchor full frame before its 50 counted frames
-    for sim, sends in zip(sims, (51, 50)):
-        logged = sim._rng
-        assert logged.calls == []
-        ref = random.Random(cfg.seed)
-        for _ in range(4 * sends):
-            ref.random()
-        assert sim.rng is logged and logged.getstate() == ref.getstate()
-        assert logged.calls == [f"getrandbits({32 * 8 * sends})"]
+    assert len(sims) == 2
+    for sim in sims:
+        assert sim.rng.calls == []
+        assert sim.rng.getstate() == random.Random(cfg.seed).getstate()
 
 
 def _python_calls(run, duration_s: float) -> int:
@@ -783,6 +777,35 @@ def test_tracing_never_changes_an_impaired_run(protocol, impairment, monkeypatch
     assert [text for *_, text in impaired] != [text for *_, text in clean]
 
 
+def _lost_frames(run, delay_ms: float, cfg: SweepConfig) -> set[int]:
+    """The ordinals of the counted frames a run lost: those left in flight, from their send times."""
+    stats = run(delay_ms, cfg)
+    # the first counted tick: one interval after setup for IAX, which sends its uncounted
+    # anchor at setup, and at setup for RSW
+    first = stats.setup_ms + (cfg.frame_interval_ms if run is run_iax_call else 0.0)
+    lost = {round((sent - first) / cfg.frame_interval_ms) for sent in stats._in_flight.values()}
+    assert len(lost) == stats.frames_sent - stats.frames_recv  # nothing arrives after the run
+    return lost
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    loss=st.floats(0.01, 0.5),
+    delays=st.lists(st.floats(0.0, 1500.0), min_size=2, max_size=2),
+)
+@example(seed=1, loss=0.05, delays=[200.0, 0.0])
+def test_both_protocols_lose_the_same_frames_at_any_delay(seed, loss, delays):
+    # each counted frame takes the same four draws in both protocols (common random numbers),
+    # so at one seed IAX and RSW lose the same frames, and the delay moves none of them
+    cfg = SweepConfig(duration_s=2.0, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "LinkConfig", functools.partial(LinkConfig, loss_prob=loss))
+        lost = [_lost_frames(run, delay_ms, cfg) for delay_ms in delays
+                for run in (run_iax_call, scenarios.run_rsw_conference)]
+    assert all(frames == lost[0] for frames in lost[1:]), lost
+
+
 # -- the sweep across processes ---------------------------------------------------------
 
 ODD_GRID = dict(delay_end_ms=100.0, duration_s=0.5)  # 5 delays x 2 protocols
@@ -955,6 +978,29 @@ def test_no_run_depends_on_the_runs_before_it(impairment, monkeypatch):
     assert all(records > 0 for _row, _text, records in alone.values())
     assert in_order(runs) == alone
     assert in_order(runs[::-1]) == alone
+
+
+def test_a_forked_sweep_starts_no_run_after_its_first_failure(tmp_path):
+    # job 0 fails at once; each worker then stops after its current run, where a serial
+    # sweep would stop after one, and runs no job whose row the parent would discard
+    workers, log = 2, os.open(tmp_path / "started", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def run(job, trace):
+        os.write(log, f"{job}\n".encode())
+        if job == 0:
+            raise ValueError("boom at job 0")
+        time.sleep(0.2)
+        return (job,)
+
+    try:
+        with pytest.raises(ValueError, match="^boom at job 0$"):
+            forked.run_forked(run, [(job,) for job in range(40)], None, workers)
+    finally:
+        os.close(log)
+    started = (tmp_path / "started").read_text().split()
+    assert "0" in started and len(started) <= 2 * workers
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
 
 
 def test_an_all_failing_grid_longer_than_the_pipe_does_not_hang():
