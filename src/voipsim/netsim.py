@@ -1,8 +1,9 @@
 """Deterministic discrete-event emulation of a single delayed link.
 
 :class:`Simulator` is a run's event core: the virtual clock, the one seeded
-RNG and the event heap, dispatched strictly in ``(due, seq)`` order (``seq``
-counts every scheduling), so a seed and a scenario replay identically.
+RNG, the heap of packets and the one pending timer tick, dispatched strictly
+in ``(due, seq)`` order (``seq`` counts every packet and tick queued), so a
+seed and a scenario replay identically.
 
 A :class:`Link` is one direction of the link, ``src`` to ``dst``.  Packet timing::
 
@@ -19,16 +20,19 @@ signaling and full frames, and never consumes randomness.
 cost: it arrives at the current time, after the events already due then.  No
 scenario calls it.
 
-An event is a heap entry ``(due, seq, dst, payload)``; ``seq`` is unique, so
-the heap never compares ``dst`` or ``payload``.  ``run_until_idle(handlers)``
-dispatches each as ``handlers[dst](payload)``: a delivered packet's payload is
-its bytes, and a timer tick's is ``None``.  The simulator holds no handler, so a
-node may hold ``sim`` without a reference cycle.  A handler may be a
-generator's ``send``: when the generator returns, dispatch drops it from
-``handlers``.  :meth:`Simulator.schedule` is the one entry to the queue: every
-send and timer goes through it, so its ``due >= now`` guard and the
-``(due, seq)`` order hold for all of them.  The send methods return the
-arrival times they queued.
+An event is ``(due, seq, dst, payload)``; ``seq`` is unique, so comparing two
+events never reaches ``dst`` or ``payload``.  ``run_until_idle(handlers)``
+dispatches each as ``handlers[dst](payload)``.  A packet is a heap entry whose
+payload is its bytes, and :meth:`Simulator.schedule` is the one entry to the
+heap: every send goes through it.  A timer tick is not on the heap.  A handler
+asks for one by returning its due, and the tick reaches ``dst`` as a ``None``
+payload.  A run holds at most one tick pending, beside the heap, with the
+``seq`` it takes as its handler returns.  Ticks and packets therefore share
+the ``due >= now`` guard and the ``(due, seq)`` order.  The simulator holds no
+handler, so a node may hold ``sim`` without a reference cycle.  A handler may
+be a generator's ``send``: a script yields its next tick's due, or a bare
+``yield`` to wait for a packet, and when the generator returns, dispatch drops
+it from ``handlers``.  The send methods return the arrival times they queued.
 """
 
 from __future__ import annotations
@@ -91,8 +95,9 @@ def serialization_ms(link: LinkConfig | Link, size_bytes: int) -> float:
     return 8.0 * (size_bytes + OVERHEAD_BYTES) * 1000.0 / link.link_rate_bps
 
 
-# a handler gets the event's payload: the packet, or None for a timer tick
-Handler = Callable[["bytes | None"], object]
+# a handler gets the event's payload, the packet or None for a timer tick, and returns
+# None or the due of the next tick it asks for
+Handler = Callable[["bytes | None"], "float | None"]
 
 
 class Simulator:
@@ -104,10 +109,10 @@ class Simulator:
         self.now: float = 0.0
         self.rng = random.Random(seed)
         self.dispatched = 0
-        self._heap: list[tuple[float, int, str, bytes | None]] = []
+        self._heap: list[tuple[float, int, str, bytes]] = []  # packets only; ticks stay off it
         self._next_seq = 0
 
-    def schedule(self, due: float, dst: str, payload: bytes | None) -> None:
+    def schedule(self, due: float, dst: str, payload: bytes) -> None:
         """Queue ``payload`` for ``dst``; ``due`` must not precede the current clock, nor be NaN."""
         if not due >= self.now:  # not `due < now`, which a NaN due passes
             raise ValueError(f"due {due} precedes now {self.now}")
@@ -122,20 +127,44 @@ class Simulator:
         self.schedule(self.now, dst, pkt)
         return self.now
 
-    def run_until_idle(self, handlers: dict[str, Handler], horizon_ms: float | None = None) -> float:
-        """Dispatch events in (due, seq) order to ``handlers[dst](payload)`` until the queue drains.
+    def run_until_idle(self, handlers: dict[str, Handler], horizon_ms: float | None = None,
+                       tick: tuple[float, str] | None = None) -> float:
+        """Dispatch events in (due, seq) order to ``handlers[dst](payload)`` until none is left.
 
         Returns the final clock value (0.0 for an initially empty queue).
         An event due past ``horizon_ms`` raises :class:`HorizonExceeded`.
-        A handler that raises ``StopIteration``, a generator's ``send`` as
-        the generator returns, is done: it is dropped from ``handlers``.
+        ``tick``, ``(due, dst)``, is a timer tick pending at the start: a
+        script's first yielded due.  A handler that returns a due asks for a
+        tick to ``dst`` then; it must be a number, not NaN, not before the
+        clock, and no other tick may be pending.  A handler that raises
+        ``StopIteration``, a generator's ``send`` as the generator returns, is
+        done: it is dropped from ``handlers``.
         """
         heap = self._heap
         limit = float("inf") if horizon_ms is None else horizon_ms
+        asked, dst = (None, None) if tick is None else tick
+        pending = None  # the one tick, (due, seq, dst, None): a heap entry kept off the heap
         dispatched = 0  # a local, added once: an attribute update per event costs more
         try:
-            while heap:
-                due, _seq, dst, payload = heappop(heap)
+            while True:
+                if asked is not None:
+                    try:
+                        not_past = asked >= self.now  # not `asked < now`, which a NaN due passes
+                    except TypeError:  # what every non-number raises; an isinstance check per tick costs more
+                        raise TypeError(f"a tick for {dst!r} was asked at {asked!r}, not at a number") from None
+                    if not not_past:
+                        raise ValueError(f"due {asked} precedes now {self.now}")
+                    if pending is not None:
+                        raise RuntimeError(f"{dst!r} asked for a tick while the tick for {pending[2]!r} was pending")
+                    seq = self._next_seq
+                    self._next_seq = seq + 1
+                    pending = (asked, seq, dst, None)
+                if pending is not None and (not heap or pending < heap[0]):
+                    (due, _seq, dst, payload), pending = pending, None
+                elif heap:
+                    due, _seq, dst, payload = heappop(heap)
+                else:
+                    break
                 if due > limit:
                     raise HorizonExceeded(f"event for {dst} due {due} > horizon {horizon_ms}")
                 self.now = due
@@ -143,9 +172,10 @@ class Simulator:
                 if handler is None:
                     raise LookupError(f"no handler for {dst!r}")
                 try:
-                    handler(payload)
+                    asked = handler(payload)
                 except StopIteration:
                     del handlers[dst]
+                    asked = None
                 dispatched += 1
         finally:
             self.dispatched += dispatched

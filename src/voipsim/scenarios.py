@@ -16,11 +16,13 @@ emulated WAN link and add each counted frame's one-way delay to a
   calls, within the event that brought them.
 
 The caller and the chairman are scripts: generators that the event core resumes with each
-packet's bytes, or ``None`` for a timer tick.  Each runs its protocol's opening, the paced
-loop of counted frames in ``_media_source`` and its protocol's closing, then returns.  The
-callee and the server's host are handler nodes: ``handle(data)``.  Each per-packet send and
-arrival is bound when its node is built: straight to the link and stats, or in a traced run
-to a wrapper that writes the ``media``, ``relay`` or ``deliver`` record first.
+packet's bytes, or ``None`` for a timer tick.  A script asks for its next tick by yielding
+the tick's due, and waits for a packet with a bare ``yield``.  Each runs its protocol's
+opening, the paced loop of counted frames in ``_media_source`` and its protocol's closing,
+then returns.  The callee and the server's host are handler nodes: ``handle(data)``.  Each
+per-packet send and arrival is bound when its node is built: straight to the link and
+stats, or in a traced run to a wrapper that writes the ``media``, ``relay`` or ``deliver``
+record first.
 
 The configured one-way delay is paid once per end-to-end path; the
 server-to-member hop of a co-located relay is free.  With identical
@@ -183,15 +185,17 @@ class PacketWhilePacing(RuntimeError):
         super().__init__(f"{node} got a packet while it waited for a tick")
 
 
-def _run(protocol: str, delay_ms: float, cfg: SweepConfig, trace, sim: Simulator, source, handlers: dict) -> float:
-    """Start ``source``, the media source's script, and drain the run; returns the final clock.
+def _run(protocol: str, delay_ms: float, cfg: SweepConfig, trace, sim: Simulator, name: str, source,
+         handlers: dict) -> float:
+    """Start ``source``, the script of the media source ``name``, and drain the run; returns the final clock.
 
-    ``handlers`` maps each node's name to its handler, ``source.send`` included.
+    ``handlers`` maps each other node's name to its handler; ``source.send`` joins it as ``name``'s.
     """
     horizon_ms = cfg.run_horizon_ms(delay_ms, protocol)  # refuses a run past its clock before it starts
     trace.begin(label := f"{protocol}:{delay_ms:g}")
-    next(source)  # the script runs to its first wait
-    end = sim.run_until_idle(handlers, horizon_ms)
+    handlers[name] = source.send
+    due = next(source)  # the script runs to its first wait: for a packet, or for the tick it yields
+    end = sim.run_until_idle(handlers, horizon_ms, None if due is None else (due, name))
     if source.gi_frame is not None:
         raise RunNotEnded(f"run {label} drained its events before its media source's script returned")
     return end
@@ -210,24 +214,24 @@ def _media_source(sim: Simulator, name: str, transmit, cfg: SweepConfig, stats: 
                   opening, next_frame, closing):
     """The script of a run's media source, resumed with each packet's bytes or a tick's ``None``.
 
-    ``opening`` signals until media may flow and returns the delay of the first tick.  Each
-    tick then sends one counted frame, ``next_frame(payload, now) -> (stats key, wire bytes)``,
-    and the tick after the last runs ``closing``.  A packet that arrives while the script
-    waits for a tick raises :class:`PacketWhilePacing`.
+    ``opening`` signals until media may flow and returns the delay of the first tick.  The
+    script yields each tick's due, and each tick sends one counted frame, ``next_frame(payload,
+    now) -> (stats key, wire bytes)``; the tick after the last runs ``closing``.  A packet that
+    arrives while the script waits for a tick raises :class:`PacketWhilePacing`.
     """
     first_tick_ms = yield from opening
     stats.setup_ms = now = sim.now
-    sim.schedule(now + first_tick_ms, name, None)
+    due = now + first_tick_ms
     interval, payload, in_flight = cfg.frame_interval_ms, bytes(cfg.payload_bytes), stats._in_flight
     for _ in range(cfg.media_frame_count()):
-        if (yield) is not None:
+        if (yield due) is not None:
             raise PacketWhilePacing(name)
         key, data = next_frame(payload, now := sim.now)
         in_flight[key] = now
         stats.frames_sent += 1
         transmit(sim, data)
-        sim.schedule(now + interval, name, None)  # the next tick
-    if (yield) is not None:
+        due = now + interval  # the next tick
+    if (yield due) is not None:
         raise PacketWhilePacing(name)
     yield from closing
 
@@ -296,7 +300,7 @@ def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = Non
     stats, sim = MediaStats(), Simulator(seed=cfg.seed)
     trace = _NO_TRACE if trace is None else trace
     caller, callee = _iax_caller(sim, config, cfg, stats, trace), _IaxCalleeNode(sim, config, stats, trace)
-    _run("IAX", delay_ms, cfg, trace, sim, caller, {"caller": caller.send, "callee": callee.handle})
+    _run("IAX", delay_ms, cfg, trace, sim, "caller", caller, {"callee": callee.handle})
     return stats
 
 
@@ -379,5 +383,5 @@ def run_rsw_conference(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None
     stats, sim = MediaStats(), Simulator(seed=cfg.seed)
     trace = _NO_TRACE if trace is None else trace
     chair, server = _rsw_chair(sim, wan, cfg, stats, trace), _RswServerNode(sim, wan, stats, trace)
-    _run("RSW", delay_ms, cfg, trace, sim, chair, {"chair": chair.send, "server": server.handle})
+    _run("RSW", delay_ms, cfg, trace, sim, "chair", chair, {"server": server.handle})
     return stats

@@ -712,6 +712,25 @@ def test_relay_tie_grid_matches_golden_digests(tmp_path, capsys):
     assert _relays_are_delivered_at_once(jsonl.decode("ascii")) == 11 * 100
 
 
+def test_iax_tie_grid_matches_golden_digests(tmp_path, capsys):
+    # at delay 8 + 20k ms a 164-byte mini frame (12 ms of wire) reaches the callee
+    # at the instant of the caller's next tick.  The arrival was queued by the
+    # tick before, so its delivery comes first, then that tick's frame.
+    out, trace = tmp_path / "tie.csv", tmp_path / "tie.jsonl"
+    argv = ["--protocol", "iax", "--delay-start", "8", "--delay-end", "208", "--delay-step", "20",
+            "--duration", "2", "--out", str(out), "--trace", str(trace)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    csv, jsonl = out.read_bytes(), trace.read_bytes()
+    assert len(csv.splitlines()) == 12
+    assert hashlib.sha256(csv).hexdigest() == "e87123bd5d6f35b660c1931c0b08c0ed5625dd30458f6a6366980b84a4103734"
+    assert hashlib.sha256(jsonl).hexdigest() == "d923112a751f973ec55c8cb924e569c357beb4090e6c647ba171fea46015f360"
+    records = [json.loads(line) for line in jsonl.splitlines()]
+    ties = sum(a["kind"] == "deliver" and b["kind"] == "media" and (a["scenario"], a["t"]) == (b["scenario"], b["t"])
+               for a, b in zip(records, records[1:]))
+    assert ties == 1_034
+
+
 def test_repeated_sweep_is_byte_identical(tmp_path):
     cfg = SweepConfig(delay_end_ms=25.0, duration_s=0.5)
     blobs = []
@@ -1336,8 +1355,7 @@ def test_cli_reports_a_run_past_its_horizon(tmp_path, capsys, monkeypatch):
     # a media source that never tears down ticks on past its schedule
     def tick_again(sim, name, cfg):
         while True:
-            sim.schedule(sim.now + cfg.frame_interval_ms, name, None)
-            yield
+            yield sim.now + cfg.frame_interval_ms
 
     _with_closing(monkeypatch, tick_again)
     monkeypatch.chdir(tmp_path)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import LoggedRandom
+from voipsim import scenarios
+from voipsim.experiment import SweepConfig
 from voipsim.netsim import (
     EmptyPacket,
     HorizonExceeded,
@@ -15,6 +17,7 @@ from voipsim.netsim import (
     serialization_ms,
 )
 from voipsim.qos import NegativeDelay
+from voipsim.scenarios import MediaStats
 
 
 def _sink(sim, log):
@@ -195,8 +198,11 @@ def test_reliable_send_two_signals_arrive_in_send_order():
     link = Link(LinkConfig(delay_ms=100.0), "a", "b")
     log = []
     link.reliable_send(sim, b"first")
-    sim.schedule(1.0, "a", None)
-    sim.run_until_idle({"b": _sink(sim, log), "a": lambda data: link.reliable_send(sim, b"second")})
+
+    def send_second(_tick):  # returns None: a returned arrival time would ask for a tick at it
+        link.reliable_send(sim, b"second")
+
+    sim.run_until_idle({"b": _sink(sim, log), "a": send_second}, tick=(1.0, "a"))
     assert [p for _, p in log] == [b"first", b"second"]
 
 
@@ -277,6 +283,90 @@ def test_same_due_dispatches_in_scheduling_order():
     sim.schedule(5.0, "x", b"two")
     sim.run_until_idle({"x": _sink(sim, log)})
     assert [p for _, p in log] == [b"one", b"two"]
+
+
+@pytest.mark.parametrize("tick_first", [True, False])
+def test_a_tick_and_a_packet_due_at_once_dispatch_in_scheduling_order(tick_first):
+    # a tick takes its seq as the handler asking for it returns, so a packet queued
+    # before that comes first at the same instant, and one queued after comes second
+    sim = Simulator(seed=1)
+    log = []
+
+    def handler(data):
+        log.append((sim.now, data))
+        if data == b"ask":
+            return 5.0
+        if data == b"send":
+            sim.schedule(5.0, "x", b"packet")
+        return None
+
+    sim.schedule(1.0, "x", b"ask" if tick_first else b"send")
+    sim.schedule(2.0, "x", b"send" if tick_first else b"ask")
+    sim.run_until_idle({"x": handler})
+    assert log[2:] == ([(5.0, None), (5.0, b"packet")] if tick_first else [(5.0, b"packet"), (5.0, None)])
+    assert sim.dispatched == 4 and sim._heap == []
+
+
+@pytest.mark.parametrize("due", [float("nan"), 0.5])
+@pytest.mark.parametrize("primed", [True, False], ids=["pending-at-start", "returned"])
+def test_a_tick_due_nan_or_before_now_is_refused(due, primed):
+    # the guard schedule() keeps for packets: let in, such a tick would run the clock backwards
+    sim = Simulator(seed=1)
+    sim.schedule(1.0, "x", b"p")
+    if primed:
+        sim.run_until_idle({"x": _sink(sim, [])})
+    with pytest.raises(ValueError, match="precedes now 1.0"):
+        sim.run_until_idle({"x": lambda data: due}, tick=(due, "x") if primed else None)
+
+
+def test_a_tick_past_the_horizon_is_refused():
+    sim = Simulator(seed=1)
+    seen = []
+
+    def ticker(data):  # never stops asking
+        seen.append((sim.now, data))
+        return sim.now + 20.0
+
+    with pytest.raises(HorizonExceeded, match="due 60.0 > horizon 50.0"):
+        sim.run_until_idle({"x": ticker}, horizon_ms=50.0, tick=(0.0, "x"))
+    assert seen == [(0.0, None), (20.0, None), (40.0, None)]
+
+
+@pytest.mark.parametrize("returned", ["5.0", [5.0], (5.0, "x")])
+def test_a_handler_returning_neither_none_nor_a_number_is_refused(returned):
+    # e.g. a handler that hands back Link.transmit's list of arrivals
+    sim = Simulator(seed=1)
+    sim.schedule(1.0, "x", b"p")
+    with pytest.raises(TypeError, match="not at a number"):
+        sim.run_until_idle({"x": lambda data: returned})
+
+
+def test_a_second_pending_tick_is_refused():
+    # a run holds one tick; a second would silently replace it
+    sim = Simulator(seed=1)
+    sim.schedule(1.0, "y", b"p")
+    with pytest.raises(RuntimeError, match="'y' asked for a tick while the tick for 'x' was pending"):
+        sim.run_until_idle({"x": _sink(sim, []), "y": lambda data: 3.0}, tick=(5.0, "x"))
+
+
+def test_a_script_whose_opening_does_not_wait_gets_its_first_tick():
+    # the run primes the script, which yields its first due without waiting for a
+    # packet: the simulator must still dispatch that tick
+    def opening():
+        yield from ()
+        return 7.0
+
+    sim, stats, sent = Simulator(seed=1), MediaStats(), []
+    cfg = SweepConfig(duration_s=0.1)  # 5 frames of 20 ms
+
+    def transmit(sim, data):
+        sent.append(sim.now)
+
+    source = scenarios._media_source(sim, "s", transmit, cfg, stats, opening(),
+                                     lambda payload, now: (len(sent), payload), iter(()))
+    assert scenarios._run("IAX", 0.0, cfg, scenarios._NO_TRACE, sim, "s", source, {}) == 107.0
+    assert sent == [7.0, 27.0, 47.0, 67.0, 87.0]
+    assert (stats.setup_ms, stats.frames_sent, sim.dispatched) == (0.0, 5, 6)
 
 
 def test_schedule_in_the_past_rejected():
@@ -363,8 +453,7 @@ def test_deliver_local_arrives_at_once():
     log = []
     handlers = {"x": _sink(sim, log)}
     assert sim.deliver_local(b"a", "x") == 0.0
-    sim.schedule(2.5, "x", None)
-    sim.run_until_idle(handlers)
+    sim.run_until_idle(handlers, tick=(2.5, "x"))
     assert sim.deliver_local(b"b", "x") == 2.5  # from the clock as it stands, not from zero
     sim.run_until_idle(handlers)
     assert log == [(0.0, b"a"), (2.5, None), (2.5, b"b")]  # the timer tick reaches its handler as None
@@ -379,10 +468,10 @@ def test_dispatch_trace_is_deterministic():
         def ticker(data):
             if sim.now < 200.0:
                 link.transmit(sim, bytes(50))
-                sim.schedule(sim.now + 10.0, "a", None)
+                return sim.now + 10.0  # the next tick
+            return None
 
-        sim.schedule(0.0, "a", None)
-        sim.run_until_idle({"b": _sink(sim, log), "a": ticker})
+        sim.run_until_idle({"b": _sink(sim, log), "a": ticker}, tick=(0.0, "a"))
         return log
 
     assert run() == run()
