@@ -21,8 +21,7 @@ the tick's due, and waits for a packet with a bare ``yield``.  Each runs its pro
 opening, the paced loop of counted frames in ``_media_source`` and its protocol's closing,
 then returns.  The callee and the server's host are handler nodes: ``handle(data)``.  Each
 per-packet send and arrival is bound when its node is built: straight to the link and
-stats, or in a traced run to a wrapper that writes the ``media``, ``relay`` or ``deliver``
-record first.
+stats, or in a traced run to a writer of its ``media``, ``relay`` or ``deliver`` line.
 
 The configured one-way delay is paid once per end-to-end path; the
 server-to-member hop of a co-located relay is free.  With identical
@@ -75,12 +74,10 @@ class TraceLog:
     """Writes event records to a text stream as JSON Lines as they happen.
 
     After ``begin(label)`` every record carries ``"scenario": label`` as its
-    first key, then ``t`` and ``kind``.  Control records go through ``add``,
-    which JSON-encodes their fields.  The per-packet records (``media``,
-    ``relay``, ``deliver``) go through ``packet``: each node encodes their
-    fixed fields once, and a record writes only its time and its one varying
-    integer, in the bytes ``add`` would write for the same fields.
-    Nothing is kept per record; ``count`` is the number of lines written.
+    first key, then ``t`` and ``kind``.  ``add`` JSON-encodes a record's
+    fields; the per-packet records are written, in the same bytes, by the
+    writers ``_traced`` binds.  Nothing is kept per record; ``count`` is the
+    number of lines written.
     """
 
     def __init__(self, stream: TextIO):
@@ -94,12 +91,6 @@ class TraceLog:
     def add(self, t: float, kind: str, **fields) -> None:
         # splice the encoded fields in after the head
         self.stream.write(self._head + _encode({"t": t, "kind": kind, **fields})[1:] + "\n")
-        self.count += 1
-
-    def packet(self, t: float, tail: str, value: int) -> None:
-        """Write ``add(t, kind, **fields, key=value)``; ``tail`` is ``_packet_tail(kind, key, **fields)``."""
-        # json writes a finite float as its repr and an int as its decimal digits
-        self.stream.write(f'{self._head}"t":{t!r},{tail}{value:d}}}\n')
         self.count += 1
 
 
@@ -117,20 +108,48 @@ class _NoTrace:
 _NO_TRACE = _NoTrace()
 
 
-def _packet_tail(kind: str, key: str, **fields) -> str:
-    """The encoded ``"kind":…`` through ``"key":`` of a ``TraceLog.packet`` record."""
-    return _encode({"kind": kind, **fields})[1:-1] + "," + _encode(key) + ":"
+def _packet_text(trace: TraceLog, kind: str, key: str, **fields) -> tuple[str, str]:
+    """The text ``trace.add(t, kind, **fields, key=value)`` writes before ``t`` and before ``value``."""
+    return trace._head + '"t":', "," + _encode({"kind": kind, **fields})[1:-1] + "," + _encode(key) + ":"
 
 
 def _traced(trace, forward, kind: str, key: str, **fields):
-    """``forward``, or in a traced run a wrapper writing the ``kind`` record first: of a
-    send ``(sim, data)`` for ``"bytes"``, else of an arrival ``(key, now)``.  It holds no node."""
+    """``forward``, or in a traced run a writer of the ``kind`` record that returns ``forward(...)``:
+    of a send ``(sim, data)`` for ``"bytes"``, else of an arrival ``(key, now)``.  It holds the
+    stream's ``write`` and the run's label, so it is bound after ``trace.begin``."""
     if trace is _NO_TRACE:
         return forward
-    packet, tail = trace.packet, _packet_tail(kind, key, **fields)
+    write, (pre, mid) = trace.stream.write, _packet_text(trace, kind, key, **fields)
+    # json writes a finite float as its repr and an int as its decimal digits, as format() does
     if key == "bytes":
-        return lambda sim, data: (packet(sim.now, tail, len(data)), forward(sim, data))
-    return lambda value, now: (packet(now, tail, value), forward(value, now))
+        def send(sim, data):
+            write(f"{pre}{sim.now!r}{mid}{len(data)}}}\n")
+            trace.count += 1
+            return forward(sim, data)
+        return send
+
+    def arrival(value, now):
+        write(f"{pre}{now!r}{mid}{value}}}\n")
+        trace.count += 1
+        return forward(value, now)
+    return arrival
+
+
+def _bridge(trace, arrived):
+    """The RSW server's relay ``(sim, data)``: hands the RTP ``seq`` to ``arrived``.  In a traced run
+    it first writes the ``relay`` and ``deliver`` lines in one ``write``, with one ``repr(now)``."""
+    if trace is _NO_TRACE:
+        return lambda sim, data: arrived(decode_rtp(data)[0], sim.now)
+    write, (pre, relay) = trace.stream.write, _packet_text(trace, "relay", "bytes", src="server", dst=_INVITEE)
+    deliver = _packet_text(trace, "deliver", "seq", dst=_INVITEE)[1]
+
+    def relay_traced(sim, data):
+        seq, now = decode_rtp(data)[0], sim.now
+        t = repr(now)
+        write(f"{pre}{t}{relay}{len(data)}}}\n{pre}{t}{deliver}{seq}}}\n")
+        trace.count += 2
+        arrived(seq, now)
+    return relay_traced
 
 
 class MediaStats:
@@ -185,15 +204,17 @@ class PacketWhilePacing(RuntimeError):
         super().__init__(f"{node} got a packet while it waited for a tick")
 
 
-def _run(protocol: str, delay_ms: float, cfg: SweepConfig, trace, sim: Simulator, name: str, source,
-         handlers: dict) -> float:
-    """Start ``source``, the script of the media source ``name``, and drain the run; returns the final clock.
-
-    ``handlers`` maps each other node's name to its handler; ``source.send`` joins it as ``name``'s.
-    """
+def _run(protocol: str, delay_ms: float, cfg: SweepConfig, trace: TraceLog | None, stats: MediaStats,
+         name: str, script, peer: str, node) -> float:
+    """Build the media source ``name`` from ``script`` and its ``peer`` from ``node``, and drain the
+    run; returns the final clock."""
+    config = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
     horizon_ms = cfg.run_horizon_ms(delay_ms, protocol)  # refuses a run past its clock before it starts
-    trace.begin(label := f"{protocol}:{delay_ms:g}")
-    handlers[name] = source.send
+    trace = _NO_TRACE if trace is None else trace
+    trace.begin(label := f"{protocol}:{delay_ms:g}")  # first: the nodes' trace writers hold the label
+    sim = Simulator(seed=cfg.seed)
+    source = script(sim, config, cfg, stats, trace)
+    handlers = {peer: node(sim, config, stats, trace).handle, name: source.send}
     due = next(source)  # the script runs to its first wait: for a packet, or for the tick it yields
     end = sim.run_until_idle(handlers, horizon_ms, None if due is None else (due, name))
     if source.gi_frame is not None:
@@ -296,11 +317,7 @@ class _IaxCalleeNode:
 
 def run_iax_call(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
     """Simulate one two-party call; returns the raw measurements."""
-    config = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
-    stats, sim = MediaStats(), Simulator(seed=cfg.seed)
-    trace = _NO_TRACE if trace is None else trace
-    caller, callee = _iax_caller(sim, config, cfg, stats, trace), _IaxCalleeNode(sim, config, stats, trace)
-    _run("IAX", delay_ms, cfg, trace, sim, "caller", caller, {"callee": callee.handle})
+    _run("IAX", delay_ms, cfg, trace, stats := MediaStats(), "caller", _iax_caller, "callee", _IaxCalleeNode)
     return stats
 
 
@@ -346,9 +363,7 @@ class _RswServerNode:
         self.trace = trace
         self.conf = None
         self.invitee = RswInvitee(_INVITEE)
-        arrived = _traced(trace, stats._arrived, "deliver", "seq", dst=_INVITEE)
-        self._relay = _traced(trace, lambda sim, data: arrived(decode_rtp(data)[0], sim.now),
-                              "relay", "bytes", src="server", dst=_INVITEE)
+        self._relay = _bridge(trace, stats._arrived)
 
     def handle(self, data: bytes) -> None:
         if data.startswith(b"RSW/1 "):
@@ -379,9 +394,5 @@ class _RswServerNode:
 
 def run_rsw_conference(delay_ms: float, cfg: SweepConfig, trace: TraceLog | None = None) -> MediaStats:
     """Simulate one two-member conference; returns the raw measurements."""
-    wan = LinkConfig(delay_ms=delay_ms, link_rate_bps=cfg.link_rate_bps)
-    stats, sim = MediaStats(), Simulator(seed=cfg.seed)
-    trace = _NO_TRACE if trace is None else trace
-    chair, server = _rsw_chair(sim, wan, cfg, stats, trace), _RswServerNode(sim, wan, stats, trace)
-    _run("RSW", delay_ms, cfg, trace, sim, "chair", chair, {"server": server.handle})
+    _run("RSW", delay_ms, cfg, trace, stats := MediaStats(), "chair", _rsw_chair, "server", _RswServerNode)
     return stats

@@ -43,11 +43,10 @@ from voipsim import (
 from voipsim import cli, experiment, forked, scenarios
 from voipsim.cli import build_parser, load_config_file, main, resolve_settings
 from voipsim.experiment import GAP_BAND_MOS, MAX_RUN_MS, ClockTooCoarse
-from voipsim.frames import RTP_HEADER_LEN, RswMessage, Signal, Verb, encode_rsw, encode_rtp
+from voipsim.frames import RTP_HEADER_LEN, DecodeError, RswMessage, Signal, Verb, encode_rsw, encode_rtp
 from voipsim.iax import CallState, IaxEndpoint, ProtocolViolation
 from voipsim.netsim import LinkConfig, Simulator, serialization_ms
 from voipsim.rsw import ConferencePhase, create_conference, server_route
-from voipsim.scenarios import _packet_tail
 
 FAST = dict(delay_end_ms=50.0, duration_s=0.5)  # 3 grid points, 25 frames/run
 
@@ -659,25 +658,62 @@ _NAMES = st.text(max_size=6) | st.sampled_from(['"', "\\", 'a"\\b', "\u00e9\u20a
 _TAKEN_KEYS = {"scenario", "t", "kind", "src", "dst"}
 
 
+_TIMES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 123456789012345678.0]
+)
+
+
+def _begun(label: str, count: int = 2) -> list[TraceLog]:
+    traces = [TraceLog(io.StringIO()) for _ in range(count)]
+    for trace in traces:
+        trace.begin(label)
+    return traces
+
+
 @given(
     label=_NAMES,
-    t=st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 123456789012345678.0]),
+    t=_TIMES,
     kind=_NAMES,
     fields=st.dictionaries(st.sampled_from(["src", "dst"]), _NAMES),
-    key=st.sampled_from(["bytes", "ts", "seq"]) | _NAMES.filter(lambda k: k not in _TAKEN_KEYS),
+    key=st.sampled_from(["ts", "seq"]) | _NAMES.filter(lambda k: k not in _TAKEN_KEYS | {"bytes"}),
     value=st.integers(),
+    size=st.integers(min_value=0, max_value=1 << 16),
 )
-def test_packet_record_is_the_line_add_writes(label, t, kind, fields, key, value):
-    by_add, by_packet = TraceLog(io.StringIO()), TraceLog(io.StringIO())
-    for trace in (by_add, by_packet):
-        trace.begin(label)
-    by_add.add(t, kind, **fields, **{key: value})
-    by_packet.packet(t, _packet_tail(kind, key, **fields), value)
-    line = by_packet.stream.getvalue()
-    assert line == by_add.stream.getvalue()
-    assert by_packet.count == by_add.count == 1
-    assert json.loads(line) == {"scenario": label, "t": t, "kind": kind, **fields, key: value}
+def test_packet_record_is_the_line_add_writes(label, t, kind, fields, key, value, size):
+    # the writers _traced binds: an arrival (value, now) for any key but "bytes", and a
+    # send (sim, data) for "bytes", which records len(data)
+    sim, data = types.SimpleNamespace(now=t), bytes(size)
+    for name, number, args in ((key, value, (value, t)), ("bytes", size, (sim, data))):
+        by_add, by_writer = _begun(label)
+        by_add.add(t, kind, **fields, **{name: number})
+        writer = scenarios._traced(by_writer, lambda *forwarded: forwarded, kind, name, **fields)
+        assert writer(*args) == args  # each call reaches forward, and returns its result
+        line = by_writer.stream.getvalue()
+        assert line == by_add.stream.getvalue()
+        assert by_writer.count == by_add.count == 1
+        assert json.loads(line) == {"scenario": label, "t": t, "kind": kind, **fields, name: number}
+
+
+@given(label=_NAMES, t=_TIMES, seq=st.integers(0, 0xFFFF), size=st.integers(0, 1400))
+def test_bridge_writes_the_relay_and_deliver_lines_add_writes(label, t, seq, size):
+    by_add, by_bridge = _begun(label)
+    data = encode_rtp(seq=seq, timestamp=7, ssrc=3, payload=bytes(size))
+    by_add.add(t, "relay", src="server", dst="p1", bytes=len(data))
+    by_add.add(t, "deliver", dst="p1", seq=seq)
+    arrivals = []
+    relay = scenarios._bridge(by_bridge, lambda *arrival: arrivals.append(arrival))
+    relay(types.SimpleNamespace(now=t), data)
+    assert arrivals == [(seq, t)]
+    assert by_bridge.stream.getvalue() == by_add.stream.getvalue()
+    assert by_bridge.count == by_add.count == 2
+
+
+def test_bridge_writes_no_record_of_a_packet_it_cannot_decode():
+    (trace,) = _begun("RSW:0", 1)
+    relay = scenarios._bridge(trace, lambda *arrival: pytest.fail("an undecodable packet arrived"))
+    with pytest.raises(DecodeError):
+        relay(types.SimpleNamespace(now=1.0), b"\x80")
+    assert (trace.stream.getvalue(), trace.count) == ("", 0)
 
 
 def test_fast_sweep_matches_golden_digests(tmp_path, capsys):
@@ -794,6 +830,21 @@ def test_tracing_never_changes_an_impaired_run(protocol, impairment, monkeypatch
         assert traced == untraced
     # the patch reached the runs: some trace differs from the clean link's
     assert [text for *_, text in impaired] != [text for *_, text in clean]
+
+
+@pytest.mark.parametrize("protocol, size, digest", [
+    ("RSW", 27_821, "7bdd8f99f0c03656198648ec62e2a9674dd789520938cbcab58bf2707d217a7a"),
+    ("IAX", 18_351, "3eae023b71173fd4e2e1e0f37c21c223f8d6dd7c51cc21aeb938ee55deb38f25"),
+])
+def test_traced_duplicating_link_matches_golden_digests(protocol, size, digest, monkeypatch):
+    # a duplicate copy passes through the receiver's trace writer a second time; the other
+    # golden digests cover unimpaired links only, so the scenarios' link is patched
+    monkeypatch.setattr(scenarios, "LinkConfig", functools.partial(LinkConfig, dup_prob=0.05))
+    trace = TraceLog(io.StringIO())
+    run_scenario(protocol, 150.0, SweepConfig(duration_s=2.0, seed=3), trace)
+    text = trace.stream.getvalue().encode("ascii")
+    assert text.count(b'"kind":"deliver"') > text.count(b'"kind":"media"')  # some copy arrived twice
+    assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
 
 
 def _lost_frames(run, delay_ms: float, cfg: SweepConfig) -> set[int]:

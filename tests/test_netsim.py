@@ -356,15 +356,20 @@ def test_a_script_whose_opening_does_not_wait_gets_its_first_tick():
         yield from ()
         return 7.0
 
-    sim, stats, sent = Simulator(seed=1), MediaStats(), []
+    sims, stats, sent = [], MediaStats(), []
     cfg = SweepConfig(duration_s=0.1)  # 5 frames of 20 ms
 
     def transmit(sim, data):
         sent.append(sim.now)
 
-    source = scenarios._media_source(sim, "s", transmit, cfg, stats, opening(),
-                                     lambda payload, now: (len(sent), payload), iter(()))
-    assert scenarios._run("IAX", 0.0, cfg, scenarios._NO_TRACE, sim, "s", source, {}) == 107.0
+    def script(sim, _config, cfg, stats, _trace):
+        sims.append(sim)
+        return scenarios._media_source(sim, "s", transmit, cfg, stats, opening(),
+                                       lambda payload, now: (len(sent), payload), iter(()))
+
+    # the callee is built as the script's peer, and gets no packet
+    assert scenarios._run("IAX", 0.0, cfg, None, stats, "s", script, "callee", scenarios._IaxCalleeNode) == 107.0
+    (sim,) = sims
     assert sent == [7.0, 27.0, 47.0, 67.0, 87.0]
     assert (stats.setup_ms, stats.frames_sent, sim.dispatched) == (0.0, 5, 6)
 
