@@ -25,6 +25,7 @@ from .frames import (
     decode_mini,
     decode_rsw,
     decode_rtp,
+    decode_rtp_seq,
     encode_full,
     encode_mini,
     encode_rsw,

@@ -20,7 +20,8 @@ A mini frame has no object: ``encode_mini`` takes its fields and
 ``decode_mini`` returns them as ``(source_call, ts16, payload)``.  An RTP
 packet has no object either: ``encode_rtp`` takes its fields and
 ``decode_rtp`` returns them as
-``(seq, timestamp, ssrc, payload, payload_type, marker)``.
+``(seq, timestamp, ssrc, payload, payload_type, marker)``;
+``decode_rtp_seq`` reads the ``seq`` alone.
 
 Encoders validate field ranges and raise :class:`EncodeError` naming the
 offending field.  Decoders are total: any byte string yields either a value
@@ -40,6 +41,7 @@ RTP_HEADER_LEN = 12
 _FULL_HDR = struct.Struct(">HHIBBBB")
 _MINI_HDR = struct.Struct(">HH")
 _RTP_HDR = struct.Struct(">BBHII")
+_PACK_ERRORS = (struct.error, TypeError)  # a field a header cannot hold; a payload that is not bytes-like
 
 
 class FrameError(ValueError):
@@ -287,6 +289,13 @@ def decode_rtp(b: bytes) -> tuple[int, int, int, bytes, int, bool]:
         raise Malformed("padding, extension, or CSRC bits set")
     payload = b[RTP_HEADER_LEN:] if type(b) is bytes else bytes(b[RTP_HEADER_LEN:])  # as decode_mini's
     return seq, ts, ssrc, payload, b1 & 0x7F, bool(b1 & 0x80)
+
+
+def decode_rtp_seq(b: bytes) -> int:
+    """``decode_rtp(b)[0]`` read from the header alone: the same ``seq``, or the same error."""
+    if len(b) >= RTP_HEADER_LEN and b[0] == 0x80:  # version 2; no padding, extension or CSRC
+        return b[2] << 8 | b[3]
+    return decode_rtp(b)[0]  # raises its TooShort or Malformed
 
 
 def _check_token(name: str, value: str) -> None:

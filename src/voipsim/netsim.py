@@ -1,9 +1,11 @@
 """Deterministic discrete-event emulation of a single delayed link.
 
 :class:`Simulator` is a run's event core: the virtual clock, the one seeded
-RNG, the heap of packets and the one pending timer tick, dispatched strictly
+RNG, the queued packets and the one pending timer tick, dispatched strictly
 in ``(due, seq)`` order (``seq`` counts every packet and tick queued), so a
-seed and a scenario replay identically.
+seed and a scenario replay identically.  A packet joins a FIFO unless it is
+due before the FIFO's tail (a jittered or reordered copy, or a short packet
+behind a long one on a slow link); only such a packet takes the heap.
 
 A :class:`Link` is one direction of the link, ``src`` to ``dst``.  Packet timing::
 
@@ -22,17 +24,18 @@ scenario calls it.
 
 An event is ``(due, seq, dst, payload)``; ``seq`` is unique, so comparing two
 events never reaches ``dst`` or ``payload``.  ``run_until_idle(handlers)``
-dispatches each as ``handlers[dst](payload)``.  A packet is a heap entry whose
+dispatches each as ``handlers[dst](payload)``.  A packet is an event whose
 payload is its bytes, and :meth:`Simulator.schedule` is the one entry to the
-heap: every send goes through it.  A timer tick is not on the heap.  A handler
-asks for one by returning its due, and the tick reaches ``dst`` as a ``None``
-payload.  A run holds at most one tick pending, beside the heap, with the
-``seq`` it takes as its handler returns.  Ticks and packets therefore share
-the ``due >= now`` guard and the ``(due, seq)`` order.  The simulator holds no
-handler, so a node may hold ``sim`` without a reference cycle.  A handler may
-be a generator's ``send``: a script yields its next tick's due, or a bare
-``yield`` to wait for a packet, and when the generator returns, dispatch drops
-it from ``handlers``.  The send methods return the arrival times they queued.
+FIFO and the heap: every send goes through it.  A timer tick is on neither.  A
+handler asks for one by returning its due, and the tick reaches ``dst`` as a
+``None`` payload.  A run holds at most one tick pending, beside the queues,
+with the ``seq`` it takes as its handler returns.  Ticks and packets therefore
+share the ``due >= now`` guard and the ``(due, seq)`` order.  The simulator
+holds no handler, so a node may hold ``sim`` without a reference cycle.  A
+handler may be a generator's ``send``: a script yields its next tick's due, or
+a bare ``yield`` to wait for a packet, and when the generator returns, dispatch
+drops it from ``handlers``.  The send methods return the arrival times they
+queued.
 """
 
 from __future__ import annotations
@@ -103,13 +106,15 @@ Handler = Callable[["bytes | None"], "float | None"]
 class Simulator:
     """Event queue, virtual clock, and seeded randomness for one run."""
 
-    __slots__ = ("now", "dispatched", "rng", "_heap", "_next_seq")
+    __slots__ = ("now", "dispatched", "rng", "_fifo", "_heap", "_next_seq")
 
     def __init__(self, seed: int = 1):
+        from collections import deque
         self.now: float = 0.0
         self.rng = random.Random(seed)
         self.dispatched = 0
-        self._heap: list[tuple[float, int, str, bytes]] = []  # packets only; ticks stay off it
+        self._fifo: deque[tuple[float, int, str, bytes]] = deque()  # dues never fall, so in (due, seq) order
+        self._heap: list[tuple[float, int, str, bytes]] = []  # packets due before the FIFO's tail; no ticks
         self._next_seq = 0
 
     def schedule(self, due: float, dst: str, payload: bytes) -> None:
@@ -118,7 +123,11 @@ class Simulator:
             raise ValueError(f"due {due} precedes now {self.now}")
         seq = self._next_seq
         self._next_seq = seq + 1
-        heappush(self._heap, (due, seq, dst, payload))
+        fifo = self._fifo
+        if fifo and due < fifo[-1][0]:
+            heappush(self._heap, (due, seq, dst, payload))
+        else:
+            fifo.append((due, seq, dst, payload))
 
     def deliver_local(self, pkt: bytes, dst: str) -> float:
         """Hand a packet to a co-located node now, at no link cost; no scenario calls this."""
@@ -140,10 +149,11 @@ class Simulator:
         ``StopIteration``, a generator's ``send`` as the generator returns, is
         done: it is dropped from ``handlers``.
         """
-        heap = self._heap
+        fifo, heap = self._fifo, self._heap
+        popleft = fifo.popleft
         limit = float("inf") if horizon_ms is None else horizon_ms
         asked, dst = (None, None) if tick is None else tick
-        pending = None  # the one tick, (due, seq, dst, None): a heap entry kept off the heap
+        pending = None  # the one tick, (due, seq, dst, None): an event kept off both queues
         dispatched = 0  # a local, added once: an attribute update per event costs more
         try:
             while True:
@@ -159,8 +169,11 @@ class Simulator:
                     seq = self._next_seq
                     self._next_seq = seq + 1
                     pending = (asked, seq, dst, None)
-                if pending is not None and (not heap or pending < heap[0]):
+                # the least of the tick, the FIFO's head and the heap's head
+                if pending is not None and (not fifo or pending < fifo[0]) and (not heap or pending < heap[0]):
                     (due, _seq, dst, payload), pending = pending, None
+                elif fifo and (not heap or fifo[0] < heap[0]):
+                    due, _seq, dst, payload = popleft()
                 elif heap:
                     due, _seq, dst, payload = heappop(heap)
                 else:

@@ -45,6 +45,7 @@ from .frames import (
     decode_full,
     decode_rsw,
     decode_rtp,
+    decode_rtp_seq,
     encode_full,
     encode_rsw,
 )
@@ -136,10 +137,11 @@ def _traced(trace, forward, kind: str, key: str, **fields):
 
 
 def _bridge(trace, arrived):
-    """The RSW server's relay ``(sim, data)``: hands the RTP ``seq`` to ``arrived``.  In a traced run
-    it first writes the ``relay`` and ``deliver`` lines in one ``write``, with one ``repr(now)``."""
+    """The RSW server's relay ``(sim, data)``: hands the RTP ``seq``, read from the header alone, to
+    ``arrived``.  In a traced run it decodes the packet, then writes the ``relay`` and ``deliver``
+    lines in one ``write``, with one ``repr(now)``."""
     if trace is _NO_TRACE:
-        return lambda sim, data: arrived(decode_rtp(data)[0], sim.now)
+        return lambda sim, data: arrived(decode_rtp_seq(data), sim.now)
     write, (pre, relay) = trace.stream.write, _packet_text(trace, "relay", "bytes", src="server", dst=_INVITEE)
     deliver = _packet_text(trace, "deliver", "seq", dst=_INVITEE)[1]
 
@@ -340,9 +342,9 @@ def _rsw_chair(sim: Simulator, wan: LinkConfig, cfg: SweepConfig, stats: MediaSt
         send_conf(RswMessage(Verb.END, 1, "chair", "server"))
         yield  # the server's ACK for END, the run's last event
 
-    # send_media_rtp returns (seq, wire bytes); seq is the stats key
-    return _media_source(sim, "chair", transmit, cfg, stats, create(),
-                         lambda payload, _now: send_media_rtp(tx, payload), end())
+    # send_media_rtp returns (seq, wire bytes); seq is the stats key.  Bound to tx as a method,
+    # it is called as send_media_rtp(tx, payload, now) with no Python frame in between
+    return _media_source(sim, "chair", transmit, cfg, stats, create(), send_media_rtp.__get__(tx), end())
 
 
 class _RswServerNode:

@@ -847,6 +847,36 @@ def test_traced_duplicating_link_matches_golden_digests(protocol, size, digest, 
     assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
 
 
+def test_traced_jittered_reordering_link_matches_golden_digest(monkeypatch):
+    # a jittered or reordered packet can be due before one queued ahead of it, so it takes
+    # the event core's heap; on the unimpaired links of the other digests every packet
+    # takes the FIFO
+    monkeypatch.setattr(scenarios, "LinkConfig", functools.partial(LinkConfig, jitter_ms=30.0, reorder_prob=0.05))
+    trace = TraceLog(io.StringIO())
+    run_scenario("RSW", 150.0, SweepConfig(duration_s=2.0, seed=3), trace)
+    text = trace.stream.getvalue().encode("ascii")
+    seqs = [json.loads(line)["seq"] for line in text.splitlines() if b'"kind":"deliver"' in line]
+    assert any(a > b for a, b in zip(seqs, seqs[1:]))  # some packet overtook one sent before it
+    assert (len(text), hashlib.sha256(text).hexdigest()) == (
+        28_362, "79712a0a1e7e31f898710e7b81a21aea567abe8d1d3e0f07676e8c7ec5a5161b")
+
+
+def test_slow_link_grid_matches_golden_digests(tmp_path, capsys):
+    # at 2 kbit/s a short packet sent behind a long one arrives first and takes the event
+    # core's heap: the first mini frame behind the IAX anchor, the HANGUP behind the last
+    # mini frame, and the RSW END, then the server's ACK to it, behind the RTP in flight
+    out, trace = tmp_path / "slow.csv", tmp_path / "slow.jsonl"
+    argv = ["--delay-end", "100", "--delay-step", "50", "--duration", "1", "--link-rate", "2000",
+            "--out", str(out), "--trace", str(trace)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    csv, jsonl = out.read_bytes(), trace.read_bytes()
+    assert (len(csv), hashlib.sha256(csv).hexdigest()) == (
+        409, "a13034d5cc3faeb5378f1eb2e2d2d95a582972968ad3d463da0136d087187ef9")
+    assert (len(jsonl), hashlib.sha256(jsonl).hexdigest()) == (
+        46_413, "a8d22c9ad0c88d9d61802c0663aa1aeacb435cc12a74006cb8523a5ce25df394")
+
+
 def _lost_frames(run, delay_ms: float, cfg: SweepConfig) -> set[int]:
     """The ordinals of the counted frames a run lost: those left in flight, from their send times."""
     stats = run(delay_ms, cfg)

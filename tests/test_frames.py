@@ -29,11 +29,14 @@ from voipsim.frames import (
     decode_mini,
     decode_rsw,
     decode_rtp,
+    decode_rtp_seq,
     encode_full,
     encode_mini,
     encode_rsw,
     encode_rtp,
 )
+from voipsim.iax import IaxEndpoint
+from voipsim.rsw import RtpTxState, send_media_rtp
 
 # ---------------------------------------------------------------- strategies
 
@@ -187,12 +190,23 @@ def test_encoders_accept_int_subclasses_and_reject_other_numbers():
     assert exc.value.field_name == "ts16"
 
 
+def _mini_frame_of(payload):
+    """An Up callee's ``send_media`` of ``payload`` once its anchor is out: a mini frame."""
+    callee = IaxEndpoint("b")
+    callee.handle_signal(FullFrame(1, 0, 0, 0, 0, FrameKind.CONTROL, Signal.NEW, b"b"), 0.0)
+    callee.send_media(b"", 0.0)
+    return callee.send_media(payload, 20.0)
+
+
 @pytest.mark.parametrize("payload", [5, "ab", [300], None, 1.5])  # bytes(5) would be five zero bytes
 def test_encoders_name_a_payload_that_is_not_bytes_like(payload):
     encoders = [
         lambda: encode_full(FullFrame(1, 2, 3, 4, 5, FrameKind.VOICE, 0, payload)),
         lambda: encode_mini(1, 2, payload),
         lambda: encode_rtp(1, 2, 3, payload),
+        # the media senders pack their headers unchecked, and name a bad payload as these do
+        lambda: _mini_frame_of(payload),
+        lambda: send_media_rtp(RtpTxState(1, 2, 3), payload),
     ]
     for encode in encoders:
         with pytest.raises(EncodeError) as exc:
@@ -418,22 +432,32 @@ def test_rsw_decodes_only_the_encoders_line():
 # ------------------------------------------------------------------ totality
 
 
+def _outcome(decode, blob):
+    """What ``decode(blob)`` returns, or the type and message of the ``DecodeError`` it raises."""
+    try:
+        return decode(blob)
+    except DecodeError as exc:  # typed failure is the contract
+        return type(exc), str(exc)
+
+
+def _assert_seq_read_is_decode_rtp(blob):
+    assert _outcome(decode_rtp_seq, blob) == _outcome(lambda b: decode_rtp(b)[0], blob)
+
+
 def test_decoders_are_total_on_random_bytes():
     rng = random.Random(0xF00D)
     decoders = (decode_full, decode_mini, decode_rtp, decode_rsw)
     for _ in range(2000):
         blob = rng.randbytes(rng.randrange(0, 64))
         for decode in decoders:
-            try:
-                decode(blob)
-            except DecodeError:
-                pass  # typed failure is the contract
+            _outcome(decode, blob)
+        _assert_seq_read_is_decode_rtp(blob)
 
 
 @given(st.binary(max_size=80))
 def test_decoders_raise_only_typed_errors(blob):
     for decode in (decode_full, decode_mini, decode_rtp, decode_rsw):
-        try:
-            decode(blob)
-        except DecodeError:
-            pass
+        _outcome(decode, blob)
+    # the header-only seq read, on the bytes as drawn and with a first byte the RTP decoder accepts
+    _assert_seq_read_is_decode_rtp(blob)
+    _assert_seq_read_is_decode_rtp(b"\x80" + blob[1:])

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import same_state
 from voipsim import (
     CallState,
+    DecodeError,
     FrameKind,
     FullFrame,
     IaxEndpoint,
@@ -309,6 +310,41 @@ def test_short_call_needs_single_anchor():
     connect(caller, callee)
     wires = [caller.send_media(b"x", k * 20.0)[1] for k in range(3276)]
     assert sum(bool(w[0] & 0x80) for w in wires) == 1  # max ts 65500
+
+
+@given(
+    start=st.integers(0, 0xFFFFFFFF),
+    steps=st.lists(st.integers(1, 40_000), min_size=1, max_size=6),
+    payload=st.binary(max_size=200),
+)
+def test_a_mini_frame_is_what_encode_mini_encodes(start, steps, payload):
+    # a mini frame's header is packed unchecked; its bytes are encode_mini's
+    caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
+    connect(caller, callee)
+    caller.send_media(payload, 0.0)  # the anchor
+    caller.call.start_time = -float(start)  # the next frames' ts32 start at `start`
+    now = 0.0
+    for step in steps:
+        ts32, wire = caller.send_media(payload, now := now + step)
+        if not wire[0] & 0x80:
+            assert wire == encode_mini(LOCAL_CALL, ts32 & 0xFFFF, payload)
+
+
+@given(st.binary(max_size=24))
+def test_receive_media_frame_refuses_what_decode_mini_refuses(blob):
+    # the receiver reads the mini header itself; a frame decode_mini refuses it refuses alike
+    try:
+        source_call, ts16, payload = decode_mini(blob)
+    except DecodeError as exc:
+        with pytest.raises(DecodeError) as got:
+            receiver().receive_media_frame(blob)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    if source_call != 1:  # not the scripted caller's number
+        with pytest.raises(NotInCall):
+            receiver().receive_media_frame(blob)
+    else:
+        assert receiver().receive_media_frame(blob) == (ts16, payload)
 
 
 # -- media: receiver-side timestamp reconstruction ---------------------------------

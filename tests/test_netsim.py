@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import LoggedRandom
 from voipsim import scenarios
@@ -304,7 +304,46 @@ def test_a_tick_and_a_packet_due_at_once_dispatch_in_scheduling_order(tick_first
     sim.schedule(2.0, "x", b"send" if tick_first else b"ask")
     sim.run_until_idle({"x": handler})
     assert log[2:] == ([(5.0, None), (5.0, b"packet")] if tick_first else [(5.0, b"packet"), (5.0, None)])
-    assert sim.dispatched == 4 and sim._heap == []
+    assert sim.dispatched == 4 and sim._heap == [] and not sim._fifo
+
+
+@settings(deadline=None)
+@given(data=st.data(), primed=st.booleans())
+def test_any_interleaving_of_schedules_and_a_tick_dispatches_in_due_seq_order(data, primed):
+    # a packet joins the FIFO, or the heap when it is due before the FIFO's tail; either way the
+    # packets and the tick reach their handler in the (due, seq) order they were queued in
+    sim = Simulator(seed=1)
+    offsets = st.sampled_from([0.0, 1.0, 2.5, 4.0])  # ties, dues equal to now, dues before a tail
+    queued = []  # (due, seq, payload) of each packet and tick, in the order they took their seq
+    log = []
+    pending = [primed]
+
+    def queue(count):
+        for _ in range(count):
+            due, payload = sim.now + data.draw(offsets), b"%d" % len(queued)
+            queued.append((due, len(queued), payload))
+            sim.schedule(due, "x", payload)
+
+    def handler(payload):
+        log.append((sim.now, payload))
+        pending[0] &= payload is not None
+        if len(queued) >= 40:
+            return None
+        queue(data.draw(st.integers(0, 3)))
+        if pending[0] or not data.draw(st.booleans()):
+            return None
+        pending[0] = True
+        queued.append((due := sim.now + data.draw(offsets), len(queued), None))  # the tick's seq comes last
+        return due
+
+    queue(data.draw(st.integers(1, 6)))
+    tick = None
+    if primed:
+        queued.append((due := data.draw(offsets), len(queued), None))
+        tick = (due, "x")
+    sim.run_until_idle({"x": handler}, tick=tick)
+    assert log == [(due, payload) for due, _seq, payload in sorted(queued)]
+    assert not sim._fifo and sim._heap == []
 
 
 @pytest.mark.parametrize("due", [float("nan"), 0.5])

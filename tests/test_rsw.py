@@ -13,6 +13,7 @@ from voipsim import (
     ConferencePhase,
     EmptyInviteeList,
     EmptyMediaDescription,
+    EncodeError,
     LinkConfig,
     MemberStatus,
     NotChairman,
@@ -314,6 +315,35 @@ def test_rtp_counters_wrap():
         stamps.append(decode_rtp(wire)[1])
     assert seqs == [0xFFFE, 0xFFFF, 0x0000, 0x0001]
     assert stamps == [0xFFFFFF60, 0x00000000, 0x000000A0, 0x00000140]
+
+
+@given(
+    seq=st.integers(0, 0xFFFF),
+    timestamp=st.integers(0, 0xFFFFFFFF),
+    ssrc=st.integers(0, 0xFFFFFFFF),
+    samples=st.integers(0, 1 << 33),
+    payloads=st.lists(st.binary(max_size=200), min_size=1, max_size=4),
+)
+def test_rtp_stream_sends_what_encode_rtp_encodes(seq, timestamp, ssrc, samples, payloads):
+    # the sender packs the header unchecked; from any in-range stream its bytes are encode_rtp's
+    tx = RtpTxState(seq=seq, timestamp=timestamp, ssrc=ssrc, samples_per_frame=samples)
+    for payload in payloads:
+        fields = (tx.seq, tx.timestamp, tx.ssrc)
+        assert send_media_rtp(tx, payload) == (fields[0], encode_rtp(*fields, payload))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seq", 0x10000), ("seq", -1), ("seq", 1.0), ("timestamp", 1 << 32), ("ssrc", -1),
+])
+def test_rtp_stream_names_an_out_of_range_counter(field, value):
+    # a bare struct pack would raise struct.error here, naming no field
+    tx = RtpTxState(seq=1, timestamp=2, ssrc=3)
+    setattr(tx, field, value)
+    counters = (tx.seq, tx.timestamp, tx.ssrc)
+    with pytest.raises(EncodeError) as exc:
+        send_media_rtp(tx, b"x")
+    assert exc.value.field_name == field
+    assert (tx.seq, tx.timestamp, tx.ssrc) == counters  # a refused packet does not advance the stream
 
 
 def test_new_rtp_tx_is_seed_deterministic():
