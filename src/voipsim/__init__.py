@@ -30,6 +30,7 @@ from .frames import (
     encode_mini,
     encode_rsw,
     encode_rtp,
+    pack_rtp,
 )
 from .iax import (
     CallState,

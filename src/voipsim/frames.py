@@ -20,8 +20,9 @@ A mini frame has no object: ``encode_mini`` takes its fields and
 ``decode_mini`` returns them as ``(source_call, ts16, payload)``.  An RTP
 packet has no object either: ``encode_rtp`` takes its fields and
 ``decode_rtp`` returns them as
-``(seq, timestamp, ssrc, payload, payload_type, marker)``;
-``decode_rtp_seq`` reads the ``seq`` alone.
+``(seq, timestamp, ssrc, payload, payload_type, marker)``.  A stream that
+keeps its counters in range sends with ``pack_rtp``, and a relay reads the
+``seq`` alone with ``decode_rtp_seq``.
 
 Encoders validate field ranges and raise :class:`EncodeError` naming the
 offending field.  Decoders are total: any byte string yields either a value
@@ -275,6 +276,19 @@ def encode_rtp(
         _check_int("marker", marker, 0, 1)  # the M bit: a bool, 0 or 1, never any truthy value
     b0 = 2 << 6  # version 2, no padding, no extension, CC=0
     return _RTP_HDR.pack(b0, marker << 7 | payload_type, seq, timestamp, ssrc) + payload
+
+
+def pack_rtp(seq: int, timestamp: int, ssrc: int, payload: bytes) -> bytes:
+    """``encode_rtp(seq, timestamp, ssrc, payload)``'s bytes, checked by one ``struct`` pack.
+
+    What the pack refuses goes to ``encode_rtp``, which names the field.  The
+    pack takes any integer that fits, so unlike ``encode_rtp`` it also takes
+    a field that is not an ``int`` but has ``__index__``, a NumPy integer say.
+    """
+    try:
+        return _RTP_HDR.pack(0x80, 0, seq, timestamp, ssrc) + payload  # version 2, PT 0, no marker
+    except _PACK_ERRORS:
+        return encode_rtp(seq, timestamp, ssrc, payload)
 
 
 def decode_rtp(b: bytes) -> tuple[int, int, int, bytes, int, bool]:

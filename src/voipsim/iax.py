@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .frames import _MINI_HDR, MINI_HEADER_LEN, FrameKind, FullFrame, Signal, decode_mini, encode_full, encode_mini
+from .frames import FrameKind, FullFrame, Signal, decode_mini, encode_full, encode_mini
 
 TS_WRAP = 1 << 16
 LOCAL_CALL = 1  # an endpoint's one call number
@@ -191,8 +191,6 @@ class IaxEndpoint:
         if last is None or (ts32 >> 16) != (last >> 16):
             cs.last_full_ts = ts32
             return ts32, encode_full(_full_frame(cs, _VOICE, 0, ts32, payload))
-        if type(payload) is bytes:  # the header's fields are in range by construction
-            return ts32, _MINI_HDR.pack(LOCAL_CALL, ts32 & 0xFFFF) + payload
         return ts32, encode_mini(LOCAL_CALL, ts32 & 0xFFFF, payload)
 
     def receive_anchor(self, frame: FullFrame) -> tuple[int, bytes]:
@@ -223,9 +221,7 @@ class IaxEndpoint:
         Its ts16 extends the anchor's high bits, one wrap window later when
         the result would run backwards; ``(ts32, payload)``.
         """
-        if len(data) < MINI_HEADER_LEN or data[0] & 0x80:
-            decode_mini(data)  # raises its TooShort or NotMiniFrame
-        source_call, ts16 = _MINI_HDR.unpack_from(data)
+        source_call, ts16, payload = decode_mini(data)
         cs = self.call
         if cs is None or source_call != cs.peer_call or cs.state is not _UP:
             raise NotInCall("no Up call for this media frame")
@@ -237,7 +233,7 @@ class IaxEndpoint:
             if ts32 < last:
                 raise StaleFrame(f"mini frame reconstructs to {ts32}, behind {last}")
         rx.last_reconstructed_ts = ts32
-        return ts32, data[MINI_HEADER_LEN:] if type(data) is bytes else bytes(data[MINI_HEADER_LEN:])  # as decode_mini's
+        return ts32, payload
 
     # -- internals -----------------------------------------------------------
 

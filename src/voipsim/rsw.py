@@ -19,7 +19,7 @@ import random
 from enum import Enum
 from typing import Sequence
 
-from .frames import _PACK_ERRORS, _RTP_HDR, RswMessage, Verb, encode_rtp
+from .frames import RswMessage, Verb, pack_rtp
 
 DEFAULT_SERVER_ID = "server"
 
@@ -217,17 +217,15 @@ def send_media_rtp(tx: RtpTxState, payload: bytes, now: float | None = None) -> 
     """Emit the next RTP packet as ``(seq, wire bytes)`` and advance the stream counters.
 
     seq advances by 1 mod 2**16 and timestamp by samples_per_frame mod 2**32
-    per packet, so they stay in range and the header is packed unchecked; a
-    field or payload that fails the pack goes to ``encode_rtp``, which names
-    it.  ``now`` is not read: it lets a media source call this as it calls
-    ``IaxEndpoint.send_media``.  The bridge, not the sender, drops media
-    outside an Active conference.
+    per packet, so they stay in range and ``frames.pack_rtp`` packs them: a
+    counter of any integer type that fits is sent, and one that does not fit,
+    or a payload that is not bytes-like, raises ``encode_rtp``'s
+    ``EncodeError``.  ``now`` is unused: it lets a media source call this as
+    it calls ``IaxEndpoint.send_media``.  The bridge, not the sender, drops
+    media outside an Active conference.
     """
     seq = tx.seq
-    try:
-        data = _RTP_HDR.pack(0x80, 0, seq, tx.timestamp, tx.ssrc) + payload  # version 2, PT 0, no marker
-    except _PACK_ERRORS:
-        data = encode_rtp(seq, tx.timestamp, tx.ssrc, payload)
+    data = pack_rtp(seq, tx.timestamp, tx.ssrc, payload)
     tx.seq = (seq + 1) & 0xFFFF
     tx.timestamp = (tx.timestamp + tx.samples_per_frame) & 0xFFFFFFFF
     return seq, data

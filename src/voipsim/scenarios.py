@@ -342,9 +342,9 @@ def _rsw_chair(sim: Simulator, wan: LinkConfig, cfg: SweepConfig, stats: MediaSt
         send_conf(RswMessage(Verb.END, 1, "chair", "server"))
         yield  # the server's ACK for END, the run's last event
 
-    # send_media_rtp returns (seq, wire bytes); seq is the stats key.  Bound to tx as a method,
-    # it is called as send_media_rtp(tx, payload, now) with no Python frame in between
-    return _media_source(sim, "chair", transmit, cfg, stats, create(), send_media_rtp.__get__(tx), end())
+    from functools import partial  # not at the top, as netsim's deque
+    # send_media_rtp(tx, payload, now) returns (seq, wire bytes); seq is the stats key
+    return _media_source(sim, "chair", transmit, cfg, stats, create(), partial(send_media_rtp, tx), end())
 
 
 class _RswServerNode:

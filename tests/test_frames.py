@@ -34,9 +34,8 @@ from voipsim.frames import (
     encode_mini,
     encode_rsw,
     encode_rtp,
+    pack_rtp,
 )
-from voipsim.iax import IaxEndpoint
-from voipsim.rsw import RtpTxState, send_media_rtp
 
 # ---------------------------------------------------------------- strategies
 
@@ -190,23 +189,13 @@ def test_encoders_accept_int_subclasses_and_reject_other_numbers():
     assert exc.value.field_name == "ts16"
 
 
-def _mini_frame_of(payload):
-    """An Up callee's ``send_media`` of ``payload`` once its anchor is out: a mini frame."""
-    callee = IaxEndpoint("b")
-    callee.handle_signal(FullFrame(1, 0, 0, 0, 0, FrameKind.CONTROL, Signal.NEW, b"b"), 0.0)
-    callee.send_media(b"", 0.0)
-    return callee.send_media(payload, 20.0)
-
-
 @pytest.mark.parametrize("payload", [5, "ab", [300], None, 1.5])  # bytes(5) would be five zero bytes
 def test_encoders_name_a_payload_that_is_not_bytes_like(payload):
     encoders = [
         lambda: encode_full(FullFrame(1, 2, 3, 4, 5, FrameKind.VOICE, 0, payload)),
         lambda: encode_mini(1, 2, payload),
         lambda: encode_rtp(1, 2, 3, payload),
-        # the media senders pack their headers unchecked, and name a bad payload as these do
-        lambda: _mini_frame_of(payload),
-        lambda: send_media_rtp(RtpTxState(1, 2, 3), payload),
+        lambda: pack_rtp(1, 2, 3, payload),  # the pack fails on it, and encode_rtp names it
     ]
     for encode in encoders:
         with pytest.raises(EncodeError) as exc:
@@ -324,6 +313,51 @@ def test_rtp_encode_errors_name_the_first_bad_field():
         assert exc.value.field_name == field_name, (field_name, value)
     with pytest.raises(EncodeError) as exc:
         encode_rtp(0x10000, 2, 1 << 32, b"", 0x80, 2)  # every field bad: the first is named
+    assert exc.value.field_name == "seq"
+
+
+@given(
+    seq=st.integers(0, 0xFFFF),
+    timestamp=st.integers(0, 0xFFFFFFFF),
+    ssrc=st.integers(0, 0xFFFFFFFF),
+    payload=st.binary(max_size=200),
+)
+def test_pack_rtp_packs_what_encode_rtp_encodes(seq, timestamp, ssrc, payload):
+    assert pack_rtp(seq, timestamp, ssrc, payload) == encode_rtp(seq, timestamp, ssrc, payload)
+    # other bytes-like payloads too, as encode_rtp takes them
+    assert pack_rtp(seq, timestamp, ssrc, bytearray(payload)) == encode_rtp(seq, timestamp, ssrc, payload)
+
+
+@pytest.mark.parametrize("fields", [
+    (0x10000, 2, 3), (-1, 2, 3), (1.0, 2, 3), ("1", 2, 3), (None, 2, 3),
+    (1, 1 << 32, 3), (1, 2.5, 3), (1, 2, -1), (1, 2, 1 << 32), (0x10000, 2, 1 << 32),
+])
+def test_pack_rtp_refuses_what_encode_rtp_refuses_and_names_it_alike(fields):
+    # struct.pack's own error would name no field
+    with pytest.raises(EncodeError) as want:
+        encode_rtp(*fields, b"x")
+    with pytest.raises(EncodeError) as got:
+        pack_rtp(*fields, b"x")
+    assert (got.value.field_name, str(got.value)) == (want.value.field_name, str(want.value))
+
+
+class _Index:
+    """An integer that is not an ``int``, as a NumPy integer is not: it has ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_pack_rtp_takes_an_integer_that_is_not_an_int():
+    # encode_rtp refuses it; the struct pack that pack_rtp makes takes its __index__
+    with pytest.raises(EncodeError, match="expected an integer"):
+        encode_rtp(_Index(7), 2, 3, b"x")
+    assert pack_rtp(_Index(7), _Index(2), _Index(3), b"x") == encode_rtp(7, 2, 3, b"x")
+    with pytest.raises(EncodeError) as exc:
+        pack_rtp(_Index(0x10000), 2, 3, b"x")
     assert exc.value.field_name == "seq"
 
 

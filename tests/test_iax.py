@@ -318,7 +318,7 @@ def test_short_call_needs_single_anchor():
     payload=st.binary(max_size=200),
 )
 def test_a_mini_frame_is_what_encode_mini_encodes(start, steps, payload):
-    # a mini frame's header is packed unchecked; its bytes are encode_mini's
+    # whatever the clock, a mini frame's bytes are encode_mini's
     caller, callee = IaxEndpoint("a"), IaxEndpoint("b")
     connect(caller, callee)
     caller.send_media(payload, 0.0)  # the anchor
@@ -332,7 +332,7 @@ def test_a_mini_frame_is_what_encode_mini_encodes(start, steps, payload):
 
 @given(st.binary(max_size=24))
 def test_receive_media_frame_refuses_what_decode_mini_refuses(blob):
-    # the receiver reads the mini header itself; a frame decode_mini refuses it refuses alike
+    # a frame decode_mini refuses, the receiver refuses alike
     try:
         source_call, ts16, payload = decode_mini(blob)
     except DecodeError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import operator
 import random
 
 import pytest
@@ -325,7 +326,7 @@ def test_rtp_counters_wrap():
     payloads=st.lists(st.binary(max_size=200), min_size=1, max_size=4),
 )
 def test_rtp_stream_sends_what_encode_rtp_encodes(seq, timestamp, ssrc, samples, payloads):
-    # the sender packs the header unchecked; from any in-range stream its bytes are encode_rtp's
+    # the sender packs the header with pack_rtp; from any in-range stream its bytes are encode_rtp's
     tx = RtpTxState(seq=seq, timestamp=timestamp, ssrc=ssrc, samples_per_frame=samples)
     for payload in payloads:
         fields = (tx.seq, tx.timestamp, tx.ssrc)
@@ -344,6 +345,30 @@ def test_rtp_stream_names_an_out_of_range_counter(field, value):
         send_media_rtp(tx, b"x")
     assert exc.value.field_name == field
     assert (tx.seq, tx.timestamp, tx.ssrc) == counters  # a refused packet does not advance the stream
+
+
+class _Counter:
+    """A counter that is not an ``int``, as a NumPy integer is not: it has ``__index__`` and ``+``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __add__(self, other):
+        return self.value + other
+
+
+@pytest.mark.parametrize("field", ["seq", "timestamp", "ssrc"])
+def test_rtp_stream_sends_a_counter_that_is_not_an_int(field):
+    # encode_rtp refuses such a counter; send_media_rtp packs the integer it stands for
+    tx = RtpTxState(seq=1, timestamp=2, ssrc=3)
+    setattr(tx, field, _Counter(getattr(tx, field)))
+    seq, wire = send_media_rtp(tx, b"x")
+    assert wire == encode_rtp(1, 2, 3, b"x")
+    assert operator.index(seq) == 1
+    assert (tx.seq, tx.timestamp) == (2, 162)  # advanced, and ints again
 
 
 def test_new_rtp_tx_is_seed_deterministic():
